@@ -80,6 +80,13 @@ def _parse_params(text: str | None) -> dict[str, float]:
     return params
 
 
+def _int_param(params: dict[str, float], key: str, default: int) -> int:
+    value = params.get(key, default)
+    if not float(value).is_integer():
+        raise UsageError(f"--params {key}={value!r} is not an integer")
+    return int(value)
+
+
 def _parse_dims(text: str | None) -> DimsProfile | None:
     if not text:
         return None
@@ -100,7 +107,7 @@ def resolve_state(args) -> DensityMatrix:
     dims = _parse_dims(args.dims)
     name = args.builtin
     if name == "werner":
-        d = int(params.get("d", dims[0] if dims else 0))
+        d = _int_param(params, "d", dims[0] if dims else 0)
         if d < 2:
             raise UsageError("werner needs d (via --params d=... or --dims)")
         if "p" not in params:
@@ -119,8 +126,8 @@ def resolve_state(args) -> DensityMatrix:
     if name == "random":
         if dims is None:
             raise UsageError("random needs --dims")
-        rank = int(params.get("rank", dims.total))
-        seed = int(params.get("seed", DEFAULT_SEED))
+        rank = _int_param(params, "rank", dims.total)
+        seed = _int_param(params, "seed", DEFAULT_SEED)
         return random_density(dims, rank, seed)
     raise UsageError(
         f"unknown builtin {name!r} (werner, bell-diagonal, maximally-mixed, random)"
@@ -200,13 +207,16 @@ def cmd_invariants(args) -> int:
 
 
 def _estimate_rows(rho: DensityMatrix, args):
-    cfg = twirl.EstimatorConfig(
-        n_unitaries=args.unitaries,
-        shots=args.shots,
-        master_seed=args.seed,
-        plug_in=args.plug_in,
-        workers=args.workers,
-    )
+    try:
+        cfg = twirl.EstimatorConfig(
+            n_unitaries=args.unitaries,
+            shots=args.shots,
+            master_seed=args.seed,
+            plug_in=args.plug_in,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     crits = []
     if args.order == 2:
         y, est = twirl.estimate_y2(rho, cfg)

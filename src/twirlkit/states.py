@@ -193,7 +193,7 @@ def werner_state(d: int, p: float) -> DensityMatrix:
     if d < 2:
         raise DimensionMismatchError("d must be >= 2")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing parameter p={p} outside [0, 1]")
+        raise StateError(f"mixing parameter p={p} outside [0, 1]")
     m = p * max_entangled_projector(d) + (1.0 - p) / d**2 * np.eye(d * d)
     return make_state(m, DimsProfile((d, d)))
 
@@ -207,11 +207,11 @@ class BellDiagonalSpectrum:
     def __init__(self, lambdas: Iterable[float]):
         lam = tuple(float(v) for v in lambdas)
         if len(lam) != 4:
-            raise ValueError("a Bell-diagonal spectrum has exactly 4 entries")
+            raise StateError("a Bell-diagonal spectrum has exactly 4 entries")
         if any(v < -1e-12 or v > 1 + 1e-12 for v in lam):
-            raise ValueError(f"lambdas {lam} not all in [0, 1]")
+            raise StateError(f"lambdas {lam} not all in [0, 1]")
         if abs(sum(lam) - 1.0) > 1e-12:
-            raise ValueError(f"lambdas {lam} do not sum to 1")
+            raise StateError(f"lambdas {lam} do not sum to 1")
         object.__setattr__(self, "lambdas", lam)
 
 
@@ -238,7 +238,7 @@ def random_density(
         dims = DimsProfile(dims)
     total = dims.total
     if not 1 <= rank <= total:
-        raise ValueError(f"rank {rank} out of range 1..{total}")
+        raise StateError(f"rank {rank} out of range 1..{total}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     g = rng.normal(size=(total, rank)) + 1j * rng.normal(size=(total, rank))
     m = g @ g.conj().T

@@ -2,14 +2,23 @@
 computational basis, and average outcome-probability products per equality
 class.
 
+``_class_sums`` is the one moment kernel for both orders and every shot mode:
+one contraction per tuple of per-party set partitions pi of the rounds ("at
+least this equal"), Moebius inversion on each party's partition lattice, and
+pooling of the exact patterns into the y components.  For shot counts, the
+U-statistic over ordered distinct shots sums the contractions on pi v rho
+with weight mu(0, rho) over the partitions rho of coinciding shots.
+
 Reproducibility: unitaries are drawn in fixed chunks; chunk c for party l uses
-the substream ``c * n_parties + l`` of the master seed, and per-chunk sums are
-merged with ``math.fsum`` in chunk order.  Results are therefore bit-identical
-for a given (state, config) regardless of the worker count.
+the substream ``c * n_parties + l`` of the master seed, and per-chunk
+``(n, mean, M2)`` triples are merged in chunk order (Chan, Golub and LeVeque).
+Results are therefore bit-identical for a given (state, config) regardless of
+the worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -19,9 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .haar import DEFAULT_SEED, RngStream, sample_haar_batch
-from .reconstruct import YVector2, YVector3, pair_class_counts
+from .reconstruct import YVector2, YVector3, _check_order3_dims
 from .states import DensityMatrix, DimsProfile
-from .weingarten import SingularDimensionError
 
 
 class EstimationError(ArithmeticError):
@@ -84,184 +92,178 @@ def outcome_distribution(rho: DensityMatrix, unitaries: list[np.ndarray]) -> Out
     """p(I) = <I| (U rho U^dag) |I> for one product unitary U = U_1 x ... x U_N."""
     if len(unitaries) != rho.dims.n_parties:
         raise ValueError("one unitary per subsystem is required")
-    u = np.ones((1, 1), dtype=complex)
     for l, ul in enumerate(unitaries):
         if ul.shape != (rho.dims[l], rho.dims[l]):
             raise ValueError(f"unitary {l} has shape {ul.shape}, expected {(rho.dims[l],) * 2}")
-        u = np.kron(u, ul)
-    p = np.einsum("ij,ik,kj->j", u.conj(), rho.entries, u).real
+    p = _batched_probabilities(rho, [ul[None] for ul in unitaries])[0]
     if np.min(p) < -1e-14:
         raise EstimationError(f"negative probability {np.min(p):.3e}")
     return OutcomeDistribution(dims=rho.dims, probabilities=np.maximum(p, 0.0))
 
 
 def _batched_probabilities(rho: DensityMatrix, locals_: list[np.ndarray]) -> np.ndarray:
-    """(B, total) Born probabilities for a batch of product unitaries."""
+    """(B, total) Born probabilities for a batch of product unitaries, unclipped."""
     u = locals_[0]
     for ul in locals_[1:]:
         # batched kron: (B, m, m) x (B, d, d) -> (B, m d, m d)
         b, m, _ = u.shape
         d = ul.shape[-1]
         u = np.einsum("bij,bkl->bikjl", u, ul).reshape(b, m * d, m * d)
-    p = np.einsum("bij,ik,bkj->bj", u.conj(), rho.entries, u).real
-    return np.maximum(p, 0.0)
+    return np.einsum("bij,ik,bkj->bj", u.conj(), rho.entries, u).real
 
 
 # ---------------------------------------------------------------------------
-# per-class one-hot matrices
+# the partition-moment kernel
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _class_matrix_2(dims: tuple[int, ...]) -> np.ndarray:
-    """(total^2, 2^N) map from flattened pair products to class averages."""
-    n = len(dims)
-    total = math.prod(dims)
-    counts = pair_class_counts(DimsProfile(dims))
-    cm = np.zeros((total * total, 2**n))
-    digits = np.empty((total, n), dtype=int)
-    for idx in range(total):
-        r = idx
-        for l in range(n - 1, -1, -1):
-            digits[idx, l] = r % dims[l]
-            r //= dims[l]
-    for i1 in range(total):
-        for i2 in range(total):
-            q = 0
-            for l in range(n):
-                if digits[i1, l] != digits[i2, l]:
-                    q |= 1 << (n - 1 - l)
-            cm[i1 * total + i2, q] = 1.0 / counts[q]
-    return cm
-
-
-def _pair_pattern(a: int, b: int, c: int) -> int:
-    """Equality pattern of a round triple: 0 distinct, 1 (12), 2 (23), 3 (13), 4 equal."""
-    if a == b == c:
-        return 4
-    if a == b:
-        return 1
-    if b == c:
-        return 2
-    if a == c:
-        return 3
-    return 0
-
-
-# map (A-pattern, B-pattern) -> y3 component, None for unused combinations
-# (pair classes on one side against a different-pair class on the other are
-# all "misaligned" and pool into y4; matching pairs pool into y5)
-def _y3_component(pa: int, pb: int) -> int | None:
-    a_kind = 0 if pa == 0 else (2 if pa == 4 else 1)
-    b_kind = 0 if pb == 0 else (2 if pb == 4 else 1)
-    if a_kind != 1 or b_kind != 1:
-        return {
-            (0, 0): 0, (0, 1): 1, (0, 2): 2,
-            (1, 0): 3, (1, 2): 6,
-            (2, 0): 7, (2, 1): 8, (2, 2): 9,
-        }[(a_kind, b_kind)]
-    return 4 if pa != pb else 5
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """Set partitions of n rounds as restricted growth strings, lexicographic:
+    all-equal first, all-distinct last, so at n = 2 a tuple of per-party
+    partitions flattens to the class bitmask."""
+    parts = [()]
+    for _ in range(n):
+        parts = [s + (k,) for s in parts for k in range(max(s, default=-1) + 2)]
+    return tuple(parts)
 
 
 @lru_cache(maxsize=None)
-def _class_matrix_3(d_a: int, d_b: int) -> np.ndarray:
-    """(total^3, 10) map from flattened triple products to class averages."""
-    total = d_a * d_b
-    cm = np.zeros((total**3, 10))
-    counts = np.zeros(10)
-    comp = np.empty((total, total, total), dtype=int)
-    for i1 in range(total):
-        a1, b1 = divmod(i1, d_b)
-        for i2 in range(total):
-            a2, b2 = divmod(i2, d_b)
-            for i3 in range(total):
-                a3, b3 = divmod(i3, d_b)
-                c = _y3_component(_pair_pattern(a1, a2, a3), _pair_pattern(b1, b2, b3))
-                comp[i1, i2, i3] = c
-                counts[c] += 1
-    flat = comp.reshape(-1)
-    cm[np.arange(total**3), flat] = 1.0 / counts[flat]
-    return cm
+def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The finest partition coarser than both a and b."""
+    label = list(range(len(a)))
+    for r, s in itertools.combinations(range(len(a)), 2):
+        if a[r] == a[s] or b[r] == b[s]:
+            label = [label[r] if x == label[s] else x for x in label]
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(x, len(first)) for x in label)
 
 
-# ---------------------------------------------------------------------------
-# shot-level estimators
-# ---------------------------------------------------------------------------
-
-def _pair_products(p: np.ndarray, counts: np.ndarray | None, shots: int, plug_in: bool) -> np.ndarray:
-    """(B, t, t) estimates of p_i p_j per unitary."""
-    if counts is None:
-        return p[:, :, None] * p[:, None, :]
-    c = counts.astype(float)
-    if plug_in:
-        f = c / shots
-        return f[:, :, None] * f[:, None, :]
-    t = c.shape[1]
-    prod = c[:, :, None] * c[:, None, :]
-    prod[:, np.arange(t), np.arange(t)] -= c
-    return prod / (shots * (shots - 1))
+@lru_cache(maxsize=None)
+def _mobius_matrix(n: int) -> np.ndarray:
+    """mu(sigma, pi) on the partition lattice of n rounds: the inverse of the
+    integer unitriangular zeta matrix [sigma <= pi]."""
+    parts = _partitions(n)
+    zeta = np.array([[_join(s, p) == p for p in parts] for s in parts], dtype=float)
+    return np.round(np.linalg.inv(zeta))
 
 
-def _triple_products(p: np.ndarray, counts: np.ndarray | None, shots: int, plug_in: bool) -> np.ndarray:
-    """(B, t, t, t) estimates of p_i p_j p_k per unitary."""
-    if counts is None:
-        return p[:, :, None, None] * p[:, None, :, None] * p[:, None, None, :]
-    c = counts.astype(float)
-    if plug_in:
-        f = c / shots
-        return f[:, :, None, None] * f[:, None, :, None] * f[:, None, None, :]
-    t = c.shape[1]
-    eye = np.eye(t)
-    # ordered distinct shots: c_i (c_j - d_ij) (c_k - d_ik - d_jk)
-    cj = c[:, None, :] - eye[None, :, :]  # (B, i, j)
-    ck = (
-        c[:, None, None, :]
-        - eye[None, :, None, :]
-        - eye[None, None, :, :]
-    )  # (B, i, j, k)
-    out = c[:, :, None, None] * cj[:, :, :, None] * ck
-    return out / (shots * (shots - 1) * (shots - 2))
+def _component(sigmas: tuple[tuple[int, ...], ...]) -> int:
+    """Index of the y component holding a tuple of exact per-party patterns."""
+    if len(sigmas[0]) == 2:
+        return sum(s[1] << (len(sigmas) - 1 - l) for l, s in enumerate(sigmas))
+    kinds = tuple(3 - len(set(s)) for s in sigmas)  # 0 distinct, 1 one pair, 2 equal
+    if kinds == (1, 1):
+        return 5 if sigmas[0] == sigmas[1] else 4  # same pair of rounds or not
+    return (0, 1, 2, 3, None, 6, 7, 8, 9)[3 * kinds[0] + kinds[1]]
+
+
+@lru_cache(maxsize=None)
+def _pooling(order: int, n_parties: int) -> np.ndarray:
+    """(P^N, n_components) 0/1 map from exact-pattern tuples to components."""
+    comps = [_component(t) for t in itertools.product(_partitions(order), repeat=n_parties)]
+    return np.eye(max(comps) + 1)[comps]
+
+
+def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
+    """(B, n_components) sums of order-fold products of q over each class.
+
+    ``q`` has shape (B, d_1, ..., d_N).  With ``shots = 0`` the products are
+    of the entries of q (probabilities or frequencies).  With ``shots = M``,
+    q holds the outcome counts of M shots and each product p_{I_1} ... p_{I_n}
+    is replaced by its unbiased U-statistic over ordered distinct shots.
+    """
+    b, n_parties = q.shape[0], q.ndim - 1
+    parts = _partitions(order)
+
+    @lru_cache(maxsize=None)
+    def marginal(keep: tuple[int, ...]) -> np.ndarray:
+        # q summed over the parties not in keep, one party at a time
+        if len(keep) == n_parties:
+            return q
+        drop = min(set(range(n_parties)) - set(keep))
+        wider = tuple(sorted(keep + (drop,)))
+        return marginal(wider).sum(axis=1 + wider.index(drop))
+
+    @lru_cache(maxsize=None)
+    def moment(rho: tuple[int, ...], pis: tuple[tuple[int, ...], ...]) -> np.ndarray:
+        # one factor per block of rho; a party whose label no other factor
+        # shares is summed out of its factor before the contraction, so at
+        # orders 2 and 3 each einsum runs over at most one label per party
+        reps = [rho.index(k) for k in range(max(rho) + 1)]
+        operands = []
+        for r in reps:
+            keep = tuple(
+                l for l, pi in enumerate(pis) if sum(pi[s] == pi[r] for s in reps) > 1
+            )
+            operands += [marginal(keep), [0] + [1 + l * order + pis[l][r] for l in keep]]
+        return np.einsum(*operands, [0])
+
+    mu = _mobius_matrix(order)
+    # shot-coincidence partitions rho, weighted by mu(all-distinct, rho)
+    coincidences = range(len(parts)) if shots else [len(parts) - 1]
+    f = np.empty((b,) + (len(parts),) * n_parties)
+    for idx in itertools.product(range(len(parts)), repeat=n_parties):
+        f[(slice(None),) + idx] = sum(
+            mu[-1, j] * moment(parts[j], tuple(_join(parts[i], parts[j]) for i in idx))
+            for j in coincidences
+        )
+    for axis in range(1, n_parties + 1):
+        f = np.moveaxis(np.tensordot(f, mu, axes=([axis], [1])), -1, axis)
+    sums = f.reshape(b, -1) @ _pooling(order, n_parties)
+    # counts give integer sums up to here, so the one division is the only rounding
+    return sums / math.perm(shots, order) if shots else sums
 
 
 # ---------------------------------------------------------------------------
 # the estimation loop
 # ---------------------------------------------------------------------------
 
-def _run_chunks(rho: DensityMatrix, cfg: EstimatorConfig, order: int, class_matrix: np.ndarray) -> YEstimate:
+def _merge_moments(parts):
+    """Merge per-chunk (n, mean, M2) triples in order (Chan, Golub and LeVeque)."""
+    n, mean, m2 = parts[0]
+    for n_b, mean_b, m2_b in parts[1:]:
+        delta = mean_b - mean
+        mean = mean + delta * (n_b / (n + n_b))
+        m2 = m2 + m2_b + delta**2 * (n * n_b / (n + n_b))
+        n += n_b
+    return n, mean, m2
+
+
+def _run_chunks(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> YEstimate:
+    dims = rho.dims.dims
     n_parties = rho.dims.n_parties
     n_chunks = -(-cfg.n_unitaries // cfg.batch_size)
-    min_shots = {2: 2, 3: 3}[order]
-    if cfg.shots and cfg.shots < min_shots and not cfg.plug_in:
+    if cfg.shots and cfg.shots < order and not cfg.plug_in:
         raise EstimationError(
-            f"unbiased order-{order} estimation needs at least {min_shots} shots"
+            f"unbiased order-{order} estimation needs at least {order} shots"
         )
     if cfg.plug_in and cfg.shots:
         warnings.warn(
             "plug-in estimator is biased at finite shots (O(1/shots))",
             stacklevel=3,
         )
+    class_counts = _class_sums(np.ones((1,) + dims), order)[0]
+    kernel_shots = 0 if cfg.plug_in else cfg.shots
 
-    def one_chunk(c: int) -> tuple[np.ndarray, np.ndarray, int]:
+    def one_chunk(c: int) -> tuple[int, np.ndarray, np.ndarray]:
         start = c * cfg.batch_size
         size = min(cfg.batch_size, cfg.n_unitaries - start)
         locals_ = []
         for l in range(n_parties):
             stream = RngStream(cfg.master_seed, c * n_parties + l)
             locals_.append(sample_haar_batch(rho.dims[l], size, stream))
-        p = _batched_probabilities(rho, locals_)
-        counts = None
+        q = np.maximum(_batched_probabilities(rho, locals_), 0.0)
         if cfg.shots:
             # shot noise reuses the last party's chunk stream, offset so it
             # never collides with a unitary substream of any chunk
             shot_rng = RngStream(
                 cfg.master_seed, (n_chunks + c) * n_parties
             ).generator()
-            counts = shot_rng.multinomial(cfg.shots, p)
-        if order == 2:
-            prods = _pair_products(p, counts, cfg.shots, cfg.plug_in)
-        else:
-            prods = _triple_products(p, counts, cfg.shots, cfg.plug_in)
-        samples = prods.reshape(size, -1) @ class_matrix  # (size, n_components)
-        return samples.sum(axis=0), (samples * samples).sum(axis=0), size
+            # plug-in: the exact-probability kernel on frequencies
+            q = shot_rng.multinomial(cfg.shots, q) / (cfg.shots if cfg.plug_in else 1)
+        samples = _class_sums(q.reshape((size,) + dims), order, kernel_shots) / class_counts
+        mean = samples.mean(axis=0)
+        return size, mean, ((samples - mean) ** 2).sum(axis=0)
 
     if cfg.workers == 1:
         results = [one_chunk(c) for c in range(n_chunks)]
@@ -269,34 +271,23 @@ def _run_chunks(rho: DensityMatrix, cfg: EstimatorConfig, order: int, class_matr
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(one_chunk, range(n_chunks)))
 
-    n_comp = class_matrix.shape[1]
-    mean = np.array(
-        [math.fsum(r[0][k] for r in results) for k in range(n_comp)]
-    ) / cfg.n_unitaries
-    sq = np.array([math.fsum(r[1][k] for r in results) for k in range(n_comp)])
-    if cfg.n_unitaries > 1:
-        var = (sq - cfg.n_unitaries * mean**2) / (cfg.n_unitaries - 1)
-        se = np.sqrt(np.maximum(var, 0.0) / cfg.n_unitaries)
-    else:
-        se = np.full(n_comp, np.nan)
+    n, mean, m2 = _merge_moments(results)
+    se = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.full(len(mean), np.nan)
     if not np.all(np.isfinite(mean)):
         raise EstimationError("estimator produced non-finite values")
-    sizes = np.array([r[2] for r in results], dtype=float)
-    chunk_means = np.array([r[0] for r in results]) / sizes[:, None]
     return YEstimate(
         values=mean,
         std_error=se,
         n_unitaries=cfg.n_unitaries,
         shots=cfg.shots,
-        chunk_means=chunk_means,
-        chunk_sizes=sizes,
+        chunk_means=np.array([r[1] for r in results]),
+        chunk_sizes=np.array([r[0] for r in results], dtype=float),
     )
 
 
 def estimate_y2(rho: DensityMatrix, cfg: EstimatorConfig) -> tuple[YVector2, YEstimate]:
     """Estimate the 2^N order-2 class averages for an N-partite state."""
-    cm = _class_matrix_2(rho.dims.dims)
-    est = _run_chunks(rho, cfg, order=2, class_matrix=cm)
+    est = _run_chunks(rho, cfg, order=2)
     return YVector2(dims=rho.dims, values=est.values), est
 
 
@@ -305,10 +296,6 @@ def estimate_y3(rho: DensityMatrix, cfg: EstimatorConfig) -> tuple[YVector3, YEs
     if rho.dims.n_parties != 2:
         raise ValueError("order-3 estimation is defined for bipartite states")
     d_a, d_b = rho.dims.dims
-    if d_a < 3 or d_b < 3:
-        raise SingularDimensionError(
-            "order-3 reconstruction requires local dimensions >= 3"
-        )
-    cm = _class_matrix_3(d_a, d_b)
-    est = _run_chunks(rho, cfg, order=3, class_matrix=cm)
+    _check_order3_dims(d_a, d_b)
+    est = _run_chunks(rho, cfg, order=3)
     return YVector3(d_a=d_a, d_b=d_b, values=est.values), est

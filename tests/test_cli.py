@@ -13,16 +13,42 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
-def test_usage_error_exit_code(capsys):
-    code, _, err = run(["invariants"], capsys)
+WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants"],
+        WERNER3 + ["--unitaries", "0"],
+        WERNER3 + ["--workers", "0"],
+        WERNER3 + ["--shots", "-1"],
+        ["invariants", "--builtin", "werner", "--params", "d=2.5,p=0.5"],
+    ],
+    ids=["no-state", "unitaries-0", "workers-0", "shots-negative", "werner-d-not-integer"],
+)
+def test_usage_error_exit_code(argv, capsys):
+    code, _, err = run(argv, capsys)
     assert code == 1
     assert "usage error" in err
+    assert len(err.strip().splitlines()) == 1
 
 
-def test_bad_state_file_exit_code(capsys):
-    code, _, err = run(["invariants", "--state", "/no/such.json"], capsys)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--state", "/no/such.json"],
+        ["invariants", "--builtin", "werner", "--params", "d=3,p=1.5"],
+        ["invariants", "--builtin", "bell-diagonal", "--params", "l1=0.5,l2=0.2,l3=0.2,l4=0.2"],
+        ["invariants", "--builtin", "random", "--dims", "2,2", "--params", "rank=9"],
+    ],
+    ids=["missing-file", "werner-p-out-of-range", "bell-weights-not-normalised", "rank-too-large"],
+)
+def test_bad_state_file_exit_code(argv, capsys):
+    code, _, err = run(argv, capsys)
     assert code == 2
     assert "invalid state" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_order3_with_qubits_exit_code(capsys):

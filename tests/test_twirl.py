@@ -1,18 +1,33 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twirlkit.haar import RngStream, sample_haar
-from twirlkit.reconstruct import exact_x2, exact_x3, forward_2, forward_3, invert_2
-from twirlkit.states import make_state, max_entangled_projector, maximally_mixed, random_density
+from twirlkit.reconstruct import (
+    exact_x2,
+    exact_x3,
+    forward_2,
+    forward_3,
+    invert_2,
+    pair_class_counts,
+)
+from twirlkit.states import (
+    DimsProfile,
+    make_state,
+    max_entangled_projector,
+    maximally_mixed,
+    random_density,
+    werner_state,
+)
 from twirlkit.twirl import (
     EstimationError,
     EstimatorConfig,
-    _class_matrix_2,
-    _class_matrix_3,
-    _pair_products,
-    _triple_products,
+    _class_sums,
+    _merge_moments,
     estimate_y2,
     estimate_y3,
     outcome_distribution,
@@ -45,17 +60,26 @@ def test_outcome_distribution_identity_unitaries_gives_diagonal():
 
 
 def test_class_matrix_2_columns_average_over_classes():
-    cm = _class_matrix_2((2, 2))
-    # each column sums to 1 (an average over its class)
-    assert np.allclose(cm.sum(axis=0), 1.0)
-    # diagonal pairs (I1 = I2) belong to class 0
-    assert cm[0, 0] > 0 and cm[5, 0] > 0
+    for dims in [(2, 2), (2, 3), (2, 2, 3)]:
+        # the kernel on ones counts the index pairs of each class
+        counts = _class_sums(np.ones((1,) + dims), order=2)[0]
+        assert np.array_equal(counts, pair_class_counts(DimsProfile(dims)))
+        # a uniform p has the same product on every pair, so every class
+        # average is that product
+        t = math.prod(dims)
+        sums = _class_sums(np.full((1,) + dims, 1.0 / t), order=2)[0]
+        assert np.allclose(sums / counts, 1.0 / t**2, rtol=1e-13)
 
 
 def test_class_matrix_3_counts():
-    cm = _class_matrix_3(3, 3)
-    assert cm.shape == (9**3, 10)
-    assert np.allclose(cm.sum(axis=0), 1.0)
+    for d_a, d_b in [(3, 3), (3, 4), (8, 8)]:
+        counts = _class_sums(np.ones((1, d_a, d_b)), order=3)[0]
+        assert counts.shape == (10,)
+        assert counts.sum() == (d_a * d_b) ** 3
+        assert counts[0] == d_a * (d_a - 1) * (d_a - 2) * d_b * (d_b - 1) * (d_b - 2)
+        assert counts[9] == d_a * d_b
+        # three pairs of rounds on A, two other pairs on B
+        assert counts[4] == 2 * counts[5]
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
@@ -87,9 +111,10 @@ def test_reproducible_and_worker_independent():
     rho = random_density((2, 2), rank=3, seed=7)
     cfg1 = EstimatorConfig(n_unitaries=1500, shots=20, master_seed=9, workers=1)
     cfg4 = EstimatorConfig(n_unitaries=1500, shots=20, master_seed=9, workers=4)
-    y1, _ = estimate_y2(rho, cfg1)
-    y4, _ = estimate_y2(rho, cfg4)
+    y1, e1 = estimate_y2(rho, cfg1)
+    y4, e4 = estimate_y2(rho, cfg4)
     assert np.array_equal(y1.values, y4.values)
+    assert np.array_equal(e1.std_error, e4.std_error)
     y1b, _ = estimate_y2(rho, cfg1)
     assert np.array_equal(y1.values, y1b.values)
 
@@ -116,49 +141,102 @@ def test_plug_in_estimator_warns():
 
 
 def _exhaustive_expectation(p, shots, func):
-    """Exact expectation of a count statistic over the multinomial law."""
-    t = len(p)
-    from math import factorial, prod
+    """Exact expectation of a count statistic over the multinomial law.
 
-    total = None
-    for counts in itertools.product(range(shots + 1), repeat=t):
-        if sum(counts) != shots:
-            continue
-        weight = factorial(shots) * prod(
-            pi**ci / factorial(ci) for pi, ci in zip(p, counts)
-        )
-        val = func(np.array([counts]))
-        total = weight * val if total is None else total + weight * val
-    return total
-
-
-def test_pair_u_statistic_is_exactly_unbiased():
-    # E over the multinomial law equals p_i p_j for the ordered-pair estimator
-    p = np.array([0.5, 0.3, 0.2])
-    shots = 4
-    exp = _exhaustive_expectation(
-        p, shots, lambda c: _pair_products(None, c, shots, plug_in=False)[0]
+    ``p`` has shape (1, d_1, ..., d_N); ``func`` maps a (K, d_1, ..., d_N)
+    stack of count arrays to K rows of statistics.
+    """
+    flat = p.reshape(-1)
+    outcomes = list(itertools.combinations_with_replacement(range(flat.size), shots))
+    counts = np.array([np.bincount(o, minlength=flat.size) for o in outcomes])
+    weights = np.array(
+        [
+            math.factorial(shots)
+            * math.prod(pi**ci / math.factorial(ci) for pi, ci in zip(flat, c))
+            for c in counts
+        ]
     )
-    assert np.max(np.abs(exp - np.outer(p, p))) < 1e-12
+    return weights @ func(counts.reshape((-1,) + p.shape[1:]).astype(float))
 
 
-def test_triple_u_statistic_is_exactly_unbiased():
-    p = np.array([0.6, 0.4])
-    shots = 5
-    exp = _exhaustive_expectation(
-        p, shots, lambda c: _triple_products(None, c, shots, plug_in=False)[0]
-    )
-    target = p[:, None, None] * p[None, :, None] * p[None, None, :]
-    assert np.max(np.abs(exp - target)) < 1e-12
+@st.composite
+def _distributions(draw, shapes):
+    dims = draw(st.sampled_from(shapes))
+    t = math.prod(dims)
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=t, max_size=t)))
+    return (w / w.sum()).reshape((1,) + dims)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=_distributions([(3,), (2, 2), (2, 3), (2, 2, 2)]), shots=st.integers(2, 4))
+def test_pair_u_statistic_is_exactly_unbiased(p, shots):
+    # E over the multinomial law equals the class sums of p_i p_j
+    exp = _exhaustive_expectation(p, shots, lambda c: _class_sums(c, 2, shots))
+    assert np.allclose(exp, _class_sums(p, 2)[0], rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=_distributions([(2, 2), (2, 3), (3, 3)]), shots=st.integers(3, 4))
+def test_triple_u_statistic_is_exactly_unbiased(p, shots):
+    exp = _exhaustive_expectation(p, shots, lambda c: _class_sums(c, 3, shots))
+    assert np.allclose(exp, _class_sums(p, 3)[0], rtol=1e-12, atol=1e-15)
 
 
 def test_plug_in_estimator_is_biased():
-    p = np.array([0.5, 0.5])
+    p = np.array([[0.5, 0.5]])
     shots = 3
-    exp = _exhaustive_expectation(
-        p, shots, lambda c: _pair_products(None, c, shots, plug_in=True)[0]
-    )
-    assert np.max(np.abs(exp - np.outer(p, p))) > 1e-3
+    exp = _exhaustive_expectation(p, shots, lambda c: _class_sums(c / shots, 2))
+    assert np.max(np.abs(exp - _class_sums(p, 2)[0])) > 1e-3
+
+
+def _oracle_component(idx):
+    """y index of the index tuples idx[r][l] (round r, party l), by rule."""
+    n_parties = len(idx[0])
+    if len(idx) == 2:
+        return sum(1 << (n_parties - 1 - l) for l in range(n_parties) if idx[0][l] != idx[1][l])
+    kinds, equal_pairs = [], []
+    for l in range(2):
+        a, b, c = (idx[r][l] for r in range(3))
+        kinds.append({3: 0, 2: 1, 1: 2}[len({a, b, c})])
+        equal_pairs.append((a == b, b == c, a == c))
+    if kinds == [1, 1]:
+        return 5 if equal_pairs[0] == equal_pairs[1] else 4
+    return {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 3, (1, 2): 6,
+            (2, 0): 7, (2, 1): 8, (2, 2): 9}[tuple(kinds)]
+
+
+def _oracle_class_sums(q, order, shots):
+    """Class sums of one unitary's q by explicit loops over index tuples."""
+    n_comp = 10 if order == 3 else 2 ** q.ndim
+    sums = np.zeros(n_comp)
+    for idx in itertools.product(np.ndindex(*q.shape), repeat=order):
+        c = [q[i] for i in idx]
+        if shots == 0:
+            value = math.prod(c)
+        elif order == 2:
+            value = c[0] * (c[1] - (idx[0] == idx[1])) / (shots * (shots - 1))
+        else:
+            i, j, k = idx
+            value = (
+                c[0] * (c[1] - (i == j)) * (c[2] - (i == k) - (j == k))
+                / (shots * (shots - 1) * (shots - 2))
+            )
+        sums[_oracle_component(idx)] += value
+    return sums
+
+
+@pytest.mark.parametrize("shots", [0, 3, 5])
+@pytest.mark.parametrize(
+    "dims,order", [((3, 3), 3), ((3, 4), 3), ((3, 4), 2), ((2, 2, 3), 2)]
+)
+def test_kernel_matches_explicit_loop_oracle(dims, order, shots):
+    rng = np.random.default_rng(17)
+    p = rng.dirichlet(np.ones(math.prod(dims)), size=2)
+    q = rng.multinomial(shots, p).astype(float) if shots else p
+    q = q.reshape((2,) + dims)
+    got = _class_sums(q, order, shots)
+    want = np.array([_oracle_class_sums(qi, order, shots) for qi in q])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_shot_estimates_converge_to_analytic():
@@ -181,9 +259,10 @@ def test_maximally_mixed_y2_components_are_exact():
 
 
 def test_maximally_mixed_y3_components_are_exact():
-    rho = maximally_mixed((3, 3))
-    y, _ = estimate_y3(rho, EstimatorConfig(n_unitaries=50, master_seed=3))
-    assert np.allclose(y.values, (1.0 / 9) ** 3, atol=1e-14)
+    for dims in [(3, 3), (8, 8)]:
+        rho = maximally_mixed(dims)
+        y, _ = estimate_y3(rho, EstimatorConfig(n_unitaries=50, master_seed=3))
+        assert np.allclose(y.values, (1.0 / rho.total) ** 3, atol=1e-14)
 
 
 def test_product_state_delta_statistic_vanishes():
@@ -213,3 +292,26 @@ def test_outcome_distribution_rejects_wrong_unitary_shape():
     rho = maximally_mixed((2, 3))
     with pytest.raises(ValueError):
         outcome_distribution(rho, [np.eye(3), np.eye(2)])
+
+
+def test_std_error_matches_two_pass_reference():
+    # one unitary per chunk, so chunk_means are the per-unitary samples
+    rho = werner_state(5, 0.002)
+    cfg = EstimatorConfig(n_unitaries=1024, master_seed=3, batch_size=1)
+    _, est = estimate_y3(rho, cfg)
+    ref = np.std(est.chunk_means, axis=0, ddof=1) / np.sqrt(cfg.n_unitaries)
+    # the samples spread over ~1e-7 of their value, so ~9 digits of each
+    # deviation are significant; the one-pass formula was off by up to 1%
+    np.testing.assert_allclose(est.std_error, ref, rtol=1e-8)
+
+
+def test_moment_merge_on_uneven_chunks():
+    rng = np.random.default_rng(0)
+    # a large offset makes the one-pass (sum y^2 - n mean^2) formula lose digits
+    x = 1e6 + rng.normal(size=(1000, 3))
+    chunks = np.split(x, [1, 3, 503, 510, 810])  # sizes 1, 2, 500, 7, 300, 190
+    parts = [(len(c), c.mean(axis=0), ((c - c.mean(axis=0)) ** 2).sum(axis=0)) for c in chunks]
+    n, mean, m2 = _merge_moments(parts)
+    assert n == 1000
+    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(m2 / (n - 1), np.var(x, axis=0, ddof=1), rtol=1e-10)

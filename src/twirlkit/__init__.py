@@ -21,12 +21,10 @@ from .reconstruct import (
     exact_x3,
     forward_2,
     forward_3,
-    forward_model_3,
+    forward_matrix,
+    invert,
     invert_2,
     invert_3,
-    invert_3_numeric,
-    purity_marginal,
-    purity_marginal_hamming,
 )
 from .states import (
     BellDiagonalSpectrum,

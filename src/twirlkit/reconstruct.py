@@ -1,14 +1,18 @@
 """Forward maps y = M x between twirl-averaged statistics and invariants,
 and their inverses at orders 2 and 3.
 
+:func:`forward_matrix` derives M for both orders from the Weingarten matrices
+and the equality-pattern rows; :func:`invert` applies its cached inverse.
+
 Conventions
 -----------
 Order-2 vectors are indexed by subsystem subsets as bitmasks with subsystem 0
 the most significant bit, so for two parties the order is
 (1, Tr rho_B^2, Tr rho_A^2, Tr rho^2).
 
-Order-3 component order (bipartite, three rounds), A-pattern major over
-{all-distinct, one-pair, all-equal} with the (pair, pair) case split:
+The y-component order is defined once, by :func:`_component`.  At order 3
+(bipartite, three rounds) it is A-pattern major over {all-distinct, one-pair,
+all-equal} with the (pair, pair) case split:
 
     y0 (dist, dist)   y1 (dist, pair)   y2 (dist, equal)
     y3 (pair, dist)   y4 (pair, pair | different pairs of rounds coincide)
@@ -38,11 +42,11 @@ from .states import (
     trace_power,
 )
 from .weingarten import (
+    INVARIANT_ID,
     SingularDimensionError,
-    patterns_order3,
+    _partitions,
     s_matrix,
     w_matrix,
-    INVARIANT_ID,
 )
 
 
@@ -97,107 +101,17 @@ def _in_mask(mask: int, party: int, n_parties: int) -> bool:
     return bool(mask >> (n_parties - 1 - party) & 1)
 
 
-def pair_class_counts(dims: DimsProfile) -> np.ndarray:
-    """Number of index pairs (I1, I2) in each inequality class Q."""
-    n = dims.n_parties
-    counts = np.ones(2**n)
-    for q in range(2**n):
-        c = 1
-        for l, d in enumerate(dims):
-            c *= d * (d - 1) if _in_mask(q, l, n) else d
-        counts[q] = c
-    return counts
-
-
-def forward_matrix_2(dims: DimsProfile) -> np.ndarray:
-    """Kronecker-factored map from marginal purities to per-class averages."""
-    factors = []
-    for d in dims:
-        w_equal = 1.0 / (d * (d + 1))
-        factors.append(
-            np.array([[w_equal, w_equal], [1.0 / (d * d - 1), -1.0 / (d * (d * d - 1))]])
-        )
-    m = np.ones((1, 1))
-    for f in factors:
-        m = np.kron(m, f)
-    return m
-
-
 def forward_2(x: XVector2, dims: DimsProfile | None = None) -> YVector2:
     """Exact per-class averages for a state with the given marginal purities."""
     dims = dims if dims is not None else x.dims
-    y = forward_matrix_2(dims) @ np.asarray(x.purities, dtype=float)
+    y = forward_matrix(2, dims.dims) @ np.asarray(x.purities, dtype=float)
     return YVector2(dims=dims, values=y)
 
 
 def invert_2(y: YVector2, dims: DimsProfile | None = None) -> XVector2:
-    """Recover all marginal purities from per-class averages.
-
-    Applies the class-pair multiplicities and the tensor product of
-    [[1, 1], [d_l, -1]] factors.
-    """
+    """Recover all marginal purities from per-class averages."""
     dims = dims if dims is not None else y.dims
-    sums = np.asarray(y.values, dtype=float) * pair_class_counts(dims)
-    m = np.ones((1, 1))
-    for d in dims:
-        m = np.kron(m, np.array([[1.0, 1.0], [float(d), -1.0]]))
-    return XVector2(dims=dims, purities=m @ sums)
-
-
-def purity_marginal(y: YVector2, subsystems: Sequence[int], dims: DimsProfile | None = None) -> float:
-    """Tr rho_P^2 from class averages via the per-subsystem product formula."""
-    dims = dims if dims is not None else y.dims
-    n = dims.n_parties
-    p_mask = subset_mask(subsystems, n)
-    sums = np.asarray(y.values, dtype=float) * pair_class_counts(dims)
-    total = 0.0
-    for q in range(2**n):
-        coeff = 1.0
-        for l, d in enumerate(dims):
-            if _in_mask(p_mask, l, n):
-                coeff *= -1.0 if _in_mask(q, l, n) else float(d)
-        total += coeff * sums[q]
-    return total
-
-
-def purity_marginal_hamming(
-    y: YVector2, subsystems: Sequence[int], dims: DimsProfile | None = None
-) -> float:
-    """Equal-dimension Hamming-distance form of the marginal purity.
-
-    Sums d^{#P} (-d)^{-D(I1, I2)} over all pairs of P-restricted indices,
-    using the class averages as the per-pair expectations.  Must agree with
-    :func:`purity_marginal` whenever all local dimensions are equal.
-    """
-    dims = dims if dims is not None else y.dims
-    n = dims.n_parties
-    d = dims[0]
-    if any(dl != d for dl in dims):
-        raise ValueError("Hamming form requires equal local dimensions")
-    p_list = sorted(set(subsystems))
-    subset_mask(p_list, n)  # range check
-    counts = pair_class_counts(dims)
-    # per-pair expectation of the P-marginal product, by P-restricted class
-    total = 0.0
-    for i1 in itertools.product(range(d), repeat=len(p_list)):
-        for i2 in itertools.product(range(d), repeat=len(p_list)):
-            hamming = sum(a != b for a, b in zip(i1, i2))
-            # marginal pair value: sum of full-pair class sums consistent
-            # with this restriction, i.e. complement subsystems unconstrained
-            marg = 0.0
-            for q in range(2**n):
-                consistent = all(
-                    _in_mask(q, l, n) == (i1[j] != i2[j]) for j, l in enumerate(p_list)
-                )
-                if consistent:
-                    marg += counts[q] * y.values[q]
-            # marg now counts every complement completion; divide by the
-            # number of completions of the restricted pair in its class
-            restricted = 1.0
-            for j, l in enumerate(p_list):
-                restricted *= d * (d - 1) if i1[j] != i2[j] else d
-            total += d ** len(p_list) * (-float(d)) ** (-hamming) * marg / restricted
-    return total
+    return XVector2(dims=dims, purities=invert(2, dims.dims, y.values))
 
 
 def exact_x2(rho: DensityMatrix) -> XVector2:
@@ -281,173 +195,105 @@ def exact_x3(rho: DensityMatrix) -> XVector3:
     )
 
 
-@dataclass(frozen=True)
-class ForwardModel3:
-    """All constants of the bipartite order-3 linear system at (d_A, d_B)."""
-
-    d_a: int
-    d_b: int
-    wg_a: tuple[float, float, float]  # (identity, transposition, 3-cycle)
-    wg_b: tuple[float, float, float]
-    matrix11: np.ndarray = field(repr=False)  # 10 x 11, acts on (x0..x10)
-    matrix10: np.ndarray = field(repr=False)  # 10 x 10, acts on (x0..x8, x_S)
-    delta_coeff: float  # y4 - y5 = delta_coeff * (x4 - x5)
-
-    @property
-    def a(self) -> tuple[float, float]:
-        """Per-side a = t + i (transposition plus identity Weingarten values)."""
-        return (self.wg_a[1] + self.wg_a[0], self.wg_b[1] + self.wg_b[0])
-
-    @property
-    def b(self) -> tuple[float, float]:
-        """Per-side b = c + t (3-cycle plus transposition)."""
-        return (self.wg_a[2] + self.wg_a[1], self.wg_b[2] + self.wg_b[1])
-
-    @property
-    def eta(self) -> float:
-        """The (a - b) product splitting the two (pair, pair) classes."""
-        (a_a, a_b), (b_a, b_b) = self.a, self.b
-        return (b_a - a_a) * (a_b - b_b)
+def forward_3(x: XVector3, d_a: int, d_b: int) -> YVector3:
+    """Exact per-class averages from the invariants (x9, x10 enter as x_S)."""
+    xm = np.array(x.values[:9] + (x.x_s,))
+    return YVector3(d_a=d_a, d_b=d_b, values=forward_matrix(3, (d_a, d_b)) @ xm)
 
 
-def _check_order3_dims(d_a: int, d_b: int) -> None:
-    if d_a < 3 or d_b < 3:
+def invert_3(y: YVector3, d_a: int | None = None, d_b: int | None = None) -> XVector3:
+    """Recover x0..x8 and x_S (in both the x9 and x10 slots) from the ten
+    per-class averages."""
+    d_a = d_a if d_a is not None else y.d_a
+    d_b = d_b if d_b is not None else y.d_b
+    return XVector3(invert(3, (d_a, d_b), y.values))
+
+
+# ---------------------------------------------------------------------------
+# the forward matrix and its inverse, both orders
+# ---------------------------------------------------------------------------
+
+def _check_order3_dims(dims: Sequence[int]) -> None:
+    if len(dims) != 2:
+        raise ValueError("order-3 invariants are defined for bipartite states")
+    if min(dims) < 3:
         raise SingularDimensionError(
             "order-3 reconstruction requires local dimensions >= 3"
         )
 
 
-# rows of the ten y components as (A-pattern, B-pattern) indices into
-# patterns_order3(): 0 all-distinct, 1 pair(12), 2 pair(23), 4 all-equal
-_Y3_PATTERN_PAIRS = (
-    (0, 0), (0, 1), (0, 4),
-    (1, 0),
-    (1, 2),  # y4: different pairs of rounds coincide on the two sides
-    (1, 1),  # y5: the same pair of rounds coincides on both sides
-    (1, 4),
-    (4, 0), (4, 1), (4, 4),
-)
+def _component(sigmas: tuple[tuple[int, ...], ...]) -> int:
+    """Index of the y component holding a tuple of exact per-party patterns.
+
+    The one definition of the component order, used by the moment kernel and
+    by :func:`forward_matrix`.
+    """
+    if len(sigmas[0]) == 2:
+        return sum(s[1] << (len(sigmas) - 1 - l) for l, s in enumerate(sigmas))
+    kinds = tuple(3 - len(set(s)) for s in sigmas)  # 0 distinct, 1 one pair, 2 equal
+    if kinds == (1, 1):
+        return 5 if sigmas[0] == sigmas[1] else 4  # same pair of rounds or not
+    return (0, 1, 2, 3, None, 6, 7, 8, 9)[3 * kinds[0] + kinds[1]]
 
 
 @lru_cache(maxsize=None)
-def forward_model_3(d_a: int, d_b: int) -> ForwardModel3:
-    """Build the 10-equation forward model from the S rows and W matrices."""
-    _check_order3_dims(d_a, d_b)
-    w_a, w_b = w_matrix(3, d_a), w_matrix(3, d_b)
-    s3 = s_matrix(3)
-    m11 = np.zeros((10, 11))
-    for r, (pa, pb) in enumerate(_Y3_PATTERN_PAIRS):
-        v_a = s3[pa] @ w_a
-        v_b = s3[pb] @ w_b
-        for i in range(6):
-            for j in range(6):
-                m11[r, INVARIANT_ID[i][j]] += v_a[i] * v_b[j]
-    m10 = np.column_stack([m11[:, :9], m11[:, 9] + m11[:, 10]])
-    def first_wgs(w):
-        return (w[0, 0], w[0, 1], w[0, 4])
-    return ForwardModel3(
-        d_a=d_a,
-        d_b=d_b,
-        wg_a=first_wgs(w_a),
-        wg_b=first_wgs(w_b),
-        matrix11=m11,
-        matrix10=m10,
-        delta_coeff=m11[4, 4] - m11[5, 4],
-    )
+def _pooling(order: int, n_parties: int) -> np.ndarray:
+    """(P^N, n_components) 0/1 map from exact-pattern tuples to components."""
+    comps = [_component(t) for t in itertools.product(_partitions(order), repeat=n_parties)]
+    return np.eye(max(comps) + 1)[comps]
 
 
-def forward_3(x: XVector3, d_a: int, d_b: int) -> YVector3:
-    """Exact per-class averages from the eleven invariants."""
-    model = forward_model_3(d_a, d_b)
-    return YVector3(d_a=d_a, d_b=d_b, values=model.matrix11 @ np.asarray(x.values))
+def _pattern_rows(order: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Forward rows of every tuple of exact per-party patterns, on invariants.
 
-
-_KEPT_ROWS = (0, 1, 2, 3, 5, 6, 7, 8, 9)  # drop y4: equal to y5 after merging x4
-
-
-def _closed_form_factor(d: int) -> np.ndarray:
-    return np.array(
-        [
-            [(d - 2) * (d - 1), 3 * (d - 1), 1],
-            [-(d - 2) * (d - 1), (d - 2) * (d - 1), d],
-            [(d - 2) * (d - 1), -1.5 * (d - 1) ** 2, 0.5 * (d * d + 1)],
-        ]
-    )
-
-
-def _delta_correction(d_a: int, d_b: int) -> np.ndarray:
-    """Coefficient vector of the x5 = x4 - Delta substitution on the kept rows.
-
-    This is the image of the y5 forward column (rescaled by the per-side
-    c_K = 1/((d^2-1)(d^2-4)) constants) before applying the tensor factors.
+    Row and column index the tuples in ``itertools.product`` order, party 0
+    slowest.  At order 2 a column is a tuple of S2 elements, i.e. the bitmask
+    of the swapped parties, which is already the purity index.  At order 3
+    columns fold onto ``INVARIANT_ID`` with x9 and x10 merged into x_S.
     """
-    diag9 = np.kron(
-        [1.0, d_a - 2.0, (d_a - 2.0) * (d_a - 1.0)],
-        [1.0, d_b - 2.0, (d_b - 2.0) * (d_b - 1.0)],
-    )
-    v5 = np.array(
-        [
-            3.0 * d_a * d_b,
-            d_a * (1.0 - d_b),
-            -3.0 * d_a,
-            d_b * (1.0 - d_a),
-            float(d_a * d_b + d_a + d_b + 3),
-            d_a - 1.0,
-            -3.0 * d_b,
-            d_b - 1.0,
-            3.0,
-        ]
-    )
-    c_a = 1.0 / ((d_a**2 - 1) * (d_a**2 - 4))
-    c_b = 1.0 / ((d_b**2 - 1) * (d_b**2 - 4))
-    return c_a * c_b * (diag9 * v5)
+    rows = np.ones((1, 1))
+    for d in dims:
+        rows = np.kron(rows, s_matrix(order) @ w_matrix(order, d))
+    if order == 3:
+        rows = rows @ np.eye(10)[np.minimum(np.ravel(INVARIANT_ID), 9)]
+    return rows
 
 
-def _assemble_x(x9: np.ndarray, delta: float) -> XVector3:
-    x0, x1, x2, x3, x4, x6, x7, x8, x_s = x9
-    return XVector3((x0, x1, x2, x3, x4, x4 - delta, x6, x7, x8, x_s, x_s))
+@lru_cache(maxsize=None)
+def forward_matrix(order: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Square map y = M x from invariants to the per-class averages.
 
-
-def invert_3(y: YVector3, d_a: int | None = None, d_b: int | None = None) -> XVector3:
-    """Closed-form inversion: Delta rescaling plus the tensor-product solve.
-
-    Delta = (y4 - y5) d_A(d_A^2-1) d_B(d_B^2-1), then the nine remaining
-    unknowns come from the explicit 3x3 tensor factors and the Delta
-    correction vector.  Raises if the recovered invariants fail to reproduce
-    the input within the residual tolerance.
+    Row c is the Weingarten expectation of component c: the row of the first
+    exact-pattern tuple that ``_pooling`` puts into c.  Every tuple of a
+    component has the same row, which the tests check.
     """
-    d_a = d_a if d_a is not None else y.d_a
-    d_b = d_b if d_b is not None else y.d_b
-    _check_order3_dims(d_a, d_b)
-    vals = np.asarray(y.values, dtype=float)
-    delta = (vals[4] - vals[5]) * d_a * (d_a**2 - 1) * d_b * (d_b**2 - 1)
-    mm = np.kron(_closed_form_factor(d_a), _closed_form_factor(d_b))
-    x9 = d_a * d_b * (mm @ vals[list(_KEPT_ROWS)])
-    x9 += delta * (mm @ _delta_correction(d_a, d_b))
-    x = _assemble_x(x9, delta)
-    residual = np.max(np.abs(forward_3(x, d_a, d_b).values - vals))
+    if order == 3:
+        _check_order3_dims(dims)
+    m = _pattern_rows(order, dims)[_pooling(order, len(dims)).argmax(axis=0)]
+    m.setflags(write=False)
+    return m
+
+
+@lru_cache(maxsize=None)
+def _inverse(order: int, dims: tuple[int, ...]) -> np.ndarray:
+    m = np.linalg.inv(forward_matrix(order, dims))
+    m.setflags(write=False)
+    return m
+
+
+def invert(order: int, dims: Sequence[int], y) -> np.ndarray:
+    """Invariants from one y vector or a (k, n_components) batch of them.
+
+    Order 2 gives the 2^N purities; order 3 gives x0..x8 and x_S in both the
+    x9 and x10 slots.  Raises if the result does not reproduce y within
+    ``RESIDUAL_TOL``.
+    """
+    dims = tuple(dims)
+    y = np.asarray(y, dtype=float)
+    x = y @ _inverse(order, dims).T
+    residual = np.max(np.abs(x @ forward_matrix(order, dims).T - y))
     if residual > RESIDUAL_TOL:
         raise ReconstructionError(
             f"inversion residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
-    return x
-
-
-def invert_3_numeric(y: YVector3, d_a: int | None = None, d_b: int | None = None) -> XVector3:
-    """Generic route: linear solve of the reduced 9x9 system.
-
-    Standing regression partner of :func:`invert_3`; the two must agree to
-    1e-9 (the closed form transcribes long hand-derived matrices).
-    """
-    d_a = d_a if d_a is not None else y.d_a
-    d_b = d_b if d_b is not None else y.d_b
-    model = forward_model_3(d_a, d_b)
-    vals = np.asarray(y.values, dtype=float)
-    delta = (vals[4] - vals[5]) / model.delta_coeff
-    m10 = model.matrix10
-    # substitute x5 = x4 - delta: merge column 5 into column 4
-    m9 = np.column_stack([m10[:, :4], m10[:, 4] + m10[:, 5], m10[:, 6:]])
-    rhs = vals + delta * m10[:, 5]
-    rows = list(_KEPT_ROWS)
-    x9 = np.linalg.solve(m9[rows], rhs[rows])
-    return _assemble_x(x9, delta)
+    return x[..., list(range(10)) + [9]] if order == 3 else x

@@ -28,8 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .haar import DEFAULT_SEED, RngStream, sample_haar_batch
-from .reconstruct import YVector2, YVector3, _check_order3_dims
+from .reconstruct import YVector2, YVector3, _check_order3_dims, _pooling
 from .states import DensityMatrix, DimsProfile
+from .weingarten import _partitions
 
 
 class EstimationError(ArithmeticError):
@@ -117,17 +118,6 @@ def _batched_probabilities(rho: DensityMatrix, locals_: list[np.ndarray]) -> np.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """Set partitions of n rounds as restricted growth strings, lexicographic:
-    all-equal first, all-distinct last, so at n = 2 a tuple of per-party
-    partitions flattens to the class bitmask."""
-    parts = [()]
-    for _ in range(n):
-        parts = [s + (k,) for s in parts for k in range(max(s, default=-1) + 2)]
-    return tuple(parts)
-
-
-@lru_cache(maxsize=None)
 def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The finest partition coarser than both a and b."""
     label = list(range(len(a)))
@@ -145,23 +135,6 @@ def _mobius_matrix(n: int) -> np.ndarray:
     parts = _partitions(n)
     zeta = np.array([[_join(s, p) == p for p in parts] for s in parts], dtype=float)
     return np.round(np.linalg.inv(zeta))
-
-
-def _component(sigmas: tuple[tuple[int, ...], ...]) -> int:
-    """Index of the y component holding a tuple of exact per-party patterns."""
-    if len(sigmas[0]) == 2:
-        return sum(s[1] << (len(sigmas) - 1 - l) for l, s in enumerate(sigmas))
-    kinds = tuple(3 - len(set(s)) for s in sigmas)  # 0 distinct, 1 one pair, 2 equal
-    if kinds == (1, 1):
-        return 5 if sigmas[0] == sigmas[1] else 4  # same pair of rounds or not
-    return (0, 1, 2, 3, None, 6, 7, 8, 9)[3 * kinds[0] + kinds[1]]
-
-
-@lru_cache(maxsize=None)
-def _pooling(order: int, n_parties: int) -> np.ndarray:
-    """(P^N, n_components) 0/1 map from exact-pattern tuples to components."""
-    comps = [_component(t) for t in itertools.product(_partitions(order), repeat=n_parties)]
-    return np.eye(max(comps) + 1)[comps]
 
 
 def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
@@ -293,9 +266,7 @@ def estimate_y2(rho: DensityMatrix, cfg: EstimatorConfig) -> tuple[YVector2, YEs
 
 def estimate_y3(rho: DensityMatrix, cfg: EstimatorConfig) -> tuple[YVector3, YEstimate]:
     """Estimate the ten order-3 class averages for a bipartite state."""
-    if rho.dims.n_parties != 2:
-        raise ValueError("order-3 estimation is defined for bipartite states")
+    _check_order3_dims(rho.dims.dims)
     d_a, d_b = rho.dims.dims
-    _check_order3_dims(d_a, d_b)
     est = _run_chunks(rho, cfg, order=3)
     return YVector3(d_a=d_a, d_b=d_b, values=est.values), est

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,61 +145,29 @@ def w_matrix(n: int, d: int) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class EqualityPattern:
-    """Set partition of measurement-round indices into blocks of equal outcomes."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __init__(self, n: int, blocks):
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
-        flat = sorted(i for b in blocks for i in b)
-        if flat != list(range(n)):
-            raise ValueError(f"{blocks} is not a partition of 0..{n - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", tuple(sorted(blocks)))
-
-    def block_of(self, k: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if k in b:
-                return b
-        raise KeyError(k)
-
-    def delta_row(self) -> np.ndarray:
-        """Row of per-permutation delta products [1, delta...] for this pattern."""
-        same = lambda i, j: self.block_of(i) == self.block_of(j)
-        row = []
-        for p in permutations_of_order(self.n):
-            row.append(1.0 if all(same(k, p(k)) for k in range(self.n)) else 0.0)
-        return np.array(row)
-
-
-def patterns_order2() -> tuple[EqualityPattern, EqualityPattern]:
-    """(both equal, both distinct) -- the s_matrix(2) row order."""
-    return (EqualityPattern(2, (((0, 1)),)), EqualityPattern(2, ((0,), (1,))))
-
-
-def patterns_order3() -> tuple[EqualityPattern, ...]:
-    """Row order: all-distinct, pair(12), pair(23), pair(13), all-equal."""
-    return (
-        EqualityPattern(3, ((0,), (1,), (2,))),
-        EqualityPattern(3, ((0, 1), (2,))),
-        EqualityPattern(3, ((1, 2), (0,))),
-        EqualityPattern(3, ((0, 2), (1,))),
-        EqualityPattern(3, ((0, 1, 2),)),
-    )
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """Set partitions of n rounds as restricted growth strings, lexicographic:
+    all-equal first, all-distinct last, so at n = 2 a tuple of per-party
+    partitions flattens to the class bitmask."""
+    parts = [()]
+    for _ in range(n):
+        parts = [s + (k,) for s in parts for k in range(max(s, default=-1) + 2)]
+    return tuple(parts)
 
 
 def s_matrix(n: int) -> np.ndarray:
-    """Equality-pattern x permutation 0/1 matrix of surviving delta products."""
-    if n == 2:
-        pats = patterns_order2()
-    elif n == 3:
-        pats = patterns_order3()
-    else:
-        raise ValueError(f"unsupported order n={n}")
-    return np.array([p.delta_row() for p in pats])
+    """Equality-pattern x permutation 0/1 matrix of surviving delta products.
+
+    Rows follow ``_partitions(n)``; a permutation survives a pattern when it
+    maps every round into the round's own block.
+    """
+    return np.array(
+        [
+            [float(all(s[k] == s[p(k)] for k in range(n))) for p in permutations_of_order(n)]
+            for s in _partitions(n)
+        ]
+    )
 
 
 def diagram_contract(

@@ -1,0 +1,125 @@
+"""Hand-derived reconstruction forms, kept as independent test oracles.
+
+The package reconstructs invariants with one mechanically derived inverse
+(``twirlkit.reconstruct.invert``).  The forms below were derived by hand and
+transcribed; they share no code with that inverse, so agreement between the
+two is evidence for both.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from twirlkit.reconstruct import XVector3, YVector2, YVector3, _in_mask, subset_mask
+from twirlkit.states import DimsProfile
+
+
+def pair_class_counts(dims: DimsProfile) -> np.ndarray:
+    """Number of index pairs (I1, I2) in each inequality class Q."""
+    n = dims.n_parties
+    counts = np.ones(2**n)
+    for q in range(2**n):
+        c = 1
+        for l, d in enumerate(dims):
+            c *= d * (d - 1) if _in_mask(q, l, n) else d
+        counts[q] = c
+    return counts
+
+
+def purity_marginal_hamming(
+    y: YVector2, subsystems, dims: DimsProfile | None = None
+) -> float:
+    """Equal-dimension Hamming-distance form of the marginal purity.
+
+    Sums d^{#P} (-d)^{-D(I1, I2)} over all pairs of P-restricted indices,
+    using the class averages as the per-pair expectations.
+    """
+    dims = dims if dims is not None else y.dims
+    n = dims.n_parties
+    d = dims[0]
+    if any(dl != d for dl in dims):
+        raise ValueError("Hamming form requires equal local dimensions")
+    p_list = sorted(set(subsystems))
+    subset_mask(p_list, n)  # range check
+    counts = pair_class_counts(dims)
+    # per-pair expectation of the P-marginal product, by P-restricted class
+    total = 0.0
+    for i1 in itertools.product(range(d), repeat=len(p_list)):
+        for i2 in itertools.product(range(d), repeat=len(p_list)):
+            hamming = sum(a != b for a, b in zip(i1, i2))
+            # marginal pair value: sum of full-pair class sums consistent
+            # with this restriction, i.e. complement subsystems unconstrained
+            marg = 0.0
+            for q in range(2**n):
+                consistent = all(
+                    _in_mask(q, l, n) == (i1[j] != i2[j]) for j, l in enumerate(p_list)
+                )
+                if consistent:
+                    marg += counts[q] * y.values[q]
+            # marg now counts every complement completion; divide by the
+            # number of completions of the restricted pair in its class
+            restricted = 1.0
+            for j, l in enumerate(p_list):
+                restricted *= d * (d - 1) if i1[j] != i2[j] else d
+            total += d ** len(p_list) * (-float(d)) ** (-hamming) * marg / restricted
+    return total
+
+
+_KEPT_ROWS = (0, 1, 2, 3, 5, 6, 7, 8, 9)  # drop y4: equal to y5 after merging x4
+
+
+def _closed_form_factor(d: int) -> np.ndarray:
+    return np.array(
+        [
+            [(d - 2) * (d - 1), 3 * (d - 1), 1],
+            [-(d - 2) * (d - 1), (d - 2) * (d - 1), d],
+            [(d - 2) * (d - 1), -1.5 * (d - 1) ** 2, 0.5 * (d * d + 1)],
+        ]
+    )
+
+
+def _delta_correction(d_a: int, d_b: int) -> np.ndarray:
+    """Coefficient vector of the x5 = x4 - Delta substitution on the kept rows.
+
+    This is the image of the y5 forward column (rescaled by the per-side
+    c_K = 1/((d^2-1)(d^2-4)) constants) before applying the tensor factors.
+    """
+    diag9 = np.kron(
+        [1.0, d_a - 2.0, (d_a - 2.0) * (d_a - 1.0)],
+        [1.0, d_b - 2.0, (d_b - 2.0) * (d_b - 1.0)],
+    )
+    v5 = np.array(
+        [
+            3.0 * d_a * d_b,
+            d_a * (1.0 - d_b),
+            -3.0 * d_a,
+            d_b * (1.0 - d_a),
+            float(d_a * d_b + d_a + d_b + 3),
+            d_a - 1.0,
+            -3.0 * d_b,
+            d_b - 1.0,
+            3.0,
+        ]
+    )
+    c_a = 1.0 / ((d_a**2 - 1) * (d_a**2 - 4))
+    c_b = 1.0 / ((d_b**2 - 1) * (d_b**2 - 4))
+    return c_a * c_b * (diag9 * v5)
+
+
+def invert_3_closed_form(y: YVector3) -> XVector3:
+    """Closed-form inversion: Delta rescaling plus the tensor-product solve.
+
+    Delta = (y4 - y5) d_A(d_A^2-1) d_B(d_B^2-1), then the nine remaining
+    unknowns come from the explicit 3x3 tensor factors and the Delta
+    correction vector.
+    """
+    d_a, d_b = y.d_a, y.d_b
+    vals = np.asarray(y.values, dtype=float)
+    delta = (vals[4] - vals[5]) * d_a * (d_a**2 - 1) * d_b * (d_b**2 - 1)
+    mm = np.kron(_closed_form_factor(d_a), _closed_form_factor(d_b))
+    x9 = d_a * d_b * (mm @ vals[list(_KEPT_ROWS)])
+    x9 += delta * (mm @ _delta_correction(d_a, d_b))
+    x0, x1, x2, x3, x4, x6, x7, x8, x_s = x9
+    return XVector3((x0, x1, x2, x3, x4, x4 - delta, x6, x7, x8, x_s, x_s))

@@ -13,19 +13,16 @@ from twirlkit.criteria import (
     werner_threshold_2,
     werner_threshold_3,
 )
+from oracles import purity_marginal_hamming
 from twirlkit.haar import RngStream
 from twirlkit.reconstruct import (
-    YVector2,
-    YVector3,
     exact_x2,
     exact_x3,
     forward_2,
     forward_3,
+    invert,
     invert_2,
     invert_3,
-    invert_3_numeric,
-    purity_marginal,
-    purity_marginal_hamming,
 )
 from twirlkit.states import (
     BellDiagonalSpectrum,
@@ -110,7 +107,7 @@ def test_acceptance_3_second_order_pipeline():
         for p in subsets:
             worst_h = max(
                 worst_h,
-                abs(purity_marginal(y, p) - purity_marginal_hamming(y, p)),
+                abs(invert_2(y).purity(p) - purity_marginal_hamming(y, p)),
             )
     ok = worst_rt < 1e-12 and worst_h < 1e-12
     _report(3, "second-order pipeline", ok,
@@ -122,9 +119,7 @@ def _bell_purities(n_unitaries: int, seed: int):
     cfg = EstimatorConfig(n_unitaries=n_unitaries, master_seed=seed)
     y, est = estimate_y2(rho, cfg)
     x_hat = invert_2(y).purities
-    chunk_x = np.array(
-        [invert_2(YVector2(rho.dims, m)).purities for m in est.chunk_means]
-    )
+    chunk_x = invert(2, rho.dims.dims, est.chunk_means)
     c = chunk_x.shape[0]
     se = np.std(chunk_x, axis=0, ddof=1) / np.sqrt(c) if c > 1 else np.full(4, np.nan)
     return x_hat, se
@@ -174,13 +169,8 @@ def test_acceptance_6_end_to_end_werner_detection():
     y3, est3 = estimate_y3(rho, cfg)
     x3 = invert_3(y3)
     rep3 = third_order_criterion(x3)
-    chunk_margins = np.array(
-        [
-            2 * invert_3_numeric(YVector3(3, 3, m)).values[8]
-            - 2 * invert_3_numeric(YVector3(3, 3, m)).x_s
-            for m in est3.chunk_means
-        ]
-    )
+    chunk_x = invert(3, (3, 3), est3.chunk_means)
+    chunk_margins = 2 * chunk_x[:, 8] - 2 * chunk_x[:, 9]
     c = len(chunk_margins)
     se_margin = np.std(chunk_margins, ddof=1) / np.sqrt(c)
     sigma = -rep3.margin / se_margin

@@ -24,8 +24,20 @@ WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
         WERNER3 + ["--workers", "0"],
         WERNER3 + ["--shots", "-1"],
         ["invariants", "--builtin", "werner", "--params", "d=2.5,p=0.5"],
+        WERNER3 + ["--order", "3", "--shots", "2"],
+        ["invariants", "--builtin", "random", "--dims", "2,2", "--params", "rnak=1,seed=4"],
+        ["invariants", "--builtin", "werner", "--params", "d=3,p=0.5,q=1"],
+        ["invariants", "--builtin", "bell-diagonal", "--params", "l1=1,l2=0,l3=0,l4=0,l5=0"],
+        ["invariants", "--builtin", "maximally-mixed", "--dims", "2,2", "--params", "p=1"],
+        ["invariants", "--builtin", "werner", "--dims", "3,4", "--params", "p=0.5"],
+        ["invariants", "--builtin", "werner", "--dims", "3,3", "--params", "d=4,p=0.5"],
     ],
-    ids=["no-state", "unitaries-0", "workers-0", "shots-negative", "werner-d-not-integer"],
+    ids=[
+        "no-state", "unitaries-0", "workers-0", "shots-negative", "werner-d-not-integer",
+        "order3-shots-2", "random-unknown-key", "werner-unknown-key",
+        "bell-diagonal-unknown-key", "maximally-mixed-unknown-key", "werner-unequal-dims",
+        "werner-d-disagrees-with-dims",
+    ],
 )
 def test_usage_error_exit_code(argv, capsys):
     code, _, err = run(argv, capsys)
@@ -49,6 +61,24 @@ def test_bad_state_file_exit_code(argv, capsys):
     assert code == 2
     assert "invalid state" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["invariants"], ["estimate", "--unitaries", "10"]], ids=["invariants", "estimate"]
+)
+def test_order3_on_non_bipartite_state_exit_code(argv, capsys):
+    code, _, err = run(argv + ["--builtin", "random", "--dims", "3,3,3", "--order", "3"], capsys)
+    assert code == 2
+    assert "invalid state input" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_werner_with_matching_dims_is_accepted(capsys):
+    argv = ["invariants", "--builtin", "werner", "--params", "p=0.5"]
+    _, by_param, _ = run(argv[:-1] + ["d=3,p=0.5"], capsys)
+    code, by_dims, _ = run(argv + ["--dims", "3,3"], capsys)
+    assert code == 0
+    assert by_dims == by_param
 
 
 def test_order3_with_qubits_exit_code(capsys):

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import invert_3_closed_form, pair_class_counts, purity_marginal_hamming
+from twirlkit.haar import RngStream, sample_haar
 from twirlkit.reconstruct import (
     ReconstructionError,
     XVector3,
     YVector3,
+    _pattern_rows,
+    _pooling,
     exact_x2,
     exact_x3,
     forward_2,
     forward_3,
-    forward_model_3,
+    forward_matrix,
+    invert,
     invert_2,
     invert_3,
-    invert_3_numeric,
-    pair_class_counts,
-    purity_marginal,
-    purity_marginal_hamming,
 )
 from twirlkit.states import (
     DimsProfile,
@@ -65,7 +68,7 @@ def test_purity_marginal_product_formula(seed):
     y = forward_2(exact_x2(rho))
     for subset in ([0], [1], [0, 2], [0, 1, 2]):
         direct = trace_power(partial_trace(rho, subset).entries, 2)
-        assert purity_marginal(y, subset) == pytest.approx(direct, abs=1e-12)
+        assert invert_2(y).purity(subset) == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3, 3)])
@@ -75,7 +78,7 @@ def test_hamming_form_agrees_on_equal_dims(dims, seed):
     y = forward_2(exact_x2(rho))
     for subset in ([0], [0, 1], list(range(len(dims)))):
         assert purity_marginal_hamming(y, subset) == pytest.approx(
-            purity_marginal(y, subset), abs=1e-12
+            invert_2(y).purity(subset), abs=1e-12
         )
 
 
@@ -134,8 +137,8 @@ def test_order3_round_trip_closed_form(dims, seed):
     rho = random_density(dims, rank=4, seed=seed)
     x = exact_x3(rho)
     y = forward_3(x, *dims)
-    xr = invert_3(y)
-    assert np.max(np.abs(np.array(xr.values) - _sym_target(x))) < 1e-9
+    for xr in (invert_3(y), invert_3_closed_form(y)):
+        assert np.max(np.abs(np.array(xr.values) - _sym_target(x))) < 1e-9
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (4, 3), (5, 4)])
@@ -143,8 +146,8 @@ def test_order3_round_trip_closed_form(dims, seed):
 def test_closed_form_agrees_with_numeric_solve(dims, seed):
     rho = random_density(dims, rank=3, seed=seed)
     y = forward_3(exact_x3(rho), *dims)
-    a = np.array(invert_3(y).values)
-    b = np.array(invert_3_numeric(y).values)
+    a = np.array(invert_3_closed_form(y).values)
+    b = np.array(invert_3(y).values)
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -159,17 +162,13 @@ def test_delta_recovers_x4_minus_x5():
 
 def test_forward_model_is_invertible_for_d_at_least_3():
     for dims in [(3, 3), (3, 6), (5, 5)]:
-        model = forward_model_3(*dims)
-        # the reduced system (x4/x5 merged, one row dropped) is full rank
-        rows = [0, 1, 2, 3, 5, 6, 7, 8, 9]
-        m10 = model.matrix10
-        m9 = np.column_stack([m10[:, :4], m10[:, 4] + m10[:, 5], m10[:, 6:]])
-        assert np.linalg.matrix_rank(m9[rows]) == 9
+        # ten components on x0..x8 and x_S: the square system is full rank
+        assert np.linalg.matrix_rank(forward_matrix(3, dims)) == 10
 
 
 def test_order3_rejects_qubit_dimensions():
     with pytest.raises(SingularDimensionError):
-        forward_model_3(2, 3)
+        forward_matrix(3, (2, 3))
     with pytest.raises(SingularDimensionError):
         invert_3(YVector3(d_a=3, d_b=2, values=np.zeros(10)))
 
@@ -218,14 +217,71 @@ def test_invert_2_output_obeys_purity_bounds():
 
 
 def test_forward_model_exposes_coefficients():
-    model = forward_model_3(3, 4)
-    # a = t + i and b = c + t from the order-3 Weingarten values
-    i_a, t_a, c_a = model.wg_a
-    assert model.a[0] == pytest.approx(t_a + i_a)
-    assert model.b[0] == pytest.approx(c_a + t_a)
-    assert model.eta != 0.0
-    # delta coefficient ties y4 - y5 to x4 - x5
+    # row 4 minus row 5 isolates x4 - x5 with coefficient
+    # 1 / (d_A(d_A^2-1) d_B(d_B^2-1)) and is zero on every other invariant
     d_a, d_b = 3, 4
-    assert model.delta_coeff == pytest.approx(
-        1.0 / (d_a * (d_a**2 - 1) * d_b * (d_b**2 - 1))
-    )
+    m = forward_matrix(3, (d_a, d_b))
+    c = 1.0 / (d_a * (d_a**2 - 1) * d_b * (d_b**2 - 1))
+    diff = m[4] - m[5]
+    assert diff[4] == pytest.approx(c)
+    assert diff[5] == pytest.approx(-c)
+    assert np.max(np.abs(np.delete(diff, [4, 5]))) < 1e-12 * c
+
+
+# ---------------------------------------------------------------------------
+# the one forward matrix and its inverse
+# ---------------------------------------------------------------------------
+
+_DIMS_2 = st.lists(st.integers(2, 4), min_size=1, max_size=3).map(tuple)
+_DIMS_3 = st.tuples(st.integers(3, 8), st.integers(3, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order_dims=st.one_of(_DIMS_2.map(lambda d: (2, d)), _DIMS_3.map(lambda d: (3, d))),
+    k=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_of_invert_is_identity_and_batches_row_for_row(order_dims, k, seed):
+    order, dims = order_dims
+    m = forward_matrix(order, dims)
+    ys = np.random.default_rng(seed).normal(size=(k, m.shape[0])) * np.abs(m).max()
+    xs = invert(order, dims, ys)
+    x10 = xs if order == 2 else xs[:, :10]  # x9 and x10 slots both hold x_S
+    assert np.allclose(x10 @ m.T, ys, rtol=1e-12, atol=1e-12 * np.abs(ys).max())
+    for y, x in zip(ys, xs):
+        assert np.max(np.abs(invert(order, dims, y) - x)) <= 1e-13 * np.abs(xs).max()
+
+
+@pytest.mark.parametrize(
+    "order, dims", [(2, (2, 2)), (2, (3, 4)), (2, (2, 2, 3)), (3, (3, 3)), (3, (3, 4)), (3, (5, 5))]
+)
+def test_pooled_pattern_rows_agree_within_each_component(order, dims):
+    rows = _pattern_rows(order, dims)
+    pool = _pooling(order, len(dims))
+    for comp in range(pool.shape[1]):
+        members = rows[pool[:, comp] == 1]
+        assert len(members) >= 1
+        assert np.max(np.abs(members - members[0])) <= 1e-12 * np.abs(rows).max()
+
+
+def _random_local_unitary(dims, seed):
+    u = np.ones((1, 1))
+    for l, d in enumerate(dims):
+        u = np.kron(u, sample_haar(d, RngStream(seed, l)))
+    return u
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 4)]),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_invariants_are_local_unitary_invariant(dims, rank, seed):
+    rho = random_density(dims, rank=rank, seed=seed)
+    u = _random_local_unitary(dims, seed)
+    rotated = make_state(u @ rho.entries @ u.conj().T, dims)
+    assert np.allclose(exact_x2(rotated).purities, exact_x2(rho).purities, atol=1e-12)
+    if len(dims) == 2 and min(dims) >= 3:
+        assert np.allclose(exact_x3(rotated).values, exact_x3(rho).values, atol=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pair_class_counts
 from twirlkit.haar import RngStream, sample_haar
 from twirlkit.reconstruct import (
     exact_x2,
@@ -13,7 +14,6 @@ from twirlkit.reconstruct import (
     forward_2,
     forward_3,
     invert_2,
-    pair_class_counts,
 )
 from twirlkit.states import (
     DimsProfile,

@@ -11,8 +11,8 @@ from twirlkit.weingarten import (
     S3,
     SingularDimensionError,
     diagram_contract,
+    _partitions,
     gram,
-    patterns_order3,
     permutations_of_order,
     s_matrix,
     w_matrix,
@@ -82,10 +82,10 @@ def test_s_matrix_order2():
 def test_s_matrix_order3_row_sums():
     s = s_matrix(3)
     # all-equal keeps all 6 permutations, pairs keep 2, all-distinct keeps 1
-    assert list(s.sum(axis=1)) == [1, 2, 2, 2, 6]
-    pats = patterns_order3()
-    assert pats[0].blocks == ((0,), (1,), (2,))
-    assert pats[4].blocks == ((0, 1, 2),)
+    assert list(s.sum(axis=1)) == [6, 2, 2, 2, 1]
+    pats = _partitions(3)
+    assert pats[0] == (0, 0, 0)
+    assert pats[4] == (0, 1, 2)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -120,13 +120,11 @@ def resolve_state(args) -> DensityMatrix:
     if unknown:
         raise UsageError(f"{name} does not take --params {', '.join(unknown)}")
     if name == "werner":
-        if dims is not None and (dims.n_parties != 2 or dims[0] != dims[1]):
-            raise UsageError(f"werner needs --dims d,d, got {args.dims!r}")
         d = _int_param(params, "d", dims[0] if dims else 0)
         if d < 2:
             raise UsageError("werner needs d (via --params d=... or --dims)")
-        if dims is not None and d != dims[0]:
-            raise UsageError(f"werner --params d={d} disagrees with --dims {args.dims}")
+        if dims is not None and dims.dims != (d, d):
+            raise UsageError(f"werner with d={d} needs --dims {d},{d}, got {args.dims}")
         if "p" not in params:
             raise UsageError("werner needs --params p=...")
         return werner_state(d, params["p"])
@@ -135,6 +133,8 @@ def resolve_state(args) -> DensityMatrix:
             lam = [params[f"l{i}"] for i in range(1, 5)]
         except KeyError as exc:
             raise UsageError("bell-diagonal needs --params l1=..,l2=..,l3=..,l4=..") from exc
+        if dims is not None and dims.dims != (2, 2):
+            raise UsageError(f"bell-diagonal is a two-qubit state, got --dims {args.dims}")
         return bell_diagonal(BellDiagonalSpectrum(lam))
     if dims is None:
         raise UsageError(f"{name} needs --dims")
@@ -148,6 +148,10 @@ def resolve_state(args) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # oracles for the invariants command
 # ---------------------------------------------------------------------------
+
+# the most explicit-loop oracle terms (a few microseconds each) `invariants` runs
+ORACLE_MAX_TERMS = 10**6
+
 
 def _purity_oracle(rho: DensityMatrix, subset: tuple[int, ...]) -> float:
     """Tr rho_P^2 by explicit index loops, independent of partial_trace."""
@@ -189,6 +193,11 @@ def _state_for_order(args) -> DensityMatrix:
 
 def cmd_invariants(args) -> int:
     rho = _state_for_order(args)
+    total = rho.dims.total
+    terms = (2**rho.dims.n_parties - 1) * total**2 if args.order == 2 else 36 * total**3
+    if terms > ORACLE_MAX_TERMS:
+        raise UsageError(f"the order-{args.order} oracle on dims {list(rho.dims.dims)}"
+                         f" needs {terms:.2e} loop terms, above {ORACLE_MAX_TERMS:.0e}")
     lines = []
     if args.order == 2:
         x = reconstruct.exact_x2(rho)
@@ -240,10 +249,12 @@ def _estimate_rows(rho: DensityMatrix, args):
         )
     estimate = twirl.estimate_y2 if args.order == 2 else twirl.estimate_y3
     _, est = estimate(rho, cfg)
-    x_all = reconstruct.invert(
-        args.order, rho.dims.dims, np.vstack([est.values, est.chunk_means])
-    )
-    x_hat, chunk_x = x_all[0], x_all[1:]
+    order, dims = args.order, rho.dims.dims
+    x_hat = reconstruct.invert(order, dims, est.values)
+    # the inversion is linear, so two applications give A C A^T; rounding can
+    # leave the variance of a state-constant invariant slightly negative
+    cov_x = reconstruct.invert(order, dims, reconstruct.invert(order, dims, est.covariance).T)
+    se_x = np.sqrt(np.maximum(np.diag(cov_x), 0.0))
     if args.order == 2:
         names = ["x%d" % k for k in range(2**rho.dims.n_parties)]
         exact = reconstruct.exact_x2(rho).purities
@@ -253,12 +264,6 @@ def _estimate_rows(rho: DensityMatrix, args):
         xt = reconstruct.exact_x3(rho)
         exact = np.array(xt.values[:9] + (xt.x_s, xt.x_s))
         crit = criteria.third_order_criterion(reconstruct.XVector3(x_hat))
-    # batch-means standard error of the reconstructed invariants
-    if chunk_x.shape[0] > 1:
-        c = chunk_x.shape[0]
-        se_x = np.std(chunk_x, axis=0, ddof=1) / np.sqrt(c)
-    else:
-        se_x = np.full(len(names), np.nan)
     return names, x_hat, se_x, exact, [crit]
 
 

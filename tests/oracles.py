@@ -4,6 +4,10 @@ The package reconstructs invariants with one mechanically derived inverse
 (``twirlkit.reconstruct.invert``).  The forms below were derived by hand and
 transcribed; they share no code with that inverse, so agreement between the
 two is evidence for both.
+
+``per_unitary_samples`` rebuilds the estimator's per-unitary class averages
+one unitary at a time, so two-pass statistics on them check the streamed
+moment merge.
 """
 
 from __future__ import annotations
@@ -12,8 +16,28 @@ import itertools
 
 import numpy as np
 
+from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import XVector3, YVector2, YVector3, _in_mask, subset_mask
-from twirlkit.states import DimsProfile
+from twirlkit.states import DensityMatrix, DimsProfile
+from twirlkit.twirl import EstimatorConfig, _class_sums, outcome_distribution
+
+
+def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> np.ndarray:
+    """(n_unitaries, n_components) class averages at exact probabilities,
+    drawn from the same seeded substreams as the estimator's chunks."""
+    dims, n = rho.dims.dims, rho.dims.n_parties
+    counts = _class_sums(np.ones((1,) + dims), order)[0]
+    rows = []
+    for start in range(0, cfg.n_unitaries, cfg.batch_size):
+        c, size = start // cfg.batch_size, min(cfg.batch_size, cfg.n_unitaries - start)
+        locals_ = [
+            sample_haar_batch(d, size, RngStream(cfg.master_seed, c * n + l))
+            for l, d in enumerate(dims)
+        ]
+        for k in range(size):
+            p = outcome_distribution(rho, [u[k] for u in locals_]).probabilities
+            rows.append(_class_sums(p.reshape((1,) + dims), order)[0] / counts)
+    return np.array(rows)
 
 
 def pair_class_counts(dims: DimsProfile) -> np.ndarray:

@@ -114,15 +114,18 @@ def test_acceptance_3_second_order_pipeline():
             f"round trip {worst_rt:.3e}, hamming vs product {worst_h:.3e}")
 
 
+def _x_covariance(order: int, dims, y_covariance: np.ndarray) -> np.ndarray:
+    # the inversion is linear, so applying it to both sides gives A C A^T
+    return invert(order, dims, invert(order, dims, y_covariance).T)
+
+
 def _bell_purities(n_unitaries: int, seed: int):
     rho = make_state(max_entangled_projector(2), (2, 2))
     cfg = EstimatorConfig(n_unitaries=n_unitaries, master_seed=seed)
     y, est = estimate_y2(rho, cfg)
     x_hat = invert_2(y).purities
-    chunk_x = invert(2, rho.dims.dims, est.chunk_means)
-    c = chunk_x.shape[0]
-    se = np.std(chunk_x, axis=0, ddof=1) / np.sqrt(c) if c > 1 else np.full(4, np.nan)
-    return x_hat, se
+    cov_x = _x_covariance(2, rho.dims.dims, est.covariance)
+    return x_hat, np.sqrt(np.maximum(np.diag(cov_x), 0.0))
 
 
 def test_acceptance_4_monte_carlo_convergence():
@@ -169,10 +172,10 @@ def test_acceptance_6_end_to_end_werner_detection():
     y3, est3 = estimate_y3(rho, cfg)
     x3 = invert_3(y3)
     rep3 = third_order_criterion(x3)
-    chunk_x = invert(3, (3, 3), est3.chunk_means)
-    chunk_margins = 2 * chunk_x[:, 8] - 2 * chunk_x[:, 9]
-    c = len(chunk_margins)
-    se_margin = np.std(chunk_margins, ddof=1) / np.sqrt(c)
+    # the margin 2 x8 - x9 - x10 is linear in x, so its variance is g^T Sigma g
+    g = np.zeros(11)
+    g[8], g[9], g[10] = 2.0, -1.0, -1.0
+    se_margin = np.sqrt(g @ _x_covariance(3, (3, 3), est3.covariance) @ g)
     sigma = -rep3.margin / se_margin
 
     y2, _ = estimate_y2(rho, cfg)

@@ -1,10 +1,15 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from twirlkit.cli import main
+from oracles import per_unitary_samples
+from twirlkit.cli import ORACLE_MAX_TERMS, main
+from twirlkit.reconstruct import invert
 from twirlkit.stateio import save_state
-from twirlkit.states import werner_state
+from twirlkit.states import random_density, werner_state
+from twirlkit.twirl import EstimatorConfig
 
 
 def run(argv, capsys):
@@ -31,12 +36,14 @@ WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
         ["invariants", "--builtin", "maximally-mixed", "--dims", "2,2", "--params", "p=1"],
         ["invariants", "--builtin", "werner", "--dims", "3,4", "--params", "p=0.5"],
         ["invariants", "--builtin", "werner", "--dims", "3,3", "--params", "d=4,p=0.5"],
+        ["invariants", "--builtin", "bell-diagonal", "--dims", "3,3",
+         "--params", "l1=1,l2=0,l3=0,l4=0"],
     ],
     ids=[
         "no-state", "unitaries-0", "workers-0", "shots-negative", "werner-d-not-integer",
         "order3-shots-2", "random-unknown-key", "werner-unknown-key",
         "bell-diagonal-unknown-key", "maximally-mixed-unknown-key", "werner-unequal-dims",
-        "werner-d-disagrees-with-dims",
+        "werner-d-disagrees-with-dims", "bell-diagonal-not-two-qubits",
     ],
 )
 def test_usage_error_exit_code(argv, capsys):
@@ -120,6 +127,63 @@ def test_estimate_csv_is_byte_identical_for_same_seed(tmp_path, capsys):
     assert out1 == out2
     _, out3, _ = run(argv + ["--workers", "3"], capsys)
     assert out1 == out3
+
+
+@pytest.mark.parametrize(
+    "dims,order", [((6, 6), 3), ((2,) * 7, 2)], ids=["order3-6x6", "order2-7-qubits"]
+)
+def test_invariants_rejects_states_above_the_oracle_cap(dims, order, capsys):
+    # the largest sizes in use, order 3 at (5,5) and order 2 on six qubits, fit
+    assert 36 * 25**3 <= ORACLE_MAX_TERMS and 63 * 64**2 <= ORACLE_MAX_TERMS
+    code, out, err = run(
+        ["invariants", "--builtin", "maximally-mixed", "--dims", ",".join(map(str, dims)),
+         "--order", str(order)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "loop terms" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _std_errors(out: str, fmt: str) -> list[float]:
+    if fmt == "csv":
+        return [float(l.split(",")[3]) for l in out.splitlines() if l.startswith("x,")]
+    return [float(l.split("+/-")[1].split()[0]) for l in out.splitlines() if "+/-" in l]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "report"])
+@pytest.mark.parametrize("unitaries", [512, 1000])
+def test_estimate_std_errors_are_finite(unitaries, fmt, capsys):
+    # 512 unitaries are one chunk, 1000 are two
+    code, out, _ = run(
+        WERNER3 + ["--order", "3", "--unitaries", str(unitaries), "--format", fmt], capsys
+    )
+    assert code == 0
+    se = _std_errors(out, fmt)
+    assert len(se) == 11
+    assert all(math.isfinite(v) and v >= 0.0 for v in se)
+
+
+@pytest.mark.parametrize(
+    "dims,order", [((3, 3), 3), ((3, 4), 3), ((2, 2, 3), 2)],
+    ids=["order3-3x3", "order3-3x4", "order2-2x2x3"],
+)
+def test_propagated_x_errors_match_inverted_samples(dims, order, capsys):
+    argv = [
+        "estimate", "--builtin", "random", "--dims", ",".join(map(str, dims)),
+        "--params", "rank=2,seed=4", "--order", str(order), "--unitaries", "600",
+        "--seed", "11",
+    ]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    se = np.array(_std_errors(out, "csv"))
+    cfg = EstimatorConfig(n_unitaries=600, master_seed=11)
+    x = invert(order, dims, per_unitary_samples(random_density(dims, 2, 4), cfg, order))
+    ref = np.std(x, axis=0, ddof=1) / np.sqrt(cfg.n_unitaries)
+    # x0 = 1 on every unitary, so its error bar is rounding noise
+    assert se[0] < 1e-10
+    np.testing.assert_allclose(se[1:], ref[1:], rtol=1e-10)
 
 
 def test_estimate_report_contains_criterion(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_class_counts
+from oracles import pair_class_counts, per_unitary_samples
 from twirlkit.haar import RngStream, sample_haar
 from twirlkit.reconstruct import (
     exact_x2,
@@ -114,7 +114,7 @@ def test_reproducible_and_worker_independent():
     y1, e1 = estimate_y2(rho, cfg1)
     y4, e4 = estimate_y2(rho, cfg4)
     assert np.array_equal(y1.values, y4.values)
-    assert np.array_equal(e1.std_error, e4.std_error)
+    assert np.array_equal(e1.covariance, e4.covariance)
     y1b, _ = estimate_y2(rho, cfg1)
     assert np.array_equal(y1.values, y1b.values)
 
@@ -295,23 +295,33 @@ def test_outcome_distribution_rejects_wrong_unitary_shape():
 
 
 def test_std_error_matches_two_pass_reference():
-    # one unitary per chunk, so chunk_means are the per-unitary samples
+    # two chunks of 512, rebuilt one unitary at a time from the same substreams
     rho = werner_state(5, 0.002)
-    cfg = EstimatorConfig(n_unitaries=1024, master_seed=3, batch_size=1)
+    cfg = EstimatorConfig(n_unitaries=1024, master_seed=3)
     _, est = estimate_y3(rho, cfg)
-    ref = np.std(est.chunk_means, axis=0, ddof=1) / np.sqrt(cfg.n_unitaries)
+    samples = per_unitary_samples(rho, cfg, order=3)
+    ref = np.std(samples, axis=0, ddof=1) / np.sqrt(cfg.n_unitaries)
     # the samples spread over ~1e-7 of their value, so ~9 digits of each
     # deviation are significant; the one-pass formula was off by up to 1%
     np.testing.assert_allclose(est.std_error, ref, rtol=1e-8)
+    ref_cov = np.cov(samples, rowvar=False) / cfg.n_unitaries
+    np.testing.assert_allclose(
+        est.covariance, ref_cov, rtol=0, atol=1e-8 * np.max(np.diag(ref_cov))
+    )
+    assert np.array_equal(est.covariance, est.covariance.T)
 
 
 def test_moment_merge_on_uneven_chunks():
     rng = np.random.default_rng(0)
-    # a large offset makes the one-pass (sum y^2 - n mean^2) formula lose digits
-    x = 1e6 + rng.normal(size=(1000, 3))
+    # a large offset makes the one-pass (sum y y^T - n mean mean^T) formula lose digits
+    x = 1e6 + rng.normal(size=(1000, 3)) @ np.array([[1, 0, 0], [0.5, 1, 0], [0, -0.3, 2]])
     chunks = np.split(x, [1, 3, 503, 510, 810])  # sizes 1, 2, 500, 7, 300, 190
-    parts = [(len(c), c.mean(axis=0), ((c - c.mean(axis=0)) ** 2).sum(axis=0)) for c in chunks]
+    parts = (
+        (len(c), c.mean(axis=0), (c - c.mean(axis=0)).T @ (c - c.mean(axis=0)))
+        for c in chunks
+    )
     n, mean, m2 = _merge_moments(parts)
     assert n == 1000
     np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-14)
-    np.testing.assert_allclose(m2 / (n - 1), np.var(x, axis=0, ddof=1), rtol=1e-10)
+    ref = np.cov(x, rowvar=False)
+    np.testing.assert_allclose(m2 / (n - 1), ref, rtol=1e-10, atol=1e-10 * np.max(ref))

@@ -251,10 +251,14 @@ def _estimate_rows(rho: DensityMatrix, args):
     _, est = estimate(rho, cfg)
     order, dims = args.order, rho.dims.dims
     x_hat = reconstruct.invert(order, dims, est.values)
-    # the inversion is linear, so two applications give A C A^T; rounding can
-    # leave the variance of a state-constant invariant slightly negative
-    cov_x = reconstruct.invert(order, dims, reconstruct.invert(order, dims, est.covariance).T)
-    se_x = np.sqrt(np.maximum(np.diag(cov_x), 0.0))
+    if cfg.n_unitaries == 1:
+        # one unitary has no spread, so its covariance is NaN and so is every error bar
+        se_x = np.full(x_hat.shape, np.nan)
+    else:
+        # the inversion is linear, so two applications give A C A^T; rounding
+        # can leave the variance of a state-constant invariant slightly negative
+        cov_x = reconstruct.invert(order, dims, reconstruct.invert(order, dims, est.covariance).T)
+        se_x = np.sqrt(np.maximum(np.diag(cov_x), 0.0))
     if args.order == 2:
         names = ["x%d" % k for k in range(2**rho.dims.n_parties)]
         exact = reconstruct.exact_x2(rho).purities

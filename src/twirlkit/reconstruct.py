@@ -286,10 +286,12 @@ def invert(order: int, dims: Sequence[int], y) -> np.ndarray:
 
     Order 2 gives the 2^N purities; order 3 gives x0..x8 and x_S in both the
     x9 and x10 slots.  Raises if the result does not reproduce y within
-    ``RESIDUAL_TOL``.
+    ``RESIDUAL_TOL``, or if y is not finite.
     """
     dims = tuple(dims)
     y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ReconstructionError("cannot invert a non-finite y")
     x = y @ _inverse(order, dims).T
     residual = np.max(np.abs(x @ forward_matrix(order, dims).T - y))
     if residual > RESIDUAL_TOL:

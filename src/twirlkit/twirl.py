@@ -2,6 +2,12 @@
 computational basis, and average outcome-probability products per equality
 class.
 
+Born probabilities never form the product unitary.  rho is factored once per
+run as rho = W^dag diag(s) W from its eigendecomposition (W = sqrt|lambda|
+V^dag over the numerically nonzero eigenvalues, s their signs), and each
+local unitary acts on its own tensor axis of W by one batched matmul, so a
+chunk costs O(B r D sum_l d_l) time and two (B, r, D) complex arrays.
+
 ``_class_sums`` is the one moment kernel for both orders and every shot mode:
 one contraction per tuple of per-party set partitions pi of the rounds ("at
 least this equal"), Moebius inversion on each party's partition lattice, and
@@ -87,27 +93,51 @@ class YEstimate:
 
 
 def outcome_distribution(rho: DensityMatrix, unitaries: list[np.ndarray]) -> OutcomeDistribution:
-    """p(I) = <I| (U rho U^dag) |I> for one product unitary U = U_1 x ... x U_N."""
+    """p(I) = <I| (U^dag rho U) |I> for one product unitary U = U_1 x ... x U_N."""
     if len(unitaries) != rho.dims.n_parties:
         raise ValueError("one unitary per subsystem is required")
     for l, ul in enumerate(unitaries):
         if ul.shape != (rho.dims[l], rho.dims[l]):
             raise ValueError(f"unitary {l} has shape {ul.shape}, expected {(rho.dims[l],) * 2}")
-    p = _batched_probabilities(rho, [ul[None] for ul in unitaries])[0]
+    p = _batched_probabilities(_eigen_factor(rho), [ul[None] for ul in unitaries])[0]
     if np.min(p) < -1e-14:
         raise EstimationError(f"negative probability {np.min(p):.3e}")
     return OutcomeDistribution(dims=rho.dims, probabilities=np.maximum(p, 0.0))
 
 
-def _batched_probabilities(rho: DensityMatrix, locals_: list[np.ndarray]) -> np.ndarray:
-    """(B, total) Born probabilities for a batch of product unitaries, unclipped."""
-    u = locals_[0]
-    for ul in locals_[1:]:
-        # batched kron: (B, m, m) x (B, d, d) -> (B, m d, m d)
-        b, m, _ = u.shape
-        d = ul.shape[-1]
-        u = np.einsum("bij,bkl->bikjl", u, ul).reshape(b, m * d, m * d)
-    return np.einsum("bij,ik,bkj->bj", u.conj(), rho.entries, u).real
+def _eigen_factor(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(W, s) with rho = W^dag diag(s) W: W = sqrt|lambda| V^dag of shape
+    (r, D) over the numerically nonzero eigenvalues, s = sign(lambda)."""
+    lam, v = np.linalg.eigh(rho.entries)
+    keep = np.abs(lam) > rho.total * np.finfo(float).eps * np.max(np.abs(lam))
+    return np.sqrt(np.abs(lam[keep]))[:, None] * v[:, keep].conj().T, np.sign(lam[keep])
+
+
+def _batched_probabilities(
+    factor: tuple[np.ndarray, np.ndarray], locals_: list[np.ndarray]
+) -> np.ndarray:
+    """(B, total) Born probabilities for a batch of product unitaries, unclipped.
+
+    p_j = sum_r s_r |(W (U_1 x ... x U_N))_{rj}|^2 with (W, s) from
+    :func:`_eigen_factor`, applying each U_l on its own axis: parties are
+    contracted last to first and each contracted axis is rotated to the
+    front.  |.|^2 is summed over r before the last rotation, which restores
+    the party order on the (B, D) result alone.
+    """
+    w, sign = factor
+    b = locals_[0].shape[0]
+    dims = [u.shape[-1] for u in locals_]
+    x = w.reshape(1, -1, dims[-1])
+    for l in reversed(range(len(dims))):
+        x = np.matmul(x, locals_[l])
+        if l:
+            # one contiguous copy: (B, rest, d_l) -> (B, d_l, rest)
+            x = x.transpose(0, 2, 1).reshape(b, -1, dims[l - 1])
+    # |.|^2 in place on the (re, im) pairs of the last matmul's own output
+    x = x.view(float).reshape(b, -1, len(sign), 2 * dims[0])
+    np.square(x, out=x)
+    p = (sign @ x).reshape(b, -1, dims[0], 2).sum(axis=-1)
+    return p.transpose(0, 2, 1).reshape(b, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +207,10 @@ def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
             mu[-1, j] * moment(parts[j], tuple(_join(parts[i], parts[j]) for i in idx))
             for j in coincidences
         )
+    # marginal refers to itself, a cycle that would keep q and every cached
+    # marginal alive until the next cyclic collection; emptying its cell
+    # frees them on return
+    del marginal
     for axis in range(1, n_parties + 1):
         f = np.moveaxis(np.tensordot(f, mu, axes=([axis], [1])), -1, axis)
     sums = f.reshape(b, -1) @ _pooling(order, n_parties)
@@ -214,6 +248,7 @@ def _run_chunks(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> YEstima
             stacklevel=3,
         )
     class_counts = _class_sums(np.ones((1,) + dims), order)[0]
+    factor = _eigen_factor(rho)
     kernel_shots = 0 if cfg.plug_in else cfg.shots
 
     def one_chunk(c: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -223,7 +258,7 @@ def _run_chunks(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> YEstima
         for l in range(n_parties):
             stream = RngStream(cfg.master_seed, c * n_parties + l)
             locals_.append(sample_haar_batch(rho.dims[l], size, stream))
-        q = np.maximum(_batched_probabilities(rho, locals_), 0.0)
+        q = np.maximum(_batched_probabilities(factor, locals_), 0.0)
         if cfg.shots:
             # shot noise reuses the last party's chunk stream, offset so it
             # never collides with a unitary substream of any chunk

@@ -5,6 +5,9 @@ The package reconstructs invariants with one mechanically derived inverse
 transcribed; they share no code with that inverse, so agreement between the
 two is evidence for both.
 
+``born_kron`` is the Born rule on the full Kronecker product of the local
+unitaries, an independent check of the per-party route.
+
 ``per_unitary_samples`` rebuilds the estimator's per-unitary class averages
 one unitary at a time, so two-pass statistics on them check the streamed
 moment merge.
@@ -20,6 +23,17 @@ from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import XVector3, YVector2, YVector3, _in_mask, subset_mask
 from twirlkit.states import DensityMatrix, DimsProfile
 from twirlkit.twirl import EstimatorConfig, _class_sums, outcome_distribution
+
+
+def born_kron(rho: DensityMatrix, locals_: list[np.ndarray]) -> np.ndarray:
+    """(B, total) Born probabilities from the full (B, D, D) product unitaries."""
+    u = locals_[0]
+    for ul in locals_[1:]:
+        # batched kron: (B, m, m) x (B, d, d) -> (B, m d, m d)
+        b, m, _ = u.shape
+        d = ul.shape[-1]
+        u = np.einsum("bij,bkl->bikjl", u, ul).reshape(b, m * d, m * d)
+    return np.einsum("bij,ik,bkj->bj", u.conj(), rho.entries, u).real
 
 
 def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> np.ndarray:

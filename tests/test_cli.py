@@ -165,6 +165,31 @@ def test_estimate_std_errors_are_finite(unitaries, fmt, capsys):
     assert all(math.isfinite(v) and v >= 0.0 for v in se)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "report"])
+def test_one_unitary_estimate_prints_nan_std_errors(fmt, capsys):
+    # one unitary has no spread: every error bar is nan, on purpose
+    code, out, err = run(
+        WERNER3 + ["--order", "3", "--unitaries", "1", "--format", fmt], capsys
+    )
+    assert code == 0
+    assert err == ""
+    se = _std_errors(out, fmt)
+    assert len(se) == 11
+    assert all(math.isnan(v) for v in se)
+
+
+def test_order2_estimate_on_eight_qubits(capsys):
+    code, out, _ = run(
+        ["estimate", "--builtin", "random", "--dims", ",".join(["2"] * 8),
+         "--params", "rank=2,seed=3", "--order", "2", "--unitaries", "512"],
+        capsys,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert sum(l.startswith("x,") for l in lines) == 256
+    assert lines[-1].startswith("criterion,purity,") and lines[-1].endswith(",true")
+
+
 @pytest.mark.parametrize(
     "dims,order", [((3, 3), 3), ((3, 4), 3), ((2, 2, 3), 2)],
     ids=["order3-3x3", "order3-3x4", "order2-2x2x3"],

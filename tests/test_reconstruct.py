@@ -184,6 +184,20 @@ def test_noisy_y_still_inverts_consistently():
     assert np.max(np.abs(back - y)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("order,dims", [(3, (3, 3)), (2, (2, 3))])
+def test_invert_rejects_non_finite_y(order, dims, bad):
+    rho = random_density(dims, rank=2, seed=4)
+    exact = forward_2(exact_x2(rho)) if order == 2 else forward_3(exact_x3(rho), *dims)
+    y = np.array(exact.values)
+    invert(order, dims, y)
+    y[1] = bad
+    with pytest.raises(ReconstructionError, match="non-finite"):
+        invert(order, dims, y)
+    with pytest.raises(ReconstructionError, match="non-finite"):
+        invert(order, dims, np.stack([y, y]))
+
+
 def test_reconstruction_error_exists_for_numerical_failures():
     assert issubclass(ReconstructionError, ArithmeticError)
 

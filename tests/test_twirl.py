@@ -1,13 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_class_counts, per_unitary_samples
-from twirlkit.haar import RngStream, sample_haar
+from oracles import born_kron, pair_class_counts, per_unitary_samples
+from twirlkit.haar import RngStream, sample_haar, sample_haar_batch
 from twirlkit.reconstruct import (
     exact_x2,
     exact_x3,
@@ -26,7 +27,9 @@ from twirlkit.states import (
 from twirlkit.twirl import (
     EstimationError,
     EstimatorConfig,
+    _batched_probabilities,
     _class_sums,
+    _eigen_factor,
     _merge_moments,
     estimate_y2,
     estimate_y3,
@@ -57,6 +60,66 @@ def test_outcome_distribution_identity_unitaries_gives_diagonal():
     rho = random_density((2, 2), rank=3, seed=1)
     p = outcome_distribution(rho, [np.eye(2), np.eye(2)]).probabilities
     assert np.allclose(p, np.diag(rho.entries).real, atol=1e-14)
+
+
+def _haar_locals(dims, batch, seed):
+    return [sample_haar_batch(d, batch, RngStream(seed, l)) for l, d in enumerate(dims)]
+
+
+@pytest.mark.parametrize("dims", [(5,), (3, 3), (3, 4), (2, 2, 3), (2, 2, 2, 2)])
+def test_born_matches_kron_oracle_at_every_rank(dims):
+    locals_ = _haar_locals(dims, 16, seed=5)
+    for rank in range(1, math.prod(dims) + 1):
+        rho = random_density(dims, rank=rank, seed=rank)
+        factor = _eigen_factor(rho)
+        assert len(factor[1]) == rank
+        p = _batched_probabilities(factor, locals_)
+        assert np.max(np.abs(p - born_kron(rho, locals_))) <= 1e-14
+
+
+def test_born_matches_kron_oracle_on_werner_state():
+    rho = werner_state(5, 0.15)
+    locals_ = _haar_locals((5, 5), 16, seed=6)
+    p = _batched_probabilities(_eigen_factor(rho), locals_)
+    assert np.max(np.abs(p - born_kron(rho, locals_))) <= 1e-14
+
+
+def test_born_keeps_negative_probabilities_within_psd_tolerance():
+    # (1 + eps)|00><00| - eps|01><01| is a valid state under PSD_TOL; local
+    # permutations with phases keep |01> a basis state, so an outcome has
+    # probability -eps, which the route must report as the oracle does
+    eps = 1e-10
+    entries = np.zeros((9, 9), dtype=complex)
+    entries[0, 0], entries[1, 1] = 1.0 + eps, -eps
+    rho = make_state(entries, DimsProfile((3, 3)))
+    rng = np.random.default_rng(8)
+    perms = [
+        np.stack([np.eye(3)[rng.permutation(3)] * np.exp(1j * rng.uniform(0, 6.3, 3))
+                  for _ in range(4)])
+        for _ in range(2)
+    ]
+    locals_ = [np.concatenate([p, h]) for p, h in zip(perms, _haar_locals((3, 3), 4, seed=9))]
+    p = _batched_probabilities(_eigen_factor(rho), locals_)
+    assert np.max(np.abs(p - born_kron(rho, locals_))) <= 1e-14
+    assert np.min(p[:4], axis=1) == pytest.approx(-eps, rel=1e-4)
+    with pytest.raises(EstimationError, match="negative probability"):
+        outcome_distribution(rho, [np.eye(3), np.eye(3)])
+
+
+def test_born_memory_stays_far_below_the_product_unitary():
+    # the (512, 1024, 1024) product unitary alone would take 8 GiB
+    dims = (2,) * 10
+    factor = _eigen_factor(random_density(dims, rank=2, seed=0))
+    locals_ = _haar_locals(dims, 512, seed=3)
+    tracemalloc.start()
+    try:
+        p = _batched_probabilities(factor, locals_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.shape == (512, 1024)
+    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    assert peak < 64 * 2**20
 
 
 def test_class_matrix_2_columns_average_over_classes():

@@ -12,12 +12,11 @@ and uses repr round-trip precision; schemas are documented in the README.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 import numpy as np
 
-from . import criteria, reconstruct, stateio, twirl, weingarten
+from . import checks, criteria, reconstruct, stateio, twirl, weingarten
 from .haar import DEFAULT_SEED
 from .states import (
     BellDiagonalSpectrum,
@@ -146,41 +145,6 @@ def resolve_state(args) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# oracles for the invariants command
-# ---------------------------------------------------------------------------
-
-# the most explicit-loop oracle terms (a few microseconds each) `invariants` runs
-ORACLE_MAX_TERMS = 10**6
-
-
-def _purity_oracle(rho: DensityMatrix, subset: tuple[int, ...]) -> float:
-    """Tr rho_P^2 by explicit index loops, independent of partial_trace."""
-    dims = rho.dims.dims
-    n = len(dims)
-    t = rho.entries.reshape(dims + dims)
-    total = 0.0 + 0.0j
-    for i1 in itertools.product(*(range(d) for d in dims)):
-        for i2 in itertools.product(*(range(d) for d in dims)):
-            # first factor: row i1, column agreeing with i2 on P, i1 elsewhere
-            j1 = tuple(i2[l] if l in subset else i1[l] for l in range(n))
-            j2 = tuple(i1[l] if l in subset else i2[l] for l in range(n))
-            total += t[i1 + j1] * t[i2 + j2]
-    return float(total.real)
-
-
-def _x3_oracle(rho: DensityMatrix) -> np.ndarray:
-    """All eleven invariants via the diagram contraction, class-averaged."""
-    vals = np.zeros(11)
-    counts = np.zeros(11)
-    for i, ta in enumerate(weingarten.S3):
-        for j, tb in enumerate(weingarten.S3):
-            k = weingarten.INVARIANT_ID[i][j]
-            vals[k] += weingarten.diagram_contract(rho, ta, tb)
-            counts[k] += 1
-    return vals / counts
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -193,27 +157,9 @@ def _state_for_order(args) -> DensityMatrix:
 
 def cmd_invariants(args) -> int:
     rho = _state_for_order(args)
-    total = rho.dims.total
-    terms = (2**rho.dims.n_parties - 1) * total**2 if args.order == 2 else 36 * total**3
-    if terms > ORACLE_MAX_TERMS:
-        raise UsageError(f"the order-{args.order} oracle on dims {list(rho.dims.dims)}"
-                         f" needs {terms:.2e} loop terms, above {ORACLE_MAX_TERMS:.0e}")
+    exact, oracle, residuals = checks.invariant_table(rho, args.order)
+    names = ["x%d" % k for k in range(len(exact))]
     lines = []
-    if args.order == 2:
-        x = reconstruct.exact_x2(rho)
-        n = rho.dims.n_parties
-        names, exact, oracle = [], [], []
-        for mask in range(2**n):
-            subset = tuple(l for l in range(n) if reconstruct._in_mask(mask, l, n))
-            names.append("x%d" % mask)
-            exact.append(float(x.purities[mask]))
-            oracle.append(1.0 if not subset else _purity_oracle(rho, subset))
-    else:
-        x = reconstruct.exact_x3(rho)
-        names = ["x%d" % k for k in range(11)]
-        exact = list(x.values)
-        oracle = list(_x3_oracle(rho))
-    residuals = [abs(a - b) for a, b in zip(exact, oracle)]
     if args.format == "csv":
         lines.append("name,exact,oracle,residual")
         for row in zip(names, exact, oracle, residuals):
@@ -222,11 +168,6 @@ def cmd_invariants(args) -> int:
         lines.append(f"exact order-{args.order} invariants, dims={list(rho.dims.dims)}")
         for nm, ex, orc, res in zip(names, exact, oracle, residuals):
             lines.append(f"  {nm:>4} = {_fmt(ex)}  (oracle {_fmt(orc)}, residual {res:.3e})")
-    worst = max(residuals)
-    if worst > 1e-8:
-        raise reconstruct.ReconstructionError(
-            f"oracle residual {worst:.3e} exceeds 1e-08"
-        )
     _emit(lines, args.out)
     return 0
 
@@ -327,92 +268,11 @@ def cmd_werner_sweep(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# selftest
-# ---------------------------------------------------------------------------
-
-def run_selftest(perturb_w: float = 0.0) -> list[tuple[str, bool, str]]:
-    """All internal consistency checks as (name, passed, detail) triples.
-
-    ``perturb_w`` is a debug hook that offsets one Weingarten-matrix entry
-    to confirm the Gram-identity check is sensitive.
-    """
-    checks = []
-
-    def gram_ok(n: int, d: int) -> float:
-        perms = weingarten.permutations_of_order(n)
-        w = weingarten.w_matrix(n, d).copy()
-        w[0, 0] += perturb_w
-        g = np.array(
-            [[weingarten.gram(t, m, d) for m in perms] for t in perms]
-        )
-        return float(np.max(np.abs(w @ g - np.eye(len(perms)))))
-
-    worst = max(gram_ok(2, d) for d in range(2, 7))
-    worst = max(worst, max(gram_ok(3, d) for d in range(3, 7)))
-    checks.append(("gram-weingarten identity (n=2 d=2..6, n=3 d=3..6)",
-                   worst < 1e-9, f"max residual {worst:.3e}"))
-
-    rng = np.random.default_rng(2024)
-    worst2 = 0.0
-    for dims in [(2, 2), (3, 4), (2, 2, 3)]:
-        rho = random_density(dims, rank=3, seed=rng)
-        x = reconstruct.exact_x2(rho)
-        xr = reconstruct.invert_2(reconstruct.forward_2(x))
-        worst2 = max(worst2, float(np.max(np.abs(xr.purities - x.purities))))
-    checks.append(("order-2 forward/invert round trip", worst2 < 1e-10,
-                   f"max error {worst2:.3e}"))
-
-    worst3 = 0.0
-    for (da, db) in [(3, 3), (3, 4), (4, 4)]:
-        rho = random_density((da, db), rank=4, seed=rng)
-        x = reconstruct.exact_x3(rho)
-        y = reconstruct.forward_3(x, da, db)
-        target = np.array(x.values[:9] + (x.x_s, x.x_s))
-        xr = np.array(reconstruct.invert_3(y).values)
-        worst3 = max(worst3, float(np.max(np.abs(xr - target))))
-    checks.append(("order-3 forward/invert round trip", worst3 < 1e-10,
-                   f"max error {worst3:.3e}"))
-
-    rho = random_density((3, 3), rank=2, seed=rng)
-    ox = _x3_oracle(rho)
-    ex = np.array(reconstruct.exact_x3(rho).values)
-    worst_o = float(np.max(np.abs(ox - ex)))
-    checks.append(("diagram oracle vs closed-form traces", worst_o < 1e-10,
-                   f"max residual {worst_o:.3e}"))
-
-    # x9/x10 identification on the maximally entangled state:
-    # matching 3-cycles give Tr rho^3 = 1, opposite 3-cycles give
-    # Tr (rho^Gamma)^3 = 1/d^2 (= 1/4 at d=2)
-    from .states import max_entangled_projector, make_state
-    bell = make_state(max_entangled_projector(2), DimsProfile((2, 2)))
-    c3, c3i = weingarten.S3[4], weingarten.S3[5]
-    same = weingarten.diagram_contract(bell, c3, c3)
-    opp = weingarten.diagram_contract(bell, c3, c3i)
-    ident_ok = abs(same - 1.0) < 1e-12 and abs(opp - 0.25) < 1e-12
-    checks.append((
-        "x9 = Tr rho^3 (matching cycles), x10 = Tr (rho^Gamma)^3 (opposite cycles)",
-        ident_ok,
-        f"bell state: matching={same!r} (Tr rho^3 = 1), opposite={opp!r}"
-        " (Tr (rho^Gamma)^3 = 1/4)",
-    ))
-
-    thr_ok = True
-    detail = []
-    for d in (3, 4, 5, 10):
-        t = criteria.werner_threshold_3(d)
-        thr_ok &= abs(criteria.werner_poly_3(d, t)) < 1e-9
-        detail.append(f"d={d}: {t:.6f}")
-    checks.append(("order-3 Werner thresholds (Cardano vs polynomial)",
-                   thr_ok, ", ".join(detail)))
-    return checks
-
-
 def cmd_selftest(args) -> int:
-    checks = run_selftest(perturb_w=args.debug_perturb_w)
+    results = checks.run_selftest(perturb_w=args.debug_perturb_w)
     lines = []
     ok = True
-    for name, passed, detail in checks:
+    for name, passed, detail in results:
         ok &= passed
         lines.append(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     lines.append("selftest: " + ("all checks passed" if ok else "FAILURES above"))

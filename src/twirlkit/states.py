@@ -79,9 +79,6 @@ class DensityMatrix:
     def total(self) -> int:
         return self.dims.total
 
-    def marginal(self, keep: Sequence[int]) -> "DensityMatrix":
-        return partial_trace(self, keep)
-
 
 def _as_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)

@@ -136,7 +136,8 @@ def _batched_probabilities(
     # |.|^2 in place on the (re, im) pairs of the last matmul's own output
     x = x.view(float).reshape(b, -1, len(sign), 2 * dims[0])
     np.square(x, out=x)
-    p = (sign @ x).reshape(b, -1, dims[0], 2).sum(axis=-1)
+    q = sign @ x
+    p = q[..., 0::2] + q[..., 1::2]
     return p.transpose(0, 2, 1).reshape(b, -1)
 
 
@@ -213,6 +214,10 @@ def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
     del marginal
     for axis in range(1, n_parties + 1):
         f = np.moveaxis(np.tensordot(f, mu, axes=([axis], [1])), -1, axis)
+    # a pattern with more blocks than its party has outcomes has no index
+    # tuples, so its sum is exactly 0, not the rounding the inversion leaves
+    for l, d in enumerate(q.shape[1:]):
+        f[(slice(None),) * (1 + l) + ([i for i, s in enumerate(parts) if max(s) >= d],)] = 0.0
     sums = f.reshape(b, -1) @ _pooling(order, n_parties)
     # counts give integer sums up to here, so the one division is the only rounding
     return sums / math.perm(shots, order) if shots else sums

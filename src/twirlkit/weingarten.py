@@ -1,4 +1,4 @@
-"""Permutations of S2/S3, Weingarten values, and the diagram-contraction oracle.
+"""Permutations of S2/S3, Weingarten values, and the one-einsum diagram oracle.
 
 The fixed permutation order for all S3-indexed matrices is
 ``{e, (12), (23), (13), (312), (231)}`` where the cycles are written in
@@ -7,7 +7,6 @@ one-line notation on {1,2,3} (0-based internally).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -175,30 +174,26 @@ def diagram_contract(
 ) -> float:
     """Contract n copies of a bipartite rho along the (tau_A, tau_B) wiring.
 
-    Row index p_k of copy k is tied to column index q_{tau(k)} on each side.
-    Deliberately implemented as explicit loops over all column-index tuples:
-    this is the slow, independent oracle everything downstream is checked
-    against (fine at the small dimensions the protocol targets).
+    Row index p_k of copy k is tied to column index q_{tau(k)} on each side:
+    copy k is rho as a (d_A, d_B, d_A, d_B) tensor with row labels
+    (tau_A(k), n + tau_B(k)) and column labels (k, n + k), and one einsum
+    contracts all n copies.  It shares no code with the partial-trace route
+    of ``reconstruct.exact_x3``, so it is the independent oracle that route
+    is checked against.
     """
     if tau_a.n != tau_b.n:
         raise ValueError("permutation order mismatch")
     if rho.dims.n_parties != 2:
         raise ValueError("diagram contraction is defined for bipartite states")
     n = tau_a.n
-    d_a, d_b = rho.dims.dims
-    m = rho.entries
-    total = 0.0 + 0.0j
-    for qa in itertools.product(range(d_a), repeat=n):
-        for qb in itertools.product(range(d_b), repeat=n):
-            term = 1.0 + 0.0j
-            for k in range(n):
-                row = qa[tau_a(k)] * d_b + qb[tau_b(k)]
-                col = qa[k] * d_b + qb[k]
-                term *= m[row, col]
-            total += term
+    t = rho.entries.reshape(rho.dims.dims * 2)
+    operands = []
+    for k in range(n):
+        operands += [t, [tau_a(k), n + tau_b(k), k, n + k]]
+    total = complex(np.einsum(*operands, [], optimize=True))
     if abs(total.imag) > 1e-12:
         raise ArithmeticError(f"contraction has nonzero imaginary part {total.imag:.3e}")
-    return float(total.real)
+    return total.real
 
 
 # Table of which invariant each (tau_A, tau_B) pair of S3 x S3 contracts to,

@@ -8,6 +8,10 @@ two is evidence for both.
 ``born_kron`` is the Born rule on the full Kronecker product of the local
 unitaries, an independent check of the per-party route.
 
+``diagram_contract_loops`` and ``purity_loops`` evaluate the einsum
+oracles of ``twirlkit.weingarten`` and ``twirlkit.checks`` term by term, with
+explicit loops over every index tuple.
+
 ``per_unitary_samples`` rebuilds the estimator's per-unitary class averages
 one unitary at a time, so two-pass statistics on them check the streamed
 moment merge.
@@ -23,6 +27,51 @@ from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import XVector3, YVector2, YVector3, _in_mask, subset_mask
 from twirlkit.states import DensityMatrix, DimsProfile
 from twirlkit.twirl import EstimatorConfig, _class_sums, outcome_distribution
+from twirlkit.weingarten import Permutation
+
+
+def diagram_contract_loops(
+    rho: DensityMatrix, tau_a: Permutation, tau_b: Permutation
+) -> float:
+    """Contract n copies of a bipartite rho along the (tau_A, tau_B) wiring.
+
+    Row index p_k of copy k is tied to column index q_{tau(k)} on each side,
+    by explicit loops over all column-index tuples.
+    """
+    if tau_a.n != tau_b.n:
+        raise ValueError("permutation order mismatch")
+    if rho.dims.n_parties != 2:
+        raise ValueError("diagram contraction is defined for bipartite states")
+    n = tau_a.n
+    d_a, d_b = rho.dims.dims
+    m = rho.entries
+    total = 0.0 + 0.0j
+    for qa in itertools.product(range(d_a), repeat=n):
+        for qb in itertools.product(range(d_b), repeat=n):
+            term = 1.0 + 0.0j
+            for k in range(n):
+                row = qa[tau_a(k)] * d_b + qb[tau_b(k)]
+                col = qa[k] * d_b + qb[k]
+                term *= m[row, col]
+            total += term
+    if abs(total.imag) > 1e-12:
+        raise ArithmeticError(f"contraction has nonzero imaginary part {total.imag:.3e}")
+    return float(total.real)
+
+
+def purity_loops(rho: DensityMatrix, subset: tuple[int, ...]) -> float:
+    """Tr rho_P^2 by explicit index loops, independent of partial_trace."""
+    dims = rho.dims.dims
+    n = len(dims)
+    t = rho.entries.reshape(dims + dims)
+    total = 0.0 + 0.0j
+    for i1 in itertools.product(*(range(d) for d in dims)):
+        for i2 in itertools.product(*(range(d) for d in dims)):
+            # first factor: row i1, column agreeing with i2 on P, i1 elsewhere
+            j1 = tuple(i2[l] if l in subset else i1[l] for l in range(n))
+            j2 = tuple(i1[l] if l in subset else i2[l] for l in range(n))
+            total += t[i1 + j1] * t[i2 + j2]
+    return float(total.real)
 
 
 def born_kron(rho: DensityMatrix, locals_: list[np.ndarray]) -> np.ndarray:

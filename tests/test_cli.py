@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import per_unitary_samples
-from twirlkit.cli import ORACLE_MAX_TERMS, main
+from twirlkit.cli import main
 from twirlkit.reconstruct import invert
 from twirlkit.stateio import save_state
 from twirlkit.states import random_density, werner_state
@@ -132,18 +132,17 @@ def test_estimate_csv_is_byte_identical_for_same_seed(tmp_path, capsys):
 @pytest.mark.parametrize(
     "dims,order", [((6, 6), 3), ((2,) * 7, 2)], ids=["order3-6x6", "order2-7-qubits"]
 )
-def test_invariants_rejects_states_above_the_oracle_cap(dims, order, capsys):
-    # the largest sizes in use, order 3 at (5,5) and order 2 on six qubits, fit
-    assert 36 * 25**3 <= ORACLE_MAX_TERMS and 63 * 64**2 <= ORACLE_MAX_TERMS
+def test_invariants_runs_beyond_the_loop_oracle_sizes(dims, order, capsys):
+    # above the 10^6 explicit-loop terms the oracle once refused to run
     code, out, err = run(
         ["invariants", "--builtin", "maximally-mixed", "--dims", ",".join(map(str, dims)),
          "--order", str(order)],
         capsys,
     )
-    assert code == 1
-    assert out == ""
-    assert "usage error" in err and "loop terms" in err
-    assert len(err.strip().splitlines()) == 1
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == (11 if order == 3 else 2 ** len(dims))
+    assert all(float(r[3]) <= 1e-8 for r in rows)
 
 
 def _std_errors(out: str, fmt: str) -> list[float]:

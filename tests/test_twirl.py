@@ -245,6 +245,15 @@ def test_triple_u_statistic_is_exactly_unbiased(p, shots):
     assert np.allclose(exp, _class_sums(p, 3)[0], rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("dims,empty", [((2, 2), [0, 1, 2, 3, 7]), ((2, 3), [0, 1, 2])])
+def test_kernel_sums_empty_classes_to_exact_zero(dims, empty):
+    # at d = 2 three rounds are never all distinct, so every class with an
+    # all-distinct pattern on a qubit party has no index tuples
+    p = np.random.default_rng(3).random((4,) + dims)
+    p /= p.sum(axis=(1, 2), keepdims=True)
+    assert np.array_equal(_class_sums(p, 3)[:, empty], np.zeros((4, len(empty))))
+
+
 def test_plug_in_estimator_is_biased():
     p = np.array([[0.5, 0.5]])
     shots = 3

@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from twirlkit.states import make_state, max_entangled_projector, random_density
+from oracles import diagram_contract_loops
+from twirlkit.states import (
+    DensityMatrix,
+    DimsProfile,
+    make_state,
+    max_entangled_projector,
+    random_density,
+)
 from twirlkit.weingarten import (
     INVARIANT_ID,
     Permutation,
@@ -128,3 +135,22 @@ def test_invariant_table_is_symmetric_under_simultaneous_inversion():
             ii = inv_index[pa.inverse().images]
             jj = inv_index[pb.inverse().images]
             assert INVARIANT_ID[i][j] == INVARIANT_ID[ii][jj]
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4)])
+def test_diagram_contract_matches_loop_oracle_on_every_wiring(dims):
+    rho = random_density(dims, rank=3, seed=7)
+    wirings = [(p, q) for perms in ((Permutation((0,)),), S2, S3) for p in perms for q in perms]
+    assert len(wirings) == 1 + 4 + 36
+    got = [diagram_contract(rho, p, q) for p, q in wirings]
+    want = [diagram_contract_loops(rho, p, q) for p, q in wirings]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_diagram_contract_rejects_a_complex_contraction():
+    m = np.diag([0.5 + 0.5j, 0.5, 0.0, 0.0])  # not Hermitian, so its trace is complex
+    e = Permutation((0,))
+    with pytest.raises(ArithmeticError, match="imaginary part"):
+        diagram_contract(DensityMatrix(DimsProfile((2, 2)), m), e, e)
+    with pytest.raises(ArithmeticError, match="imaginary part"):
+        diagram_contract_loops(DensityMatrix(DimsProfile((2, 2)), m), e, e)

@@ -45,11 +45,9 @@ from .stateio import StateFileError, load_state, save_state
 from .twirl import (
     EstimationError,
     EstimatorConfig,
-    OutcomeDistribution,
     YEstimate,
     estimate_y2,
     estimate_y3,
-    outcome_distribution,
 )
 from .weingarten import (
     Permutation,

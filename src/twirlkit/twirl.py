@@ -3,17 +3,21 @@ computational basis, and average outcome-probability products per equality
 class.
 
 Born probabilities never form the product unitary.  rho is factored once per
-run as rho = W^dag diag(s) W from its eigendecomposition (W = sqrt|lambda|
-V^dag over the numerically nonzero eigenvalues, s their signs), and each
-local unitary acts on its own tensor axis of W by one batched matmul, so a
-chunk costs O(B r D sum_l d_l) time and two (B, r, D) complex arrays.
+run as rho = c I + W^dag diag(s) W from its eigendecomposition: c is its most
+degenerate eigenvalue, W = sqrt|lambda - c| V^dag runs over the eigenvalues
+that differ from c, and s holds their signs.  U^dag I U = I, so c adds to
+every probability, and each local unitary acts on its own tensor axis of W by
+one batched matmul.  A chunk costs O(B r D sum_l d_l) time and two (B, r, D)
+complex arrays, with r = 1 for a Werner state and r = 0 for I/D.
 
 ``_class_sums`` is the one moment kernel for both orders and every shot mode:
 one contraction per tuple of per-party set partitions pi of the rounds ("at
 least this equal"), Moebius inversion on each party's partition lattice, and
 pooling of the exact patterns into the y components.  For shot counts, the
 U-statistic over ordered distinct shots sums the contractions on pi v rho
-with weight mu(0, rho) over the partitions rho of coinciding shots.
+with weight mu(0, rho) over the partitions rho of coinciding shots.  Which
+contractions to run, and the one matrix taking them to the components, are
+planned once per (order, dims, shots > 0) by ``_kernel_plan``.
 
 Reproducibility: unitaries are drawn in fixed chunks; chunk c for party l uses
 the substream ``c * n_parties + l`` of the master seed, and per-chunk
@@ -35,7 +39,7 @@ import numpy as np
 
 from .haar import DEFAULT_SEED, RngStream, sample_haar_batch
 from .reconstruct import YVector2, YVector3, _check_order3_dims, _pooling
-from .states import DensityMatrix, DimsProfile
+from .states import DensityMatrix
 from .weingarten import _partitions
 
 
@@ -72,14 +76,6 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
-class OutcomeDistribution:
-    """Born probabilities of computational-basis outcomes after local unitaries."""
-
-    dims: DimsProfile
-    probabilities: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class YEstimate:
     """A y-vector estimate and the covariance C of its mean (NaN for one
     unitary); x = A y has covariance A C A^T."""
@@ -92,41 +88,40 @@ class YEstimate:
         return np.sqrt(np.diag(self.covariance))
 
 
-def outcome_distribution(rho: DensityMatrix, unitaries: list[np.ndarray]) -> OutcomeDistribution:
-    """p(I) = <I| (U^dag rho U) |I> for one product unitary U = U_1 x ... x U_N."""
-    if len(unitaries) != rho.dims.n_parties:
-        raise ValueError("one unitary per subsystem is required")
-    for l, ul in enumerate(unitaries):
-        if ul.shape != (rho.dims[l], rho.dims[l]):
-            raise ValueError(f"unitary {l} has shape {ul.shape}, expected {(rho.dims[l],) * 2}")
-    p = _batched_probabilities(_eigen_factor(rho), [ul[None] for ul in unitaries])[0]
-    if np.min(p) < -1e-14:
-        raise EstimationError(f"negative probability {np.min(p):.3e}")
-    return OutcomeDistribution(dims=rho.dims, probabilities=np.maximum(p, 0.0))
+def _eigen_factor(rho: DensityMatrix) -> tuple[float, np.ndarray, np.ndarray]:
+    """(c, W, s) with rho = c I + W^dag diag(s) W.
 
-
-def _eigen_factor(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(W, s) with rho = W^dag diag(s) W: W = sqrt|lambda| V^dag of shape
-    (r, D) over the numerically nonzero eigenvalues, s = sign(lambda)."""
+    c is the eigenvalue with the most others within D eps max|lambda| of it,
+    the smallest on a tie.  W = sqrt|lambda - c| V^dag, of shape (r, D), and
+    s = sign(lambda - c) run over the eigenvalues farther than that from c.
+    A Werner state has r = 1 and a state proportional to I has r = 0.
+    """
     lam, v = np.linalg.eigh(rho.entries)
-    keep = np.abs(lam) > rho.total * np.finfo(float).eps * np.max(np.abs(lam))
-    return np.sqrt(np.abs(lam[keep]))[:, None] * v[:, keep].conj().T, np.sign(lam[keep])
+    tol = rho.total * np.finfo(float).eps * np.max(np.abs(lam))
+    # eigh sorts lam ascending, so the eigenvalues near each one are a slice
+    near = np.searchsorted(lam, lam + tol, side="right") - np.searchsorted(lam, lam - tol)
+    c = lam[np.argmax(near)]
+    shift = lam - c
+    keep = np.abs(shift) > tol
+    return c, np.sqrt(np.abs(shift[keep]))[:, None] * v[:, keep].conj().T, np.sign(shift[keep])
 
 
 def _batched_probabilities(
-    factor: tuple[np.ndarray, np.ndarray], locals_: list[np.ndarray]
+    factor: tuple[float, np.ndarray, np.ndarray], locals_: list[np.ndarray]
 ) -> np.ndarray:
     """(B, total) Born probabilities for a batch of product unitaries, unclipped.
 
-    p_j = sum_r s_r |(W (U_1 x ... x U_N))_{rj}|^2 with (W, s) from
-    :func:`_eigen_factor`, applying each U_l on its own axis: parties are
-    contracted last to first and each contracted axis is rotated to the
-    front.  |.|^2 is summed over r before the last rotation, which restores
-    the party order on the (B, D) result alone.
+    U^dag I U = I, so p_j = c + sum_r s_r |(W (U_1 x ... x U_N))_{rj}|^2
+    with (c, W, s) from :func:`_eigen_factor`.  Each U_l is applied on its
+    own axis: parties are contracted last to first and each contracted axis
+    is rotated to the front.  |.|^2 is summed over r before the last
+    rotation, which restores the party order on the (B, D) result alone.
     """
-    w, sign = factor
+    c, w, sign = factor
     b = locals_[0].shape[0]
     dims = [u.shape[-1] for u in locals_]
+    if not len(sign):
+        return np.full((b, math.prod(dims)), c)
     x = w.reshape(1, -1, dims[-1])
     for l in reversed(range(len(dims))):
         x = np.matmul(x, locals_[l])
@@ -137,8 +132,9 @@ def _batched_probabilities(
     x = x.view(float).reshape(b, -1, len(sign), 2 * dims[0])
     np.square(x, out=x)
     q = sign @ x
-    p = q[..., 0::2] + q[..., 1::2]
-    return p.transpose(0, 2, 1).reshape(b, -1)
+    p = (q[..., 0::2] + q[..., 1::2]).transpose(0, 2, 1).reshape(b, -1)
+    p += c
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +161,75 @@ def _mobius_matrix(n: int) -> np.ndarray:
     return np.round(np.linalg.inv(zeta))
 
 
+@lru_cache(maxsize=None)
+def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
+    """What ``_class_sums`` computes from the shape of q alone.
+
+    Returns ``(steps, moments, fold)``:
+    - ``steps``: ``(keep, (wider, axis))`` in dependency order; the marginal
+      of q on the parties ``keep`` is the one on ``wider`` summed over
+      ``axis``, and the marginal on every party is q itself;
+    - ``moments``: one einsum per distinct (rho, pi-tuple) moment, as the
+      ``(keep, labels)`` pairs of its operands;
+    - ``fold``: the (n_moments, n_components) integer matrix taking the
+      moments to class sums.  It holds the coincidence weights
+      mu(all-distinct, rho), the Moebius inversion on each party axis, the
+      exact zeros of patterns with more blocks than their party has outcomes,
+      and the pooling of exact patterns into components.
+    """
+    n_parties = len(dims)
+    full = tuple(range(n_parties))
+    parts = _partitions(order)
+    steps: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    columns: dict[tuple, int] = {}
+    moments: list[tuple[tuple[tuple[int, ...], list[int]], ...]] = []
+
+    def need(keep: tuple[int, ...]) -> None:
+        # q summed over the parties not in keep, one party at a time
+        if keep != full and keep not in steps:
+            drop = min(set(full) - set(keep))
+            wider = tuple(sorted(keep + (drop,)))
+            need(wider)
+            steps[keep] = (wider, 1 + wider.index(drop))
+
+    def column(rho: tuple[int, ...], pis: tuple[tuple[int, ...], ...]) -> int:
+        # one factor per block of rho; a party whose label no other factor
+        # shares is summed out of its factor before the contraction, so at
+        # orders 2 and 3 each einsum runs over at most one label per party
+        if (rho, pis) not in columns:
+            reps = [rho.index(k) for k in range(max(rho) + 1)]
+            operands = []
+            for r in reps:
+                keep = tuple(
+                    l for l, pi in enumerate(pis) if sum(pi[s] == pi[r] for s in reps) > 1
+                )
+                need(keep)
+                operands.append((keep, [0] + [1 + l * order + pis[l][r] for l in keep]))
+            columns[rho, pis] = len(moments)
+            moments.append(tuple(operands))
+        return columns[rho, pis]
+
+    mu = _mobius_matrix(order)
+    # shot-coincidence partitions rho, weighted by mu(all-distinct, rho)
+    coincidences = range(len(parts)) if shots else [len(parts) - 1]
+    entries = [
+        (column(parts[j], tuple(_join(parts[i], parts[j]) for i in idx)), idx, mu[-1, j])
+        for idx in itertools.product(range(len(parts)), repeat=n_parties)
+        for j in coincidences
+    ]
+    weights = np.zeros((len(moments),) + (len(parts),) * n_parties)
+    for k, idx, w in entries:
+        weights[(k,) + idx] += w
+    for axis in range(1, n_parties + 1):
+        weights = np.moveaxis(np.tensordot(weights, mu, axes=([axis], [1])), -1, axis)
+    # a pattern with more blocks than its party has outcomes has no index
+    # tuples, so its sum is exactly 0, not the rounding the inversion leaves
+    for l, d in enumerate(dims):
+        weights[(slice(None),) * (1 + l) + ([i for i, s in enumerate(parts) if max(s) >= d],)] = 0.0
+    fold = weights.reshape(len(moments), -1) @ _pooling(order, n_parties)
+    return tuple(steps.items()), tuple(moments), fold
+
+
 def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
     """(B, n_components) sums of order-fold products of q over each class.
 
@@ -173,53 +238,17 @@ def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
     q holds the outcome counts of M shots and each product p_{I_1} ... p_{I_n}
     is replaced by its unbiased U-statistic over ordered distinct shots.
     """
-    b, n_parties = q.shape[0], q.ndim - 1
-    parts = _partitions(order)
-
-    @lru_cache(maxsize=None)
-    def marginal(keep: tuple[int, ...]) -> np.ndarray:
-        # q summed over the parties not in keep, one party at a time
-        if len(keep) == n_parties:
-            return q
-        drop = min(set(range(n_parties)) - set(keep))
-        wider = tuple(sorted(keep + (drop,)))
-        return marginal(wider).sum(axis=1 + wider.index(drop))
-
-    @lru_cache(maxsize=None)
-    def moment(rho: tuple[int, ...], pis: tuple[tuple[int, ...], ...]) -> np.ndarray:
-        # one factor per block of rho; a party whose label no other factor
-        # shares is summed out of its factor before the contraction, so at
-        # orders 2 and 3 each einsum runs over at most one label per party
-        reps = [rho.index(k) for k in range(max(rho) + 1)]
-        operands = []
-        for r in reps:
-            keep = tuple(
-                l for l, pi in enumerate(pis) if sum(pi[s] == pi[r] for s in reps) > 1
-            )
-            operands += [marginal(keep), [0] + [1 + l * order + pis[l][r] for l in keep]]
-        return np.einsum(*operands, [0])
-
-    mu = _mobius_matrix(order)
-    # shot-coincidence partitions rho, weighted by mu(all-distinct, rho)
-    coincidences = range(len(parts)) if shots else [len(parts) - 1]
-    f = np.empty((b,) + (len(parts),) * n_parties)
-    for idx in itertools.product(range(len(parts)), repeat=n_parties):
-        f[(slice(None),) + idx] = sum(
-            mu[-1, j] * moment(parts[j], tuple(_join(parts[i], parts[j]) for i in idx))
-            for j in coincidences
-        )
-    # marginal refers to itself, a cycle that would keep q and every cached
-    # marginal alive until the next cyclic collection; emptying its cell
-    # frees them on return
-    del marginal
-    for axis in range(1, n_parties + 1):
-        f = np.moveaxis(np.tensordot(f, mu, axes=([axis], [1])), -1, axis)
-    # a pattern with more blocks than its party has outcomes has no index
-    # tuples, so its sum is exactly 0, not the rounding the inversion leaves
-    for l, d in enumerate(q.shape[1:]):
-        f[(slice(None),) * (1 + l) + ([i for i, s in enumerate(parts) if max(s) >= d],)] = 0.0
-    sums = f.reshape(b, -1) @ _pooling(order, n_parties)
-    # counts give integer sums up to here, so the one division is the only rounding
+    steps, moments, fold = _kernel_plan(order, q.shape[1:], shots > 0)
+    marginals = {tuple(range(q.ndim - 1)): q}
+    for keep, (wider, axis) in steps:
+        marginals[keep] = marginals[wider].sum(axis=axis)
+    m = np.empty((len(moments), q.shape[0]))
+    for k, operands in enumerate(moments):
+        np.einsum(*itertools.chain(*((marginals[keep], labels) for keep, labels in operands)),
+                  [0], out=m[k])
+    # counts give integer moments and an integer fold, so the one division
+    # is the only rounding
+    sums = m.T @ fold
     return sums / math.perm(shots, order) if shots else sums
 
 

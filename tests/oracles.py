@@ -26,7 +26,7 @@ import numpy as np
 from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import XVector3, YVector2, YVector3, _in_mask, subset_mask
 from twirlkit.states import DensityMatrix, DimsProfile
-from twirlkit.twirl import EstimatorConfig, _class_sums, outcome_distribution
+from twirlkit.twirl import EstimatorConfig, _batched_probabilities, _class_sums, _eigen_factor
 from twirlkit.weingarten import Permutation
 
 
@@ -90,6 +90,7 @@ def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig, order: int) ->
     drawn from the same seeded substreams as the estimator's chunks."""
     dims, n = rho.dims.dims, rho.dims.n_parties
     counts = _class_sums(np.ones((1,) + dims), order)[0]
+    factor = _eigen_factor(rho)
     rows = []
     for start in range(0, cfg.n_unitaries, cfg.batch_size):
         c, size = start // cfg.batch_size, min(cfg.batch_size, cfg.n_unitaries - start)
@@ -98,7 +99,7 @@ def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig, order: int) ->
             for l, d in enumerate(dims)
         ]
         for k in range(size):
-            p = outcome_distribution(rho, [u[k] for u in locals_]).probabilities
+            p = np.maximum(_batched_probabilities(factor, [u[k : k + 1] for u in locals_]), 0.0)
             rows.append(_class_sums(p.reshape((1,) + dims), order)[0] / counts)
     return np.array(rows)
 

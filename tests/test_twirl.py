@@ -30,10 +30,10 @@ from twirlkit.twirl import (
     _batched_probabilities,
     _class_sums,
     _eigen_factor,
+    _kernel_plan,
     _merge_moments,
     estimate_y2,
     estimate_y3,
-    outcome_distribution,
 )
 from twirlkit.weingarten import SingularDimensionError
 
@@ -47,19 +47,19 @@ def test_config_validation():
         EstimatorConfig(n_unitaries=1, workers=0)
 
 
-def test_outcome_distribution_is_a_probability_vector():
+def test_born_probabilities_are_a_probability_vector():
     rho = random_density((2, 3), rank=4, seed=0)
     us = [sample_haar(2, RngStream(1, 0)), sample_haar(3, RngStream(1, 1))]
-    p = outcome_distribution(rho, us).probabilities
-    assert p.shape == (6,)
+    p = _batched_probabilities(_eigen_factor(rho), [u[None] for u in us])
+    assert p.shape == (1, 6)
     assert np.all(p > -1e-14)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_outcome_distribution_identity_unitaries_gives_diagonal():
+def test_born_identity_unitaries_give_the_diagonal():
     rho = random_density((2, 2), rank=3, seed=1)
-    p = outcome_distribution(rho, [np.eye(2), np.eye(2)]).probabilities
-    assert np.allclose(p, np.diag(rho.entries).real, atol=1e-14)
+    p = _batched_probabilities(_eigen_factor(rho), [np.eye(2)[None], np.eye(2)[None]])
+    assert np.allclose(p[0], np.diag(rho.entries).real, atol=1e-14)
 
 
 def _haar_locals(dims, batch, seed):
@@ -69,10 +69,17 @@ def _haar_locals(dims, batch, seed):
 @pytest.mark.parametrize("dims", [(5,), (3, 3), (3, 4), (2, 2, 3), (2, 2, 2, 2)])
 def test_born_matches_kron_oracle_at_every_rank(dims):
     locals_ = _haar_locals(dims, 16, seed=5)
-    for rank in range(1, math.prod(dims) + 1):
-        rho = random_density(dims, rank=rank, seed=rank)
+    total = math.prod(dims)
+    # the shift by the most degenerate eigenvalue leaves a rank-r state its
+    # r nonzero eigenvalues, and a full-rank one all but the smallest of its
+    # distinct eigenvalues; a state proportional to I leaves none
+    cases = [
+        (random_density(dims, rank=rank, seed=rank), min(rank, total - 1))
+        for rank in range(1, total + 1)
+    ] + [(maximally_mixed(dims), 0)]
+    for rho, factor_rank in cases:
         factor = _eigen_factor(rho)
-        assert len(factor[1]) == rank
+        assert len(factor[2]) == factor_rank
         p = _batched_probabilities(factor, locals_)
         assert np.max(np.abs(p - born_kron(rho, locals_))) <= 1e-14
 
@@ -80,7 +87,10 @@ def test_born_matches_kron_oracle_at_every_rank(dims):
 def test_born_matches_kron_oracle_on_werner_state():
     rho = werner_state(5, 0.15)
     locals_ = _haar_locals((5, 5), 16, seed=6)
-    p = _batched_probabilities(_eigen_factor(rho), locals_)
+    factor = _eigen_factor(rho)
+    # p P_+ plus a multiple of I: one eigenvalue differs from the other 24
+    assert factor[1].shape == (1, 25)
+    p = _batched_probabilities(factor, locals_)
     assert np.max(np.abs(p - born_kron(rho, locals_))) <= 1e-14
 
 
@@ -102,8 +112,6 @@ def test_born_keeps_negative_probabilities_within_psd_tolerance():
     p = _batched_probabilities(_eigen_factor(rho), locals_)
     assert np.max(np.abs(p - born_kron(rho, locals_))) <= 1e-14
     assert np.min(p[:4], axis=1) == pytest.approx(-eps, rel=1e-4)
-    with pytest.raises(EstimationError, match="negative probability"):
-        outcome_distribution(rho, [np.eye(3), np.eye(3)])
 
 
 def test_born_memory_stays_far_below_the_product_unitary():
@@ -132,6 +140,17 @@ def test_class_matrix_2_columns_average_over_classes():
         t = math.prod(dims)
         sums = _class_sums(np.full((1,) + dims, 1.0 / t), order=2)[0]
         assert np.allclose(sums / counts, 1.0 / t**2, rtol=1e-13)
+
+
+def test_kernel_plan_is_built_once_per_run():
+    # one plan for the class counts and one for the shot chunks, reused by
+    # every chunk after the first
+    _kernel_plan.cache_clear()
+    cfg = EstimatorConfig(n_unitaries=40, shots=5, batch_size=8, master_seed=4)
+    estimate_y3(werner_state(3, 0.5), cfg)
+    info = _kernel_plan.cache_info()
+    assert info.misses <= 2
+    assert info.hits + info.misses == 1 + 5
 
 
 def test_class_matrix_3_counts():
@@ -358,12 +377,6 @@ def test_basis_permutation_leaves_y_expectation_unchanged():
     yb, eb = estimate_y2(rho_p, EstimatorConfig(n_unitaries=5000, master_seed=32))
     z = np.abs(ya.values - yb.values) / np.sqrt(ea.std_error**2 + eb.std_error**2)
     assert np.max(z) < 5.0
-
-
-def test_outcome_distribution_rejects_wrong_unitary_shape():
-    rho = maximally_mixed((2, 3))
-    with pytest.raises(ValueError):
-        outcome_distribution(rho, [np.eye(3), np.eye(2)])
 
 
 def test_std_error_matches_two_pass_reference():

@@ -10,7 +10,7 @@ from .criteria import (
     werner_threshold_2,
     werner_threshold_3,
 )
-from .haar import DEFAULT_SEED, RngStream, sample_haar, sample_haar_batch
+from .haar import DEFAULT_SEED, RngStream, sample_haar_batch
 from .reconstruct import (
     ReconstructionError,
     XVector2,

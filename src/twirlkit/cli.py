@@ -141,6 +141,8 @@ def resolve_state(args) -> DensityMatrix:
         return maximally_mixed(dims)
     rank = _int_param(params, "rank", dims.total)
     seed = _int_param(params, "seed", DEFAULT_SEED)
+    if seed < 0:
+        raise UsageError(f"random needs --params seed >= 0, got {seed}")
     return random_density(dims, rank, seed)
 
 

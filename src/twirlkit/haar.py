@@ -1,4 +1,11 @@
-"""Seeded sampling of Haar-distributed unitaries with independent substreams."""
+"""Seeded sampling of Haar-distributed unitaries with independent substreams.
+
+A unitary is the Q factor of a complex Ginibre matrix Z = QR whose R has a
+positive real diagonal; that Q is Haar distributed (Mezzadri, Notices AMS 54,
+592 (2007)).  It is also what Gram-Schmidt makes of the columns of Z, so it is
+computed here by Gram-Schmidt vectorised over the batch, with no
+factorisation per matrix.
+"""
 
 from __future__ import annotations
 
@@ -26,25 +33,31 @@ class RngStream:
         return np.random.default_rng(ss)
 
 
-def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    # QR alone is not Haar: the R-diagonal phases must be divided out.
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = diag / np.abs(diag)
-    return q * phases[..., None, :]
-
-
-def sample_haar(d: int, stream: RngStream | np.random.Generator) -> np.ndarray:
-    """One Haar-random d x d unitary (complex Ginibre -> phase-fixed QR)."""
-    return sample_haar_batch(d, 1, stream)[0]
-
-
 def sample_haar_batch(
     d: int, count: int, stream: RngStream | np.random.Generator
 ) -> np.ndarray:
-    """``count`` independent Haar unitaries as a stacked (count, d, d) array."""
+    """``count`` independent Haar unitaries as a stacked (count, d, d) array.
+
+    Z is drawn as ``normal(size=(count, d, d))`` for the real part, then the
+    same for the imaginary part.  Column k of Q is column k of Z after two
+    classical Gram-Schmidt passes (CGS2) against columns 0..k-1, divided by
+    its real norm; the second pass restores the orthogonality that
+    cancellation costs the first.  Q does not depend on the scale of Z, so
+    the draws are used unscaled.
+    """
     if d < 2:
         raise ValueError("d must be >= 2")
     rng = stream.generator() if isinstance(stream, RngStream) else stream
-    z = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
-    return _haar_from_ginibre(z / np.sqrt(2.0))
+    # w[k, :, b] is column k of matrix b: each column is contiguous over the batch
+    w = np.empty((d, d, count), dtype=complex)
+    w.real = rng.normal(size=(count, d, d)).T
+    w.imag = rng.normal(size=(count, d, d)).T
+    w_conj = np.empty_like(w)
+    for k in range(d):
+        v = w[k]
+        for _ in range(2 if k else 0):
+            coeff = (w_conj[:k] * v).sum(axis=1)
+            v -= (w[:k] * coeff[:, None, :]).sum(axis=0)
+        v /= np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+        np.conjugate(v, out=w_conj[k])
+    return np.ascontiguousarray(w.transpose(2, 1, 0))

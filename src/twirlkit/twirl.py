@@ -69,6 +69,8 @@ class EstimatorConfig:
             raise ValueError("n_unitaries must be >= 1")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.workers < 1:

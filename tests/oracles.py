@@ -5,6 +5,10 @@ The package reconstructs invariants with one mechanically derived inverse
 transcribed; they share no code with that inverse, so agreement between the
 two is evidence for both.
 
+``haar_from_ginibre`` is the phase-fixed QR of a Ginibre batch, one LAPACK
+factorisation per matrix, against which the batch Gram-Schmidt of
+``twirlkit.haar.sample_haar_batch`` is checked.
+
 ``born_kron`` is the Born rule on the full Kronecker product of the local
 unitaries, an independent check of the per-party route.
 
@@ -72,6 +76,14 @@ def purity_loops(rho: DensityMatrix, subset: tuple[int, ...]) -> float:
             j2 = tuple(i1[l] if l in subset else i2[l] for l in range(n))
             total += t[i1 + j1] * t[i2 + j2]
     return float(total.real)
+
+
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    # QR alone is not Haar: the R-diagonal phases must be divided out.
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    phases = diag / np.abs(diag)
+    return q * phases[..., None, :]
 
 
 def born_kron(rho: DensityMatrix, locals_: list[np.ndarray]) -> np.ndarray:

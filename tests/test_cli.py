@@ -56,6 +56,23 @@ def test_usage_error_exit_code(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        WERNER3 + ["--order", "3", "--unitaries", "10", "--seed", "-1"],
+        ["invariants", "--builtin", "random", "--dims", "2,2", "--params", "rank=2,seed=-3",
+         "--order", "2"],
+    ],
+    ids=["estimate-seed", "random-builtin-seed"],
+)
+def test_negative_seed_is_a_one_line_usage_error(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("usage error") and "seed" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["invariants", "--state", "/no/such.json"],
         ["invariants", "--builtin", "werner", "--params", "d=3,p=1.5"],
         ["invariants", "--builtin", "bell-diagonal", "--params", "l1=0.5,l2=0.2,l3=0.2,l4=0.2"],

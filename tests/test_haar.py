@@ -1,28 +1,66 @@
 import numpy as np
 import pytest
 
-from twirlkit.haar import RngStream, sample_haar, sample_haar_batch
+from oracles import haar_from_ginibre
+from twirlkit.haar import RngStream, sample_haar_batch
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+class _PreparedDraws:
+    """Stands in for a Generator: hands out the given normal draws in order."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def normal(self, size):
+        draw = self._draws.pop(0)
+        assert draw.shape == size
+        return draw
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
 def test_samples_are_unitary(d):
     u = sample_haar_batch(d, 50, RngStream(master_seed=1))
     prods = np.einsum("bij,bkj->bik", u, u.conj())
     assert np.allclose(prods, np.eye(d), atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+def test_batch_matches_phase_fixed_qr_of_the_same_draws(d):
+    stream = RngStream(master_seed=21, stream_index=d)
+    rng = stream.generator()
+    z = rng.normal(size=(200, d, d)) + 1j * rng.normal(size=(200, d, d))
+    u = sample_haar_batch(d, 200, stream)
+    assert u.shape == (200, d, d) and u.flags.c_contiguous
+    np.testing.assert_allclose(u, haar_from_ginibre(z), rtol=0, atol=1e-13)
+
+
+def test_second_pass_keeps_nearly_dependent_columns_orthonormal():
+    # with one pass, columns 1 and 3 of these draws end up to 2e-6 off orthogonal
+    d, n = 5, 200
+    rng = np.random.default_rng(33)
+    re, im, noise = (rng.normal(size=(n, d, d)) for _ in range(3))
+    re[:, :, 3] = re[:, :, 1] + 1e-9 * noise[:, :, 0]
+    im[:, :, 3] = im[:, :, 1] + 1e-9 * noise[:, :, 1]
+    u = sample_haar_batch(d, n, _PreparedDraws(re, im))
+    prods = np.einsum("bji,bjk->bik", u.conj(), u)
+    assert np.max(np.abs(prods - np.eye(d))) < 1e-12
+
+
 def test_streams_are_reproducible_and_independent():
-    a = sample_haar(3, RngStream(master_seed=5, stream_index=0))
-    b = sample_haar(3, RngStream(master_seed=5, stream_index=0))
-    c = sample_haar(3, RngStream(master_seed=5, stream_index=1))
+    a = sample_haar_batch(3, 1, RngStream(master_seed=5, stream_index=0))[0]
+    b = sample_haar_batch(3, 1, RngStream(master_seed=5, stream_index=0))[0]
+    c = sample_haar_batch(3, 1, RngStream(master_seed=5, stream_index=1))[0]
     assert np.array_equal(a, b)
     assert not np.allclose(a, c)
 
 
-def test_batch_matches_repeated_single_draws_from_one_generator():
-    gen1 = RngStream(master_seed=9).generator()
-    batch = sample_haar_batch(2, 3, gen1)
-    assert batch.shape == (3, 2, 2)
+def test_batch_from_stream_equals_its_generator_and_consecutive_batches_differ():
+    from_stream = sample_haar_batch(2, 3, RngStream(master_seed=9))
+    gen = RngStream(master_seed=9).generator()
+    first = sample_haar_batch(2, 3, gen)
+    second = sample_haar_batch(2, 3, gen)
+    assert np.array_equal(from_stream, first)
+    assert not np.allclose(first, second)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -68,4 +106,4 @@ def test_phase_fix_kills_trace_bias_of_raw_qr():
 
 def test_rejects_dimension_below_two():
     with pytest.raises(ValueError):
-        sample_haar(1, RngStream(master_seed=0))
+        sample_haar_batch(1, 1, RngStream(master_seed=0))

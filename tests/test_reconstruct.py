@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import invert_3_closed_form, pair_class_counts, purity_marginal_hamming
-from twirlkit.haar import RngStream, sample_haar
+from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import (
     ReconstructionError,
     XVector3,
@@ -282,7 +282,7 @@ def test_pooled_pattern_rows_agree_within_each_component(order, dims):
 def _random_local_unitary(dims, seed):
     u = np.ones((1, 1))
     for l, d in enumerate(dims):
-        u = np.kron(u, sample_haar(d, RngStream(seed, l)))
+        u = np.kron(u, sample_haar_batch(d, 1, RngStream(seed, l))[0])
     return u
 
 

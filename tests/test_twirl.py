@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import born_kron, pair_class_counts, per_unitary_samples
-from twirlkit.haar import RngStream, sample_haar, sample_haar_batch
+from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import (
     exact_x2,
     exact_x3,
@@ -45,12 +45,14 @@ def test_config_validation():
         EstimatorConfig(n_unitaries=1, shots=-1)
     with pytest.raises(ValueError):
         EstimatorConfig(n_unitaries=1, workers=0)
+    with pytest.raises(ValueError):
+        EstimatorConfig(n_unitaries=1, master_seed=-1)
 
 
 def test_born_probabilities_are_a_probability_vector():
     rho = random_density((2, 3), rank=4, seed=0)
-    us = [sample_haar(2, RngStream(1, 0)), sample_haar(3, RngStream(1, 1))]
-    p = _batched_probabilities(_eigen_factor(rho), [u[None] for u in us])
+    us = [sample_haar_batch(2, 1, RngStream(1, 0)), sample_haar_batch(3, 1, RngStream(1, 1))]
+    p = _batched_probabilities(_eigen_factor(rho), us)
     assert p.shape == (1, 6)
     assert np.all(p > -1e-14)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)

@@ -2,7 +2,6 @@
 
 from .criteria import (
     CriterionReport,
-    bell_diagonal_reports,
     purity_criterion,
     third_order_criterion,
     werner_poly_2,
@@ -54,6 +53,7 @@ from .weingarten import (
     SingularDimensionError,
     diagram_contract,
     gram,
+    gram_matrix,
     s_matrix,
     w_matrix,
     wg,

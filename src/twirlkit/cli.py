@@ -12,6 +12,7 @@ and uses repr round-trip precision; schemas are documented in the README.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -338,10 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser holds no per-call state, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -121,21 +121,3 @@ def werner_threshold_3(d: int) -> float:
         )
     return root
 
-
-# ---------------------------------------------------------------------------
-# Bell-diagonal two-qubit states
-# ---------------------------------------------------------------------------
-
-def bell_diagonal_reports(lambdas) -> tuple[CriterionReport, CriterionReport]:
-    """NPT and moment-criterion reports for a Bell-diagonal spectrum.
-
-    NPT: entangled iff max(lambda) > 1/2 (partial-transpose eigenvalues are
-    1/2 - lambda_i).  The third-order trace criterion reduces on this family
-    to sum(lambda^2) > 1/2, the same ball as the global-purity test.
-    """
-    lam = [float(v) for v in lambdas]
-    npt = CriterionReport(name="bell-diagonal-npt", lhs=max(lam), rhs=0.5)
-    moment = CriterionReport(
-        name="bell-diagonal-third-order", lhs=sum(v * v for v in lam), rhs=0.5
-    )
-    return npt, moment

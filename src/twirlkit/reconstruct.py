@@ -115,12 +115,28 @@ def invert_2(y: YVector2, dims: DimsProfile | None = None) -> XVector2:
 
 
 def exact_x2(rho: DensityMatrix) -> XVector2:
-    """All marginal purities computed directly from the state."""
+    """All marginal purities computed directly from the state.
+
+    A depth-first walk of the marginal lattice: each rho_P is traced from a
+    parent with one party more, by one ``np.trace`` on its ``dims + dims``
+    tensor, and Tr rho_P^2 is its squared Frobenius norm.  Parties leave in
+    increasing order, so every P is reached once and only the current chain
+    of marginals is held.  The empty marginal has purity 1 by convention.
+    """
     n = rho.dims.n_parties
     purities = np.empty(2**n)
-    for p_mask in range(2**n):
-        keep = [l for l in range(n) if _in_mask(p_mask, l, n)]
-        purities[p_mask] = trace_power(partial_trace(rho, keep).entries, 2)
+    purities[0] = 1.0
+
+    def visit(t: np.ndarray, parties: tuple[int, ...], mask: int, start: int) -> None:
+        purities[mask] = np.vdot(t, t).real
+        k = len(parties)
+        if k == 1:
+            return
+        for i in range(start, k):
+            visit(np.trace(t, axis1=i, axis2=k + i), parties[:i] + parties[i + 1:],
+                  mask & ~(1 << (n - 1 - parties[i])), i)
+
+    visit(rho.entries.reshape(rho.dims.dims * 2), tuple(range(n)), 2**n - 1, 0)
     return XVector2(dims=rho.dims, purities=purities)
 
 

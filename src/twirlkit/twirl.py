@@ -171,8 +171,9 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
     - ``steps``: ``(keep, (wider, axis))`` in dependency order; the marginal
       of q on the parties ``keep`` is the one on ``wider`` summed over
       ``axis``, and the marginal on every party is q itself;
-    - ``moments``: one einsum per distinct (rho, pi-tuple) moment, as the
-      ``(keep, labels)`` pairs of its operands;
+    - ``moments``: one einsum per distinct contraction, as the
+      ``(keep, labels)`` pairs of its operands; (rho, pi-tuple) moments
+      equal up to operand order and per-party label renaming share one;
     - ``fold``: the (n_moments, n_components) integer matrix taking the
       moments to class sums.  It holds the coincidence weights
       mu(all-distinct, rho), the Moebius inversion on each party axis, the
@@ -194,22 +195,37 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
             need(wider)
             steps[keep] = (wider, 1 + wider.index(drop))
 
+    def renamed(operands) -> tuple:
+        # each party's labels renamed in order of first appearance
+        names, used = {0: 0}, [0] * n_parties
+        for _, labels in operands:
+            for x in labels:
+                if x not in names:
+                    l = (x - 1) // order
+                    names[x] = 1 + l * order + used[l]
+                    used[l] += 1
+        return tuple((keep, tuple(names[x] for x in labels)) for keep, labels in operands)
+
     def column(rho: tuple[int, ...], pis: tuple[tuple[int, ...], ...]) -> int:
         # one factor per block of rho; a party whose label no other factor
         # shares is summed out of its factor before the contraction, so at
         # orders 2 and 3 each einsum runs over at most one label per party
-        if (rho, pis) not in columns:
-            reps = [rho.index(k) for k in range(max(rho) + 1)]
-            operands = []
-            for r in reps:
-                keep = tuple(
-                    l for l, pi in enumerate(pis) if sum(pi[s] == pi[r] for s in reps) > 1
-                )
+        reps = [rho.index(k) for k in range(max(rho) + 1)]
+        operands = []
+        for r in reps:
+            keep = tuple(
+                l for l, pi in enumerate(pis) if sum(pi[s] == pi[r] for s in reps) > 1
+            )
+            operands.append((keep, [0] + [1 + l * order + pis[l][r] for l in keep]))
+        # einsums equal up to operand order and per-party label renaming
+        # have one value, so the least renaming over operand orders keys it
+        key = min(map(renamed, itertools.permutations(operands)))
+        if key not in columns:
+            for keep, _ in operands:
                 need(keep)
-                operands.append((keep, [0] + [1 + l * order + pis[l][r] for l in keep]))
-            columns[rho, pis] = len(moments)
+            columns[key] = len(moments)
             moments.append(tuple(operands))
-        return columns[rho, pis]
+        return columns[key]
 
     mu = _mobius_matrix(order)
     # shot-coincidence partitions rho, weighted by mu(all-distinct, rho)

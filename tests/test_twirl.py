@@ -155,6 +155,28 @@ def test_kernel_plan_is_built_once_per_run():
     assert info.hits + info.misses == 1 + 5
 
 
+def _same_contraction(a, b):
+    """Whether two planned moments are one einsum up to operand order and a
+    renaming of each party's labels."""
+    for perm in itertools.permutations(b):
+        if len(a) != len(perm) or [k for k, _ in a] != [k for k, _ in perm]:
+            continue
+        fwd, back = {}, {}
+        if all(fwd.setdefault(x, y) == y and back.setdefault(y, x) == x
+               for (_, la), (_, lb) in zip(a, perm) for x, y in zip(la, lb)):
+            return True
+    return False
+
+
+def test_kernel_plan_runs_each_distinct_contraction_once():
+    # 38 shot and 25 exact moments at order 3 are 15 and 10 distinct einsums
+    for shots, count in ((True, 15), (False, 10)):
+        _, moments, fold = _kernel_plan(3, (5, 5), shots)
+        assert len(moments) == count
+        assert not any(_same_contraction(a, b) for a, b in itertools.combinations(moments, 2))
+        assert np.array_equal(fold, np.round(fold))
+
+
 def test_class_matrix_3_counts():
     for d_a, d_b in [(3, 3), (3, 4), (8, 8)]:
         counts = _class_sums(np.ones((1, d_a, d_b)), order=3)[0]

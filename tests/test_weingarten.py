@@ -20,6 +20,7 @@ from twirlkit.weingarten import (
     diagram_contract,
     _partitions,
     gram,
+    gram_matrix,
     permutations_of_order,
     s_matrix,
     w_matrix,
@@ -154,3 +155,30 @@ def test_diagram_contract_rejects_a_complex_contraction():
         diagram_contract(DensityMatrix(DimsProfile((2, 2)), m), e, e)
     with pytest.raises(ArithmeticError, match="imaginary part"):
         diagram_contract_loops(DensityMatrix(DimsProfile((2, 2)), m), e, e)
+
+
+def test_cached_permutation_tables_are_read_only():
+    assert not w_matrix(3, 4).flags.writeable
+    assert not gram_matrix(3, 4).flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_gram_matrix_equals_the_gram_comprehension(n, d):
+    perms = permutations_of_order(n)
+    want = np.array([[gram(s, t, d) for t in perms] for s in perms])
+    assert np.array_equal(gram_matrix(n, d), want)
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (3, 5)])
+def test_diagram_contract_equals_a_freshly_planned_einsum(dims):
+    # the stored path is the one optimize=True plans, so values are bit-equal
+    rho = random_density(dims, rank=3, seed=2)
+    t = rho.entries.reshape(dims * 2)
+    for p in S3:
+        for q in S3:
+            operands = []
+            for k in range(3):
+                operands += [t, [p(k), 3 + q(k), k, 3 + k]]
+            want = complex(np.einsum(*operands, [], optimize=True)).real
+            assert diagram_contract(rho, p, q) == want

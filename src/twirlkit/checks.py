@@ -1,10 +1,14 @@
 """The oracle checks behind the ``invariants`` and ``selftest`` commands.
 
-Each oracle is one einsum over copies of the state and shares no code with
-the partial-trace route of ``reconstruct.exact_x2`` and ``exact_x3``.
+The order-3 oracle is one diagram contraction of three copies of the state
+per invariant class; the order-2 oracle reads every marginal purity off the
+state's expansion in a product operator basis.  Neither shares code with the
+partial-trace route of ``reconstruct.exact_x2`` and ``exact_x3``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -15,28 +19,66 @@ from .states import DensityMatrix, DimsProfile, make_state, max_entangled_projec
 RESIDUAL_LIMIT = 1e-8
 
 
-def purity_oracle(rho: DensityMatrix, subset: tuple[int, ...]) -> float:
-    """Tr rho_P^2 as one einsum of rho with itself, independent of partial_trace.
+@functools.cache
+def _weyl_basis(d: int) -> np.ndarray:
+    """Read-only (d^2, d, d) table of conj(X^a Z^b) / sqrt(d), row a d + b,
+    identity first: an orthonormal operator basis under Tr(A^dagger B)."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    table = np.array([
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a in range(d) for b in range(d)
+    ]).conj() / np.sqrt(d)
+    table.setflags(write=False)
+    return table
 
-    The first copy has row labels i1 and column labels j1, which take i2's
-    labels on P and i1's elsewhere; the second copy has row labels i2 and
-    column labels j2, which take the reverse.
+
+def x2_oracle(rho: DensityMatrix) -> np.ndarray:
+    """Tr rho_P^2 for every subset P, indexed by mask, from one operator-basis pass.
+
+    rho = sum_a c_a B_a in the product Weyl-Heisenberg basis, one tensordot
+    per party.  Tracing out party l keeps only terms with the identity there,
+    scaled by sqrt(d_l), so
+    Tr rho_P^2 = (prod_{l not in P} d_l) sum_{S subset of P} A_S
+    with A_S the weight sum_a |c_a|^2 of the terms whose support is S.  The
+    sum over subsets is one cumsum per party axis of the (2,)*N grid of A_S.
+    No partial trace is taken.  The empty marginal has purity 1 by convention.
     """
     dims = rho.dims.dims
     n = len(dims)
-    t = rho.entries.reshape(dims + dims)
-    i1, i2 = list(range(n)), list(range(n, 2 * n))
-    j1 = [i2[l] if l in subset else i1[l] for l in range(n)]
-    j2 = [i1[l] if l in subset else i2[l] for l in range(n)]
-    return float(np.einsum(t, i1 + j1, t, i2 + j2, [], optimize=True).real)
+    # axes (i_0, j_0, i_1, j_1, ...): each tensordot contracts the leading row
+    # and column axes of one party and appends its basis axis at the end
+    c = rho.entries.reshape(dims * 2).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+    for d in dims:
+        c = np.tensordot(c, _weyl_basis(d), axes=([0, 1], [1, 2]))
+    grid = c.real**2 + c.imag**2
+    for l, d in enumerate(dims):
+        # weights with the identity on l (index 0) and without it (index 1);
+        # the cumsum sums over S for P containing l, and d_l scales P without l
+        grid = np.cumsum(np.add.reduceat(grid, [0, 1], axis=l), axis=l)
+        grid *= np.array([d, 1.0]).reshape((2,) + (1,) * (n - 1 - l))
+    purities = np.array([
+        grid[tuple(int(reconstruct._in_mask(mask, l, n)) for l in range(n))]
+        for mask in range(2**n)
+    ])
+    purities[0] = 1.0
+    return purities
+
+
+# the first (tau_A, tau_B) of each invariant id in INVARIANT_ID's row-major
+# order; every wiring of one id is the same contraction with the copies
+# relabelled, so one wiring per id gives all eleven values
+_X3_WIRINGS = tuple(
+    next((weingarten.S3[a], weingarten.S3[b])
+         for a, row in enumerate(weingarten.INVARIANT_ID)
+         for b, k in enumerate(row) if k == cls)
+    for cls in range(11)
+)
 
 
 def x3_oracle(rho: DensityMatrix) -> np.ndarray:
-    """All eleven invariants via the diagram contraction, class-averaged."""
-    s3 = weingarten.S3
-    ids = [k for row in weingarten.INVARIANT_ID for k in row]
-    vals = [weingarten.diagram_contract(rho, ta, tb) for ta in s3 for tb in s3]
-    return np.bincount(ids, vals) / np.bincount(ids)
+    """All eleven invariants, one diagram contraction per invariant class."""
+    return np.array([weingarten.diagram_contract(rho, ta, tb) for ta, tb in _X3_WIRINGS])
 
 
 def invariant_table(
@@ -46,12 +88,8 @@ def invariant_table(
     invariants x0, x1, ...; raises ReconstructionError when a residual exceeds
     ``RESIDUAL_LIMIT``."""
     if order == 2:
-        n = rho.dims.n_parties
         exact = reconstruct.exact_x2(rho).purities.tolist()
-        oracle = [1.0] + [
-            purity_oracle(rho, tuple(l for l in range(n) if reconstruct._in_mask(mask, l, n)))
-            for mask in range(1, 2**n)
-        ]
+        oracle = x2_oracle(rho).tolist()
     else:
         exact = list(reconstruct.exact_x3(rho).values)
         oracle = x3_oracle(rho).tolist()

@@ -55,8 +55,11 @@ def _fmt(v) -> str:
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

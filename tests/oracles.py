@@ -12,9 +12,10 @@ factorisation per matrix, against which the batch Gram-Schmidt of
 ``born_kron`` is the Born rule on the full Kronecker product of the local
 unitaries, an independent check of the per-party route.
 
-``diagram_contract_loops`` and ``purity_loops`` evaluate the einsum
-oracles of ``twirlkit.weingarten`` and ``twirlkit.checks`` term by term, with
-explicit loops over every index tuple.
+``diagram_contract_loops`` evaluates the einsum diagram contraction of
+``twirlkit.weingarten`` term by term, and ``purity_loops`` evaluates
+Tr rho_P^2, which ``twirlkit.checks.x2_oracle`` reads off an operator-basis
+expansion, as a direct sum; both loop over every index tuple.
 
 ``per_unitary_samples`` rebuilds the estimator's per-unitary class averages
 one unitary at a time, so two-pass statistics on them check the streamed

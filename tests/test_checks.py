@@ -1,26 +1,56 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import purity_loops
-from twirlkit.checks import invariant_table, purity_oracle
-from twirlkit.reconstruct import ReconstructionError
+from twirlkit import weingarten
+from twirlkit.checks import _X3_WIRINGS, invariant_table, x2_oracle
+from twirlkit.reconstruct import ReconstructionError, exact_x2, subset_mask
 from twirlkit.states import random_density
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 3), (2, 2, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 2, 3), (2, 2, 2, 2), (3, 4), (2, 3, 2)])
 def test_purity_oracle_matches_loop_oracle_on_every_subset(dims):
     rho = random_density(dims, rank=3, seed=11)
     subsets = [
         s for k in range(1, len(dims) + 1) for s in itertools.combinations(range(len(dims)), k)
     ]
-    got = [purity_oracle(rho, s) for s in subsets]
+    purities = x2_oracle(rho)
+    got = [purities[subset_mask(s, len(dims))] for s in subsets]
     want = [purity_loops(rho, s) for s in subsets]
     np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert purities[0] == 1.0
 
 
 def test_invariant_table_rejects_a_residual_above_the_limit(monkeypatch):
-    monkeypatch.setattr("twirlkit.checks.purity_oracle", lambda rho, subset: 0.0)
+    monkeypatch.setattr("twirlkit.checks.x2_oracle", lambda rho: np.zeros(2**rho.dims.n_parties))
     with pytest.raises(ReconstructionError, match="exceeds 1e-08"):
         invariant_table(random_density((2, 2), rank=2, seed=0), 2)
+
+
+def test_purity_oracle_agrees_with_exact_x2_in_bounded_memory_at_ten_qubits():
+    # the state itself is 16 MiB; the basis expansion holds about two copies
+    rho = random_density((2,) * 10, rank=2, seed=5)
+    tracemalloc.start()
+    try:
+        got = x2_oracle(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(got, exact_x2(rho).purities, rtol=1e-12)
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4), (4, 4)])
+def test_every_wiring_contracts_to_its_class_representative(dims):
+    s3 = weingarten.S3
+    ids = [weingarten.INVARIANT_ID[s3.index(ta)][s3.index(tb)] for ta, tb in _X3_WIRINGS]
+    assert ids == list(range(11))
+    rho = random_density(dims, rank=3, seed=17)
+    for (a, ta), (b, tb) in itertools.product(enumerate(s3), repeat=2):
+        rep_a, rep_b = _X3_WIRINGS[weingarten.INVARIANT_ID[a][b]]
+        assert weingarten.diagram_contract(rho, ta, tb) == pytest.approx(
+            weingarten.diagram_contract(rho, rep_a, rep_b), rel=1e-12
+        )

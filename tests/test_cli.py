@@ -314,6 +314,27 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("p,poly2,poly3")
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "existing-directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--builtin", "werner", "--params", "d=3,p=0.5"],
+        WERNER3 + ["--unitaries", "8"],
+        ["werner-sweep", "--d", "3", "--steps", "3"],
+        ["selftest"],
+    ],
+    ids=["invariants", "estimate", "werner-sweep", "selftest"],
+)
+def test_unwritable_out_is_a_one_line_usage_error(argv, where, tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out.csv" if where == "missing-directory" else tmp_path
+    code, out, err = run(argv + ["--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: cannot write --out {target}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_builtin_bell_diagonal(capsys):
     code, out, _ = run(
         [

@@ -14,16 +14,10 @@ from .reconstruct import (
     ReconstructionError,
     XVector2,
     XVector3,
-    YVector2,
-    YVector3,
     exact_x2,
     exact_x3,
-    forward_2,
-    forward_3,
     forward_matrix,
     invert,
-    invert_2,
-    invert_3,
 )
 from .states import (
     BellDiagonalSpectrum,
@@ -45,8 +39,7 @@ from .twirl import (
     EstimationError,
     EstimatorConfig,
     YEstimate,
-    estimate_y2,
-    estimate_y3,
+    estimate_y,
 )
 from .weingarten import (
     Permutation,
@@ -56,7 +49,6 @@ from .weingarten import (
     gram_matrix,
     s_matrix,
     w_matrix,
-    wg,
 )
 
 __version__ = "0.1.0"

@@ -194,9 +194,8 @@ def _estimate_rows(rho: DensityMatrix, args):
             f"unbiased order-{args.order} estimation needs --shots >= {args.order}"
             " (or --plug-in)"
         )
-    estimate = twirl.estimate_y2 if args.order == 2 else twirl.estimate_y3
-    _, est = estimate(rho, cfg)
     order, dims = args.order, rho.dims.dims
+    est = twirl.estimate_y(rho, cfg, order)
     x_hat = reconstruct.invert(order, dims, est.values)
     if cfg.n_unitaries == 1:
         # one unitary has no spread, so its covariance is NaN and so is every error bar
@@ -206,15 +205,14 @@ def _estimate_rows(rho: DensityMatrix, args):
         # can leave the variance of a state-constant invariant slightly negative
         cov_x = reconstruct.invert(order, dims, reconstruct.invert(order, dims, est.covariance).T)
         se_x = np.sqrt(np.maximum(np.diag(cov_x), 0.0))
-    if args.order == 2:
-        names = ["x%d" % k for k in range(2**rho.dims.n_parties)]
+    names = ["x%d" % k for k in range(len(x_hat))]
+    if order == 2:
         exact = reconstruct.exact_x2(rho).purities
-        crit, _ = criteria.purity_criterion(reconstruct.XVector2(rho.dims, x_hat))
+        crit, _ = criteria.purity_criterion(x_hat)
     else:
-        names = ["x%d" % k for k in range(11)]
         xt = reconstruct.exact_x3(rho)
         exact = np.array(xt.values[:9] + (xt.x_s, xt.x_s))
-        crit = criteria.third_order_criterion(reconstruct.XVector3(x_hat))
+        crit = criteria.third_order_criterion(x_hat)
     return names, x_hat, se_x, exact, [crit]
 
 

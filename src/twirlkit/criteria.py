@@ -1,4 +1,5 @@
-"""Separability criteria evaluated on reconstructed invariants.
+"""Separability criteria evaluated on invariant vectors, exact or
+reconstructed, given as plain arrays in the layout of ``reconstruct.invert``.
 
 Every criterion is reported as (lhs, rhs, margin) with margin = rhs - lhs;
 separable states satisfy lhs <= rhs, so a negative margin flags entanglement.
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reconstruct import XVector2, XVector3, _in_mask
+from .reconstruct import _in_mask
 
 
 # Ties must not count as detections; exact ties (pure product states saturate
@@ -36,37 +37,42 @@ class CriterionReport:
         return self.margin < -TIE_TOL
 
 
-def purity_criterion(x: XVector2) -> tuple[CriterionReport, list[tuple[int, ...]]]:
+def purity_criterion(x) -> tuple[CriterionReport, list[tuple[int, ...]]]:
     """Global purity vs the smallest marginal purity, plus every violated cut.
 
-    A state separable across every cut has Tr rho^2 <= Tr rho_P^2 for every
+    ``x`` holds the 2^N purities Tr rho_P^2 indexed by subset bitmask.  A
+    state separable across every cut has Tr rho^2 <= Tr rho_P^2 for every
     nonempty proper subset P.  Returns the aggregate report (rhs = minimal
-    marginal purity) and the list of subsets P that are individually violated.
+    marginal purity) and the subsets P whose own margin flags them.
     """
-    n = x.dims.n_parties
-    full = x.full_purity
-    violated = []
-    rhs = math.inf
-    for p_mask in range(1, 2**n - 1):
-        subset = tuple(l for l in range(n) if _in_mask(p_mask, l, n))
-        marg = float(x.purities[p_mask])
-        rhs = min(rhs, marg)
-        if full > marg:
-            violated.append(subset)
-    report = CriterionReport(name="purity", lhs=full, rhs=rhs)
-    return report, violated
+    x = np.asarray(x, dtype=float)
+    n = len(x).bit_length() - 1
+    if n < 1 or len(x) != 2**n:
+        raise ValueError(f"a purity vector has 2^N entries with N >= 1, got {len(x)}")
+    full = float(x[-1])
+    violated = [
+        tuple(l for l in range(n) if _in_mask(mask, l, n))
+        for mask in range(1, 2**n - 1)
+        if x[mask] - full < -TIE_TOL
+    ]
+    rhs = float(np.min(x[1:-1], initial=math.inf))
+    return CriterionReport(name="purity", lhs=full, rhs=rhs), violated
 
 
-def third_order_criterion(x: XVector3) -> CriterionReport:
+def third_order_criterion(x) -> CriterionReport:
     """Tr rho^3 + Tr (rho^Gamma)^3 <= 2 Tr((Tr_B rho^2) rho_A) for separable states.
 
-    The left side is the measurable combination 2 x_S, so the criterion is
-    fully accessible from randomized measurements.
+    ``x`` holds the eleven invariants x0..x10.  The left side is the
+    measurable combination 2 x_S, so the criterion is fully accessible from
+    randomized measurements.
     """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (11,):
+        raise ValueError(f"an order-3 invariant vector has 11 components, got shape {x.shape}")
     return CriterionReport(
         name="third-order",
-        lhs=x.values[9] + x.values[10],
-        rhs=2.0 * x.values[8],
+        lhs=float(x[9] + x[10]),
+        rhs=float(2.0 * x[8]),
     )
 
 
@@ -100,11 +106,7 @@ def _cbrt(v: float) -> float:
 
 
 def werner_threshold_3(d: int) -> float:
-    """Smallest p detected at order 3: the real root of the cubic via Cardano.
-
-    Cross-checked internally against the numeric roots of the same
-    polynomial; a disagreement beyond 1e-9 raises.
-    """
+    """Smallest p detected at order 3: the real root of the cubic via Cardano."""
     if d < 3:
         raise ValueError("the order-3 criterion needs d >= 3")
     a = -2.0 * (d - 3.0) / ((d - 2.0) * (d + 2.0))
@@ -112,12 +114,5 @@ def werner_threshold_3(d: int) -> float:
     q = -a * a / 3.0
     r = 2.0 * a**3 / 27.0 + b
     disc = r * r / 4.0 + q**3 / 27.0
-    root = _cbrt(-r / 2.0 + math.sqrt(disc)) + _cbrt(-r / 2.0 - math.sqrt(disc)) - a / 3.0
-    coeffs = [-(d * d - 4.0) * (d + 1.0), 2.0 * (d + 1.0) * (d - 3.0), 0.0, 2.0]
-    numeric = [z.real for z in np.roots(coeffs) if abs(z.imag) < 1e-9 and 0.0 < z.real <= 1.0]
-    if not numeric or abs(root - min(numeric)) > 1e-9:
-        raise ArithmeticError(
-            f"Cardano root {root!r} disagrees with numeric roots {numeric!r} at d={d}"
-        )
-    return root
+    return _cbrt(-r / 2.0 + math.sqrt(disc)) + _cbrt(-r / 2.0 - math.sqrt(disc)) - a / 3.0
 

@@ -1,5 +1,5 @@
-"""Forward maps y = M x between twirl-averaged statistics and invariants,
-and their inverses at orders 2 and 3.
+"""The forward map y = M x between twirl-averaged statistics and invariants,
+its inverse, and the exact invariants of a state, at orders 2 and 3.
 
 :func:`forward_matrix` derives M for both orders from the Weingarten matrices
 and the equality-pattern rows; :func:`invert` applies its cached inverse.
@@ -22,7 +22,8 @@ all-equal} with the (pair, pair) case split:
 With this order y4 - y5 = (x4 - x5) / (d_A(d_A^2-1) d_B(d_B^2-1)).  Each y
 component is the average over all index tuples of its equality class (every
 representative has the same expectation, so the average equals the
-single-representative value).
+single-representative value).  The order-3 columns of M are x0..x8 and the
+measurable x_S = (x9 + x10) / 2.
 """
 
 from __future__ import annotations
@@ -41,13 +42,7 @@ from .states import (
     partial_transpose,
     trace_power,
 )
-from .weingarten import (
-    INVARIANT_ID,
-    SingularDimensionError,
-    _partitions,
-    s_matrix,
-    w_matrix,
-)
+from .weingarten import INVARIANT_ID, _partitions, s_matrix, w_matrix
 
 
 class ReconstructionError(ArithmeticError):
@@ -58,34 +53,16 @@ RESIDUAL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# order 2
+# exact invariants, order 2
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class YVector2:
-    """Per-class averages of twirled two-round probability products.
-
-    ``values[q]`` is the average over unitaries and over all index pairs
-    (I1, I2) with I1 != I2 exactly on the subsystems in the bitmask ``q``.
-    """
-
-    dims: DimsProfile
-    values: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class XVector2:
-    """Marginal purities Tr rho_P^2, indexed by the subset bitmask P."""
+    """The result of :func:`exact_x2`: marginal purities Tr rho_P^2, indexed
+    by the subset bitmask P."""
 
     dims: DimsProfile
     purities: np.ndarray = field(repr=False)
-
-    @property
-    def full_purity(self) -> float:
-        return float(self.purities[-1])
-
-    def purity(self, subsystems: Sequence[int]) -> float:
-        return float(self.purities[subset_mask(subsystems, self.dims.n_parties)])
 
 
 def subset_mask(subsystems: Sequence[int], n_parties: int) -> int:
@@ -99,19 +76,6 @@ def subset_mask(subsystems: Sequence[int], n_parties: int) -> int:
 
 def _in_mask(mask: int, party: int, n_parties: int) -> bool:
     return bool(mask >> (n_parties - 1 - party) & 1)
-
-
-def forward_2(x: XVector2, dims: DimsProfile | None = None) -> YVector2:
-    """Exact per-class averages for a state with the given marginal purities."""
-    dims = dims if dims is not None else x.dims
-    y = forward_matrix(2, dims.dims) @ np.asarray(x.purities, dtype=float)
-    return YVector2(dims=dims, values=y)
-
-
-def invert_2(y: YVector2, dims: DimsProfile | None = None) -> XVector2:
-    """Recover all marginal purities from per-class averages."""
-    dims = dims if dims is not None else y.dims
-    return XVector2(dims=dims, purities=invert(2, dims.dims, y.values))
 
 
 def exact_x2(rho: DensityMatrix) -> XVector2:
@@ -141,25 +105,16 @@ def exact_x2(rho: DensityMatrix) -> XVector2:
 
 
 # ---------------------------------------------------------------------------
-# order 3
+# exact invariants, order 3
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class YVector3:
-    """The ten per-class averages of twirled three-round products."""
-
-    d_a: int
-    d_b: int
-    values: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class XVector3:
-    """The eleven third-order invariants x0..x10.
+    """The result of :func:`exact_x3`: the eleven third-order invariants
+    x0..x10, with x9 = Tr rho^3 and x10 = Tr (rho^Gamma)^3.
 
-    x9 = Tr rho^3 and x10 = Tr (rho^Gamma)^3.  Reconstructed vectors carry
-    the measurable symmetric combination x_S in both slots, since only
-    x9 + x10 is accessible from randomized measurements.
+    Only x9 + x10 is accessible from randomized measurements, so
+    :func:`invert` returns the symmetric combination ``x_s`` in both slots.
     """
 
     values: tuple[float, ...]
@@ -170,16 +125,9 @@ class XVector3:
             raise ValueError("an order-3 invariant vector has 11 components")
         object.__setattr__(self, "values", values)
 
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
     @property
     def x_s(self) -> float:
         return 0.5 * (self.values[9] + self.values[10])
-
-    @property
-    def delta(self) -> float:
-        return self.values[4] - self.values[5]
 
 
 def exact_x3(rho: DensityMatrix) -> XVector3:
@@ -211,32 +159,9 @@ def exact_x3(rho: DensityMatrix) -> XVector3:
     )
 
 
-def forward_3(x: XVector3, d_a: int, d_b: int) -> YVector3:
-    """Exact per-class averages from the invariants (x9, x10 enter as x_S)."""
-    xm = np.array(x.values[:9] + (x.x_s,))
-    return YVector3(d_a=d_a, d_b=d_b, values=forward_matrix(3, (d_a, d_b)) @ xm)
-
-
-def invert_3(y: YVector3, d_a: int | None = None, d_b: int | None = None) -> XVector3:
-    """Recover x0..x8 and x_S (in both the x9 and x10 slots) from the ten
-    per-class averages."""
-    d_a = d_a if d_a is not None else y.d_a
-    d_b = d_b if d_b is not None else y.d_b
-    return XVector3(invert(3, (d_a, d_b), y.values))
-
-
 # ---------------------------------------------------------------------------
 # the forward matrix and its inverse, both orders
 # ---------------------------------------------------------------------------
-
-def _check_order3_dims(dims: Sequence[int]) -> None:
-    if len(dims) != 2:
-        raise ValueError("order-3 invariants are defined for bipartite states")
-    if min(dims) < 3:
-        raise SingularDimensionError(
-            "order-3 reconstruction requires local dimensions >= 3"
-        )
-
 
 def _component(sigmas: tuple[tuple[int, ...], ...]) -> int:
     """Index of the y component holding a tuple of exact per-party patterns.
@@ -281,10 +206,12 @@ def forward_matrix(order: int, dims: tuple[int, ...]) -> np.ndarray:
 
     Row c is the Weingarten expectation of component c: the row of the first
     exact-pattern tuple that ``_pooling`` puts into c.  Every tuple of a
-    component has the same row, which the tests check.
+    component has the same row, which the tests check.  Raises
+    SingularDimensionError where a party's Weingarten matrix does not exist
+    (order 3 with a qubit).
     """
-    if order == 3:
-        _check_order3_dims(dims)
+    if order == 3 and len(dims) != 2:
+        raise ValueError("order-3 invariants are defined for bipartite states")
     m = _pattern_rows(order, dims)[_pooling(order, len(dims)).argmax(axis=0)]
     m.setflags(write=False)
     return m

@@ -1,6 +1,6 @@
 """Reading and writing density matrices as JSON state files.
 
-Grammar: a JSON object with two keys.
+Grammar: a UTF-8 JSON object with two keys.
 ``dims`` is an array of integer local dimensions (each >= 2).
 ``matrix`` is the row-major density matrix, one ``[re, im]`` pair per entry,
 so its shape is D x D x 2 with D the product of ``dims``.
@@ -42,9 +42,11 @@ def _parse_payload(payload) -> DensityMatrix:
 def load_state(path: str | Path) -> DensityMatrix:
     """Load and validate a density matrix from a JSON state file."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

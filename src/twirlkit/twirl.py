@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .haar import DEFAULT_SEED, RngStream, sample_haar_batch
-from .reconstruct import YVector2, YVector3, _check_order3_dims, _pooling
+from .reconstruct import _pooling, forward_matrix
 from .states import DensityMatrix
 from .weingarten import _partitions
 
@@ -286,8 +286,15 @@ def _merge_moments(parts):
     return n, mean, m2
 
 
-def _run_chunks(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> YEstimate:
+def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> YEstimate:
+    """Estimate the per-class averages y of an order-2 or order-3 protocol run.
+
+    Order 2 gives the 2^N components of an N-partite state; order 3 the ten
+    of a bipartite one.  The forward matrix of (order, dims) is built before
+    any unitary is drawn, so dimensions it cannot invert raise first.
+    """
     dims = rho.dims.dims
+    forward_matrix(order, dims)
     n_parties = rho.dims.n_parties
     n_chunks = -(-cfg.n_unitaries // cfg.batch_size)
     if cfg.shots and cfg.shots < order and not cfg.plug_in:
@@ -297,7 +304,7 @@ def _run_chunks(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> YEstima
     if cfg.plug_in and cfg.shots:
         warnings.warn(
             "plug-in estimator is biased at finite shots (O(1/shots))",
-            stacklevel=3,
+            stacklevel=2,
         )
     class_counts = _class_sums(np.ones((1,) + dims), order)[0]
     factor = _eigen_factor(rho)
@@ -337,17 +344,3 @@ def _run_chunks(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> YEstima
         values=mean,
         covariance=m2 / ((n - 1) * n) if n > 1 else np.full(m2.shape, np.nan),
     )
-
-
-def estimate_y2(rho: DensityMatrix, cfg: EstimatorConfig) -> tuple[YVector2, YEstimate]:
-    """Estimate the 2^N order-2 class averages for an N-partite state."""
-    est = _run_chunks(rho, cfg, order=2)
-    return YVector2(dims=rho.dims, values=est.values), est
-
-
-def estimate_y3(rho: DensityMatrix, cfg: EstimatorConfig) -> tuple[YVector3, YEstimate]:
-    """Estimate the ten order-3 class averages for a bipartite state."""
-    _check_order3_dims(rho.dims.dims)
-    d_a, d_b = rho.dims.dims
-    est = _run_chunks(rho, cfg, order=3)
-    return YVector3(d_a=d_a, d_b=d_b, values=est.values), est

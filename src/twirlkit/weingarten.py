@@ -1,4 +1,5 @@
-"""Permutations of S2/S3, Weingarten values, and the one-einsum diagram oracle.
+"""Permutations of S2/S3, Gram and Weingarten matrices, and the one-einsum
+diagram oracle.
 
 The fixed permutation order for all S3-indexed matrices is
 ``{e, (12), (23), (13), (312), (231)}`` where the cycles are written in
@@ -8,7 +9,6 @@ one-line notation on {1,2,3} (0-based internally).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -17,7 +17,8 @@ from .states import DensityMatrix
 
 
 class SingularDimensionError(ValueError):
-    """Raised when a local dimension makes the order-3 calculus singular (d=2)."""
+    """Raised when the Gram matrix of S_n at dimension d is singular (n > d,
+    so order 3 on a qubit)."""
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,6 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    @property
-    def cycle_type(self) -> tuple[int, ...]:
-        """Partition of n, sorted in decreasing order."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
 
 IDENTITY_1 = Permutation((0,))
 S2 = (Permutation((0, 1)), Permutation((1, 0)))
@@ -83,40 +79,6 @@ S3 = (
     Permutation((2, 0, 1)),
     Permutation((1, 2, 0)),
 )
-
-
-def _normalize_cycle_type(cycle_type, n: int | None) -> tuple[int, ...]:
-    if isinstance(cycle_type, Permutation):
-        ct = cycle_type.cycle_type
-    else:
-        ct = tuple(sorted((int(c) for c in cycle_type), reverse=True))
-    if n is not None and sum(ct) != n:
-        raise ValueError(f"cycle type {ct} is not a partition of n={n}")
-    return ct
-
-
-def wg(cycle_type, d: int, n: int | None = None) -> float:
-    """Weingarten value for a conjugacy class of S_n at dimension d (n <= 3).
-
-    Computed from the closed forms; exact rationals evaluated in floats.
-    """
-    ct = _normalize_cycle_type(cycle_type, n)
-    n = sum(ct)
-    d = int(d)
-    if n == 1:
-        return 1.0 / d
-    if n == 2:
-        denom = d * (d * d - 1)
-        return float(Fraction(d if ct == (1, 1) else -1, denom))
-    if n == 3:
-        if d < 3:
-            raise SingularDimensionError(
-                "order-3 Weingarten values are singular at d=2 (denominator d^2-4)"
-            )
-        denom = d * (d * d - 1) * (d * d - 4)
-        num = {(1, 1, 1): d * d - 2, (2, 1): -d, (3,): 2}[ct]
-        return float(Fraction(num, denom))
-    raise ValueError(f"unsupported order n={n} (only n <= 3)")
 
 
 def gram(sigma: Permutation, tau: Permutation, d: int) -> float:
@@ -138,9 +100,20 @@ def permutations_of_order(n: int) -> tuple[Permutation, ...]:
 
 @lru_cache(maxsize=None)
 def w_matrix(n: int, d: int) -> np.ndarray:
-    """Read-only matrix of Wg(sigma tau^-1, d) over the fixed permutation order."""
-    perms = permutations_of_order(n)
-    m = np.array([[wg(s.compose(t.inverse()), d) for t in perms] for s in perms])
+    """Read-only matrix of Wg(sigma tau^-1, d) over the fixed permutation order:
+    the inverse of :func:`gram_matrix`.
+
+    Raises SingularDimensionError when the Gram matrix is singular, which it
+    is exactly when n > d (rank 5 of 6 at n = 3, d = 2).
+    """
+    g = gram_matrix(n, d)
+    rank = np.linalg.matrix_rank(g)
+    if rank < len(g):
+        raise SingularDimensionError(
+            f"the order-{n} Gram matrix at d={d} has rank {rank} of {len(g)},"
+            " so it has no Weingarten inverse"
+        )
+    m = np.linalg.inv(g)
     m.setflags(write=False)
     return m
 

@@ -5,6 +5,10 @@ The package reconstructs invariants with one mechanically derived inverse
 transcribed; they share no code with that inverse, so agreement between the
 two is evidence for both.
 
+``wg`` gives the closed-form Weingarten value of a conjugacy class of S_n
+(n <= 3) as an exact rational, against which ``twirlkit.weingarten.w_matrix``
+(the inverse of the Gram matrix) is checked.
+
 ``haar_from_ginibre`` is the phase-fixed QR of a Ginibre batch, one LAPACK
 factorisation per matrix, against which the batch Gram-Schmidt of
 ``twirlkit.haar.sample_haar_batch`` is checked.
@@ -25,14 +29,69 @@ moment merge.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
 from twirlkit.haar import RngStream, sample_haar_batch
-from twirlkit.reconstruct import XVector3, YVector2, YVector3, _in_mask, subset_mask
-from twirlkit.states import DensityMatrix, DimsProfile
+from twirlkit.reconstruct import _in_mask, exact_x2, exact_x3, forward_matrix, subset_mask
+from twirlkit.states import DensityMatrix
 from twirlkit.twirl import EstimatorConfig, _batched_probabilities, _class_sums, _eigen_factor
-from twirlkit.weingarten import Permutation
+from twirlkit.weingarten import Permutation, SingularDimensionError
+
+
+def cycle_type(p: Permutation) -> tuple[int, ...]:
+    """Partition of n, sorted in decreasing order."""
+    return tuple(sorted((len(c) for c in p.cycles()), reverse=True))
+
+
+def _normalize_cycle_type(ct, n: int | None) -> tuple[int, ...]:
+    if isinstance(ct, Permutation):
+        ct = cycle_type(ct)
+    else:
+        ct = tuple(sorted((int(c) for c in ct), reverse=True))
+    if n is not None and sum(ct) != n:
+        raise ValueError(f"cycle type {ct} is not a partition of n={n}")
+    return ct
+
+
+def wg(ct, d: int, n: int | None = None) -> float:
+    """Weingarten value for a conjugacy class of S_n at dimension d (n <= 3).
+
+    Computed from the closed forms; exact rationals evaluated in floats.
+    """
+    ct = _normalize_cycle_type(ct, n)
+    n = sum(ct)
+    d = int(d)
+    if n == 1:
+        return 1.0 / d
+    if n == 2:
+        denom = d * (d * d - 1)
+        return float(Fraction(d if ct == (1, 1) else -1, denom))
+    if n == 3:
+        if d < 3:
+            raise SingularDimensionError(
+                "order-3 Weingarten values are singular at d=2 (denominator d^2-4)"
+            )
+        denom = d * (d * d - 1) * (d * d - 4)
+        num = {(1, 1, 1): d * d - 2, (2, 1): -d, (3,): 2}[ct]
+        return float(Fraction(num, denom))
+    raise ValueError(f"unsupported order n={n} (only n <= 3)")
+
+
+def measurable_x(rho: DensityMatrix, order: int) -> np.ndarray:
+    """The exact invariants in the layout ``invert`` returns: the 2^N
+    purities, or x0..x8 with x_S in both the x9 and x10 slots."""
+    if order == 2:
+        return exact_x2(rho).purities
+    x = exact_x3(rho)
+    return np.array(x.values[:9] + (x.x_s, x.x_s))
+
+
+def exact_y(rho: DensityMatrix, order: int) -> np.ndarray:
+    """The exact per-class averages: the forward matrix on the invariants."""
+    x = measurable_x(rho, order)
+    return forward_matrix(order, rho.dims.dims) @ (x if order == 2 else x[:10])
 
 
 def diagram_contract_loops(
@@ -117,9 +176,9 @@ def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig, order: int) ->
     return np.array(rows)
 
 
-def pair_class_counts(dims: DimsProfile) -> np.ndarray:
+def pair_class_counts(dims) -> np.ndarray:
     """Number of index pairs (I1, I2) in each inequality class Q."""
-    n = dims.n_parties
+    n = len(dims)
     counts = np.ones(2**n)
     for q in range(2**n):
         c = 1
@@ -129,16 +188,13 @@ def pair_class_counts(dims: DimsProfile) -> np.ndarray:
     return counts
 
 
-def purity_marginal_hamming(
-    y: YVector2, subsystems, dims: DimsProfile | None = None
-) -> float:
+def purity_marginal_hamming(dims, y, subsystems) -> float:
     """Equal-dimension Hamming-distance form of the marginal purity.
 
     Sums d^{#P} (-d)^{-D(I1, I2)} over all pairs of P-restricted indices,
-    using the class averages as the per-pair expectations.
+    using the order-2 class averages ``y`` as the per-pair expectations.
     """
-    dims = dims if dims is not None else y.dims
-    n = dims.n_parties
+    n = len(dims)
     d = dims[0]
     if any(dl != d for dl in dims):
         raise ValueError("Hamming form requires equal local dimensions")
@@ -158,7 +214,7 @@ def purity_marginal_hamming(
                     _in_mask(q, l, n) == (i1[j] != i2[j]) for j, l in enumerate(p_list)
                 )
                 if consistent:
-                    marg += counts[q] * y.values[q]
+                    marg += counts[q] * y[q]
             # marg now counts every complement completion; divide by the
             # number of completions of the restricted pair in its class
             restricted = 1.0
@@ -209,18 +265,18 @@ def _delta_correction(d_a: int, d_b: int) -> np.ndarray:
     return c_a * c_b * (diag9 * v5)
 
 
-def invert_3_closed_form(y: YVector3) -> XVector3:
+def invert_3_closed_form(dims, y) -> np.ndarray:
     """Closed-form inversion: Delta rescaling plus the tensor-product solve.
 
     Delta = (y4 - y5) d_A(d_A^2-1) d_B(d_B^2-1), then the nine remaining
     unknowns come from the explicit 3x3 tensor factors and the Delta
-    correction vector.
+    correction vector.  Returns x0..x8 with x_S in both the x9 and x10 slots.
     """
-    d_a, d_b = y.d_a, y.d_b
-    vals = np.asarray(y.values, dtype=float)
+    d_a, d_b = dims
+    vals = np.asarray(y, dtype=float)
     delta = (vals[4] - vals[5]) * d_a * (d_a**2 - 1) * d_b * (d_b**2 - 1)
     mm = np.kron(_closed_form_factor(d_a), _closed_form_factor(d_b))
     x9 = d_a * d_b * (mm @ vals[list(_KEPT_ROWS)])
     x9 += delta * (mm @ _delta_correction(d_a, d_b))
     x0, x1, x2, x3, x4, x6, x7, x8, x_s = x9
-    return XVector3((x0, x1, x2, x3, x4, x4 - delta, x6, x7, x8, x_s, x_s))
+    return np.array([x0, x1, x2, x3, x4, x4 - delta, x6, x7, x8, x_s, x_s])

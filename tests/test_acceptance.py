@@ -13,17 +13,9 @@ from twirlkit.criteria import (
     werner_threshold_2,
     werner_threshold_3,
 )
-from oracles import purity_marginal_hamming
+from oracles import measurable_x, purity_marginal_hamming
 from twirlkit.haar import RngStream
-from twirlkit.reconstruct import (
-    exact_x2,
-    exact_x3,
-    forward_2,
-    forward_3,
-    invert,
-    invert_2,
-    invert_3,
-)
+from twirlkit.reconstruct import exact_x2, exact_x3, forward_matrix, invert, subset_mask
 from twirlkit.states import (
     BellDiagonalSpectrum,
     DimsProfile,
@@ -35,7 +27,7 @@ from twirlkit.states import (
     trace_power,
     werner_state,
 )
-from twirlkit.twirl import EstimatorConfig, estimate_y2, estimate_y3
+from twirlkit.twirl import EstimatorConfig, estimate_y
 from twirlkit.weingarten import (
     INVARIANT_ID,
     S3,
@@ -82,10 +74,9 @@ def test_acceptance_2_oracle_equivalence_and_round_trip():
         worst_oracle = max(
             worst_oracle, float(np.max(np.abs(sums / counts - np.array(x.values))))
         )
-        xs = 0.5 * (x.values[9] + x.values[10])
-        target = np.array(list(x.values[:9]) + [xs, xs])
-        xr = invert_3(forward_3(x, *dims))
-        worst_rt = max(worst_rt, float(np.max(np.abs(np.array(xr.values) - target))))
+        target = measurable_x(rho, 3)
+        xr = invert(3, dims, forward_matrix(3, dims) @ target[:10])
+        worst_rt = max(worst_rt, float(np.max(np.abs(xr - target))))
     ok = worst_oracle < 1e-10 and worst_rt < 1e-9
     _report(2, "oracle equivalence", ok,
             f"20 states: oracle residual {worst_oracle:.3e}, round trip {worst_rt:.3e}")
@@ -97,17 +88,18 @@ def test_acceptance_3_second_order_pipeline():
     worst_h = 0.0
     for dims in [(2, 2), (3, 4), (2, 5), (4, 3)]:
         rho = random_density(dims, rank=4, seed=rng)
-        x = exact_x2(rho)
-        xr = invert_2(forward_2(x))
-        worst_rt = max(worst_rt, float(np.max(np.abs(xr.purities - x.purities))))
+        x = exact_x2(rho).purities
+        xr = invert(2, dims, forward_matrix(2, dims) @ x)
+        worst_rt = max(worst_rt, float(np.max(np.abs(xr - x))))
     for dims in [(2, 2), (3, 3), (2, 2, 2), (4, 4)]:
         rho = random_density(dims, rank=3, seed=rng)
-        y = forward_2(exact_x2(rho))
+        y = forward_matrix(2, dims) @ exact_x2(rho).purities
         subsets = [[0], [0, 1], list(range(len(dims)))]
         for p in subsets:
             worst_h = max(
                 worst_h,
-                abs(invert_2(y).purity(p) - purity_marginal_hamming(y, p)),
+                abs(invert(2, dims, y)[subset_mask(p, len(dims))]
+                    - purity_marginal_hamming(dims, y, p)),
             )
     ok = worst_rt < 1e-12 and worst_h < 1e-12
     _report(3, "second-order pipeline", ok,
@@ -122,8 +114,8 @@ def _x_covariance(order: int, dims, y_covariance: np.ndarray) -> np.ndarray:
 def _bell_purities(n_unitaries: int, seed: int):
     rho = make_state(max_entangled_projector(2), (2, 2))
     cfg = EstimatorConfig(n_unitaries=n_unitaries, master_seed=seed)
-    y, est = estimate_y2(rho, cfg)
-    x_hat = invert_2(y).purities
+    est = estimate_y(rho, cfg, 2)
+    x_hat = invert(2, rho.dims.dims, est.values)
     cov_x = _x_covariance(2, rho.dims.dims, est.covariance)
     return x_hat, np.sqrt(np.maximum(np.diag(cov_x), 0.0))
 
@@ -156,7 +148,7 @@ def test_acceptance_5_analytic_thresholds():
     ]
     worst_root = 0.0
     for d in range(3, 11):
-        t = werner_threshold_3(d)  # raises if Cardano and numeric roots differ
+        t = werner_threshold_3(d)
         coeffs = [-(d * d - 4) * (d + 1), 2 * (d + 1) * (d - 3), 0.0, 2.0]
         roots = [z.real for z in np.roots(coeffs) if abs(z.imag) < 1e-9 and 0 < z.real <= 1]
         worst_root = max(worst_root, abs(t - min(roots)))
@@ -169,17 +161,16 @@ def test_acceptance_5_analytic_thresholds():
 def test_acceptance_6_end_to_end_werner_detection():
     rho = werner_state(3, 0.48)
     cfg = EstimatorConfig(n_unitaries=20000, master_seed=20240917)
-    y3, est3 = estimate_y3(rho, cfg)
-    x3 = invert_3(y3)
-    rep3 = third_order_criterion(x3)
+    est3 = estimate_y(rho, cfg, 3)
+    rep3 = third_order_criterion(invert(3, (3, 3), est3.values))
     # the margin 2 x8 - x9 - x10 is linear in x, so its variance is g^T Sigma g
     g = np.zeros(11)
     g[8], g[9], g[10] = 2.0, -1.0, -1.0
     se_margin = np.sqrt(g @ _x_covariance(3, (3, 3), est3.covariance) @ g)
     sigma = -rep3.margin / se_margin
 
-    y2, _ = estimate_y2(rho, cfg)
-    rep2, _ = purity_criterion(invert_2(y2))
+    est2 = estimate_y(rho, cfg, 2)
+    rep2, _ = purity_criterion(invert(2, (3, 3), est2.values))
     ok = rep3.detected and sigma >= 3.0 and not rep2.detected
     _report(6, "end-to-end detection", ok,
             f"third-order margin {rep3.margin:.4e} ({sigma:.1f} sigma), "
@@ -202,8 +193,8 @@ def test_acceptance_7_no_false_positives_on_separable_states():
     false_pos = 0
     for _ in range(1000):
         rho = make_state(_random_separable(rng), (3, 3))
-        rep2, _ = purity_criterion(exact_x2(rho))
-        rep3 = third_order_criterion(exact_x3(rho))
+        rep2, _ = purity_criterion(exact_x2(rho).purities)
+        rep3 = third_order_criterion(exact_x3(rho).values)
         if rep2.detected or rep3.detected:
             false_pos += 1
     _report(7, "no false positives", false_pos == 0,
@@ -224,13 +215,13 @@ def test_acceptance_8_bell_diagonal_geometry():
         ball = sum(v * v for v in lam) > 0.5
         npt = max(lam) > 0.5
 
-        rep2, _ = purity_criterion(exact_x2(rho))
+        rep2, _ = purity_criterion(exact_x2(rho).purities)
         if rep2.detected != ball:
             mismatch_purity += 1
         pt_negative = bool(np.linalg.eigvalsh(partial_transpose(rho, 1))[0] < 0.0)
         if pt_negative != npt:
             mismatch_npt += 1
-        rep3 = third_order_criterion(exact_x3(rho))
+        rep3 = third_order_criterion(exact_x3(rho).values)
         if rep3.detected != rep2.detected:
             mismatch_third += 1
     ok = mismatch_purity == 0 and mismatch_npt == 0 and mismatch_third == 0

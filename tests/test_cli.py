@@ -81,10 +81,16 @@ def test_negative_seed_is_a_one_line_usage_error(argv, capsys):
         ["invariants", "--builtin", "werner", "--params", "d=3,p=1.5"],
         ["invariants", "--builtin", "bell-diagonal", "--params", "l1=0.5,l2=0.2,l3=0.2,l4=0.2"],
         ["invariants", "--builtin", "random", "--dims", "2,2", "--params", "rank=9"],
+        ["invariants", "--state", "NOT_UTF8"],
     ],
-    ids=["missing-file", "werner-p-out-of-range", "bell-weights-not-normalised", "rank-too-large"],
+    ids=["missing-file", "werner-p-out-of-range", "bell-weights-not-normalised", "rank-too-large",
+         "not-utf8"],
 )
-def test_bad_state_file_exit_code(argv, capsys):
+def test_bad_state_file_exit_code(argv, tmp_path, capsys):
+    # NOT_UTF8 stands for a file that starts with a UTF-16 byte-order mark
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    argv = [str(path) if a == "NOT_UTF8" else a for a in argv]
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "invalid state" in err
@@ -115,7 +121,8 @@ def test_order3_with_qubits_exit_code(capsys):
         capsys,
     )
     assert code == 3
-    assert "numerical failure" in err
+    assert err.startswith("numerical failure:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_invariants_builtin_werner_order2(capsys):

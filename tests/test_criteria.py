@@ -29,7 +29,7 @@ def test_report_margin_sign_convention():
 
 def test_purity_criterion_on_bell_state():
     rho = make_state(max_entangled_projector(2), (2, 2))
-    report, violated = purity_criterion(exact_x2(rho))
+    report, violated = purity_criterion(exact_x2(rho).purities)
     assert report.detected
     assert report.lhs == pytest.approx(1.0)
     assert report.rhs == pytest.approx(0.5)
@@ -37,7 +37,19 @@ def test_purity_criterion_on_bell_state():
 
 
 def test_purity_criterion_on_maximally_mixed():
-    report, violated = purity_criterion(exact_x2(maximally_mixed((3, 3))))
+    report, violated = purity_criterion(exact_x2(maximally_mixed((3, 3))).purities)
+    assert not report.detected
+    assert violated == []
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_purity_criterion_on_pure_product_states(seed):
+    # a pure product state saturates every cut, Tr rho^2 = Tr rho_A^2 = 1,
+    # so no cut is flagged: the margins are rounding ties of either sign
+    a = random_density((3,), rank=1, seed=2 * seed)
+    b = random_density((4,), rank=1, seed=2 * seed + 1)
+    rho = make_state(np.kron(a.entries, b.entries), (3, 4))
+    report, violated = purity_criterion(exact_x2(rho).purities)
     assert not report.detected
     assert violated == []
 
@@ -48,7 +60,7 @@ def test_purity_criterion_multipartite_cuts():
     psi = np.zeros(8, dtype=complex)
     psi[0] = psi[7] = 1 / np.sqrt(2)
     rho = make_state(np.outer(psi, psi.conj()), (d, d, d))
-    report, violated = purity_criterion(exact_x2(rho))
+    report, violated = purity_criterion(exact_x2(rho).purities)
     assert report.detected
     assert len(violated) == 6  # all nonempty proper subsets
 
@@ -57,12 +69,12 @@ def test_purity_criterion_multipartite_cuts():
 def test_third_order_criterion_on_werner_d3(p, expect):
     # threshold is 10^(-1/3) ~ 0.4642
     rho = werner_state(3, p)
-    assert third_order_criterion(exact_x3(rho)).detected == expect
+    assert third_order_criterion(exact_x3(rho).values).detected == expect
 
 
 def test_third_order_lhs_is_the_measurable_combination():
     rho = random_density((3, 3), rank=2, seed=3)
-    x = exact_x3(rho)
+    x = exact_x3(rho).values
     report = third_order_criterion(x)
     assert report.lhs == pytest.approx(x[9] + x[10], abs=1e-14)
     assert report.rhs == pytest.approx(2 * x[8], abs=1e-14)

@@ -5,22 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import invert_3_closed_form, pair_class_counts, purity_marginal_hamming
+from oracles import (
+    exact_y,
+    invert_3_closed_form,
+    measurable_x,
+    pair_class_counts,
+    purity_marginal_hamming,
+)
 from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import (
     ReconstructionError,
     XVector3,
-    YVector3,
     _pattern_rows,
     _pooling,
     exact_x2,
     exact_x3,
-    forward_2,
-    forward_3,
     forward_matrix,
     invert,
-    invert_2,
-    invert_3,
+    subset_mask,
 )
 from twirlkit.states import (
     DimsProfile,
@@ -78,9 +80,9 @@ def test_exact_x2_holds_one_chain_of_marginals_at_ten_qubits():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_order2_round_trip(dims, seed):
     rho = random_density(dims, rank=3, seed=seed)
-    x = exact_x2(rho)
-    xr = invert_2(forward_2(x))
-    assert np.max(np.abs(xr.purities - x.purities)) < 1e-12
+    x = exact_x2(rho).purities
+    xr = invert(2, dims, forward_matrix(2, dims) @ x)
+    assert np.max(np.abs(xr - x)) < 1e-12
 
 
 def test_pair_class_counts_sum_to_all_pairs():
@@ -91,28 +93,28 @@ def test_pair_class_counts_sum_to_all_pairs():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_purity_marginal_product_formula(seed):
     rho = random_density((2, 3, 2), rank=4, seed=seed)
-    y = forward_2(exact_x2(rho))
+    x = invert(2, (2, 3, 2), exact_y(rho, 2))
     for subset in ([0], [1], [0, 2], [0, 1, 2]):
         direct = trace_power(partial_trace(rho, subset).entries, 2)
-        assert invert_2(y).purity(subset) == pytest.approx(direct, abs=1e-12)
+        assert x[subset_mask(subset, 3)] == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3, 3)])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_hamming_form_agrees_on_equal_dims(dims, seed):
     rho = random_density(dims, rank=2, seed=seed)
-    y = forward_2(exact_x2(rho))
+    y = exact_y(rho, 2)
     for subset in ([0], [0, 1], list(range(len(dims)))):
-        assert purity_marginal_hamming(y, subset) == pytest.approx(
-            invert_2(y).purity(subset), abs=1e-12
+        assert purity_marginal_hamming(dims, y, subset) == pytest.approx(
+            invert(2, dims, y)[subset_mask(subset, len(dims))], abs=1e-12
         )
 
 
 def test_hamming_form_rejects_unequal_dims():
     rho = random_density((2, 3), rank=2, seed=0)
-    y = forward_2(exact_x2(rho))
+    y = exact_y(rho, 2)
     with pytest.raises(ValueError):
-        purity_marginal_hamming(y, [0])
+        purity_marginal_hamming((2, 3), y, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +123,7 @@ def test_hamming_form_rejects_unequal_dims():
 
 def test_exact_x3_on_maximally_mixed():
     rho = maximally_mixed((3, 3))
-    x = exact_x3(rho)
+    x = exact_x3(rho).values
     # every invariant of I/9 is a power of 1/3 or 1/9
     assert x[0] == pytest.approx(1.0)
     assert x[5] == pytest.approx(1.0 / 9)
@@ -131,7 +133,7 @@ def test_exact_x3_on_maximally_mixed():
 
 def test_exact_x3_partial_transpose_component():
     rho = make_state(max_entangled_projector(3), (3, 3))
-    x = exact_x3(rho)
+    x = exact_x3(rho).values
     assert x[9] == pytest.approx(1.0, abs=1e-12)  # Tr rho^3, pure state
     pt = partial_transpose(rho, 1)
     assert x[10] == pytest.approx(trace_power(pt, 3), abs=1e-12)
@@ -152,37 +154,31 @@ def test_exact_x3_matches_diagram_oracle(dims, seed):
     assert np.max(np.abs(sums / counts - np.array(x.values))) < 1e-10
 
 
-def _sym_target(x):
-    xs = 0.5 * (x.values[9] + x.values[10])
-    return np.array(list(x.values[:9]) + [xs, xs])
-
-
 @pytest.mark.parametrize("dims", [(3, 3), (3, 4), (4, 4), (3, 5)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_order3_round_trip_closed_form(dims, seed):
     rho = random_density(dims, rank=4, seed=seed)
-    x = exact_x3(rho)
-    y = forward_3(x, *dims)
-    for xr in (invert_3(y), invert_3_closed_form(y)):
-        assert np.max(np.abs(np.array(xr.values) - _sym_target(x))) < 1e-9
+    y = exact_y(rho, 3)
+    for xr in (invert(3, dims, y), invert_3_closed_form(dims, y)):
+        assert np.max(np.abs(xr - measurable_x(rho, 3))) < 1e-9
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (4, 3), (5, 4)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_closed_form_agrees_with_numeric_solve(dims, seed):
     rho = random_density(dims, rank=3, seed=seed)
-    y = forward_3(exact_x3(rho), *dims)
-    a = np.array(invert_3_closed_form(y).values)
-    b = np.array(invert_3(y).values)
+    y = exact_y(rho, 3)
+    a = invert_3_closed_form(dims, y)
+    b = invert(3, dims, y)
     assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_delta_recovers_x4_minus_x5():
     rho = random_density((3, 4), rank=5, seed=9)
-    x = exact_x3(rho)
-    y = forward_3(x, 3, 4)
+    x = exact_x3(rho).values
+    y = exact_y(rho, 3)
     d_a, d_b = 3, 4
-    delta = (y.values[4] - y.values[5]) * d_a * (d_a**2 - 1) * d_b * (d_b**2 - 1)
+    delta = (y[4] - y[5]) * d_a * (d_a**2 - 1) * d_b * (d_b**2 - 1)
     assert delta == pytest.approx(x[4] - x[5], abs=1e-12)
 
 
@@ -196,17 +192,17 @@ def test_order3_rejects_qubit_dimensions():
     with pytest.raises(SingularDimensionError):
         forward_matrix(3, (2, 3))
     with pytest.raises(SingularDimensionError):
-        invert_3(YVector3(d_a=3, d_b=2, values=np.zeros(10)))
+        invert(3, (3, 2), np.zeros(10))
 
 
 def test_noisy_y_still_inverts_consistently():
     # the reduced system is a bijection, so noisy data maps to an exact
     # preimage: forward(invert(y)) reproduces y to machine precision
     rho = random_density((3, 3), rank=2, seed=4)
-    y = np.array(forward_3(exact_x3(rho), 3, 3).values)
+    y = exact_y(rho, 3)
     y += 1e-3 * np.random.default_rng(0).normal(size=10) * np.abs(y)
-    x = invert_3(YVector3(3, 3, y))
-    back = np.array(forward_3(x, 3, 3).values)
+    x = invert(3, (3, 3), y)
+    back = forward_matrix(3, (3, 3)) @ x[:10]
     assert np.max(np.abs(back - y)) < 1e-12
 
 
@@ -214,8 +210,7 @@ def test_noisy_y_still_inverts_consistently():
 @pytest.mark.parametrize("order,dims", [(3, (3, 3)), (2, (2, 3))])
 def test_invert_rejects_non_finite_y(order, dims, bad):
     rho = random_density(dims, rank=2, seed=4)
-    exact = forward_2(exact_x2(rho)) if order == 2 else forward_3(exact_x3(rho), *dims)
-    y = np.array(exact.values)
+    y = exact_y(rho, order)
     invert(order, dims, y)
     y[1] = bad
     with pytest.raises(ReconstructionError, match="non-finite"):
@@ -234,26 +229,25 @@ def test_xvector3_requires_eleven_components():
 
 
 def test_forward_3_on_maximally_mixed_is_uniform():
-    x = exact_x3(maximally_mixed((3, 3)))
-    y = forward_3(x, 3, 3)
-    assert np.allclose(y.values, (1.0 / 9) ** 3, atol=1e-14)
+    y = exact_y(maximally_mixed((3, 3)), 3)
+    assert np.allclose(y, (1.0 / 9) ** 3, atol=1e-14)
 
 
 def test_product_state_has_zero_delta_on_exact_y():
     a = random_density((3,), rank=2, seed=5)
     b = random_density((3,), rank=3, seed=6)
     rho = make_state(np.kron(a.entries, b.entries), (3, 3))
-    x = invert_3(forward_3(exact_x3(rho), 3, 3))
-    assert abs(x.delta) < 1e-10
+    x = invert(3, (3, 3), exact_y(rho, 3))
+    assert abs(x[4] - x[5]) < 1e-10
 
 
 def test_invert_2_output_obeys_purity_bounds():
     for seed in range(5):
         rho = random_density((2, 3), rank=4, seed=seed)
-        x = invert_2(forward_2(exact_x2(rho)))
-        assert x.full_purity <= 1.0 + 1e-9
-        assert x.purity([0]) >= 1.0 / 2 - 1e-9
-        assert x.purity([1]) >= 1.0 / 3 - 1e-9
+        x = invert(2, (2, 3), exact_y(rho, 2))
+        assert x[-1] <= 1.0 + 1e-9
+        assert x[subset_mask([0], 2)] >= 1.0 / 2 - 1e-9
+        assert x[subset_mask([1], 2)] >= 1.0 / 3 - 1e-9
 
 
 def test_forward_model_exposes_coefficients():

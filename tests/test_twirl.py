@@ -7,15 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import born_kron, pair_class_counts, per_unitary_samples
+from oracles import born_kron, exact_y, pair_class_counts, per_unitary_samples
 from twirlkit.haar import RngStream, sample_haar_batch
-from twirlkit.reconstruct import (
-    exact_x2,
-    exact_x3,
-    forward_2,
-    forward_3,
-    invert_2,
-)
+from twirlkit.reconstruct import invert
 from twirlkit.states import (
     DimsProfile,
     make_state,
@@ -32,8 +26,7 @@ from twirlkit.twirl import (
     _eigen_factor,
     _kernel_plan,
     _merge_moments,
-    estimate_y2,
-    estimate_y3,
+    estimate_y,
 )
 from twirlkit.weingarten import SingularDimensionError
 
@@ -149,7 +142,7 @@ def test_kernel_plan_is_built_once_per_run():
     # every chunk after the first
     _kernel_plan.cache_clear()
     cfg = EstimatorConfig(n_unitaries=40, shots=5, batch_size=8, master_seed=4)
-    estimate_y3(werner_state(3, 0.5), cfg)
+    estimate_y(werner_state(3, 0.5), cfg, 3)
     info = _kernel_plan.cache_info()
     assert info.misses <= 2
     assert info.hits + info.misses == 1 + 5
@@ -192,58 +185,55 @@ def test_class_matrix_3_counts():
 def test_analytic_estimate_y2_is_unbiased(dims):
     rho = random_density(dims, rank=2, seed=5)
     cfg = EstimatorConfig(n_unitaries=4000, master_seed=101)
-    y, est = estimate_y2(rho, cfg)
-    exact = forward_2(exact_x2(rho)).values
-    z = np.abs(y.values - exact) / est.std_error
+    est = estimate_y(rho, cfg, 2)
+    z = np.abs(est.values - exact_y(rho, 2)) / est.std_error
     assert np.max(z) < 5.0
 
 
 def test_analytic_estimate_y3_is_unbiased():
     rho = random_density((3, 3), rank=2, seed=6)
     cfg = EstimatorConfig(n_unitaries=4000, master_seed=102)
-    y, est = estimate_y3(rho, cfg)
-    exact = forward_3(exact_x3(rho), 3, 3).values
-    z = np.abs(y.values - exact) / est.std_error
+    est = estimate_y(rho, cfg, 3)
+    z = np.abs(est.values - exact_y(rho, 3)) / est.std_error
     assert np.max(z) < 5.0
 
 
 def test_estimate_y3_rejects_qubits():
     rho = maximally_mixed((2, 2))
     with pytest.raises(SingularDimensionError):
-        estimate_y3(rho, EstimatorConfig(n_unitaries=10))
+        estimate_y(rho, EstimatorConfig(n_unitaries=10), 3)
 
 
 def test_reproducible_and_worker_independent():
     rho = random_density((2, 2), rank=3, seed=7)
     cfg1 = EstimatorConfig(n_unitaries=1500, shots=20, master_seed=9, workers=1)
     cfg4 = EstimatorConfig(n_unitaries=1500, shots=20, master_seed=9, workers=4)
-    y1, e1 = estimate_y2(rho, cfg1)
-    y4, e4 = estimate_y2(rho, cfg4)
-    assert np.array_equal(y1.values, y4.values)
+    e1 = estimate_y(rho, cfg1, 2)
+    e4 = estimate_y(rho, cfg4, 2)
+    assert np.array_equal(e1.values, e4.values)
     assert np.array_equal(e1.covariance, e4.covariance)
-    y1b, _ = estimate_y2(rho, cfg1)
-    assert np.array_equal(y1.values, y1b.values)
+    assert np.array_equal(e1.values, estimate_y(rho, cfg1, 2).values)
 
 
 def test_different_seeds_differ():
     rho = random_density((2, 2), rank=3, seed=7)
-    ya, _ = estimate_y2(rho, EstimatorConfig(n_unitaries=200, master_seed=1))
-    yb, _ = estimate_y2(rho, EstimatorConfig(n_unitaries=200, master_seed=2))
+    ya = estimate_y(rho, EstimatorConfig(n_unitaries=200, master_seed=1), 2)
+    yb = estimate_y(rho, EstimatorConfig(n_unitaries=200, master_seed=2), 2)
     assert not np.array_equal(ya.values, yb.values)
 
 
 def test_unbiased_shot_estimator_needs_enough_shots():
     rho = maximally_mixed((2, 2))
     with pytest.raises(EstimationError):
-        estimate_y2(rho, EstimatorConfig(n_unitaries=10, shots=1))
+        estimate_y(rho, EstimatorConfig(n_unitaries=10, shots=1), 2)
     with pytest.raises(EstimationError):
-        estimate_y3(maximally_mixed((3, 3)), EstimatorConfig(n_unitaries=10, shots=2))
+        estimate_y(maximally_mixed((3, 3)), EstimatorConfig(n_unitaries=10, shots=2), 3)
 
 
 def test_plug_in_estimator_warns():
     rho = maximally_mixed((2, 2))
     with pytest.warns(UserWarning):
-        estimate_y2(rho, EstimatorConfig(n_unitaries=10, shots=5, plug_in=True))
+        estimate_y(rho, EstimatorConfig(n_unitaries=10, shots=5, plug_in=True), 2)
 
 
 def _exhaustive_expectation(p, shots, func):
@@ -357,26 +347,25 @@ def test_kernel_matches_explicit_loop_oracle(dims, order, shots):
 def test_shot_estimates_converge_to_analytic():
     rho = make_state(max_entangled_projector(2), (2, 2))
     cfg = EstimatorConfig(n_unitaries=3000, shots=200, master_seed=55)
-    y, est = estimate_y2(rho, cfg)
-    exact = forward_2(exact_x2(rho)).values
-    z = np.abs(y.values - exact) / est.std_error
+    est = estimate_y(rho, cfg, 2)
+    z = np.abs(est.values - exact_y(rho, 2)) / est.std_error
     assert np.max(z) < 5.0
     # and the reconstruction recovers purity 1 within a loose band
-    x = invert_2(y)
-    assert x.full_purity == pytest.approx(1.0, abs=0.05)
+    x = invert(2, (2, 2), est.values)
+    assert x[-1] == pytest.approx(1.0, abs=0.05)
 
 
 def test_maximally_mixed_y2_components_are_exact():
     # p is uniform for every unitary, so all components are (1/4)^2 = 1/16
     rho = maximally_mixed((2, 2))
-    y, _ = estimate_y2(rho, EstimatorConfig(n_unitaries=50, master_seed=3))
+    y = estimate_y(rho, EstimatorConfig(n_unitaries=50, master_seed=3), 2)
     assert np.allclose(y.values, 1.0 / 16, atol=1e-14)
 
 
 def test_maximally_mixed_y3_components_are_exact():
     for dims in [(3, 3), (8, 8)]:
         rho = maximally_mixed(dims)
-        y, _ = estimate_y3(rho, EstimatorConfig(n_unitaries=50, master_seed=3))
+        y = estimate_y(rho, EstimatorConfig(n_unitaries=50, master_seed=3), 3)
         assert np.allclose(y.values, (1.0 / rho.total) ** 3, atol=1e-14)
 
 
@@ -384,8 +373,8 @@ def test_product_state_delta_statistic_vanishes():
     a = random_density((3,), rank=2, seed=1)
     b = random_density((3,), rank=2, seed=2)
     rho = make_state(np.kron(a.entries, b.entries), (3, 3))
-    y, est = estimate_y3(rho, EstimatorConfig(n_unitaries=3000, master_seed=21))
-    delta_hat = (y.values[4] - y.values[5]) * 3 * 8 * 3 * 8
+    est = estimate_y(rho, EstimatorConfig(n_unitaries=3000, master_seed=21), 3)
+    delta_hat = (est.values[4] - est.values[5]) * 3 * 8 * 3 * 8
     se = np.sqrt(est.std_error[4] ** 2 + est.std_error[5] ** 2) * 3 * 8 * 3 * 8
     assert abs(delta_hat) < 5 * se
 
@@ -397,9 +386,9 @@ def test_basis_permutation_leaves_y_expectation_unchanged():
     perm = np.eye(3)[[2, 0, 1]]
     u = np.kron(np.eye(2), perm)
     rho_p = make_state(u @ rho.entries @ u.T, (2, 3))
-    ya, ea = estimate_y2(rho, EstimatorConfig(n_unitaries=5000, master_seed=31))
-    yb, eb = estimate_y2(rho_p, EstimatorConfig(n_unitaries=5000, master_seed=32))
-    z = np.abs(ya.values - yb.values) / np.sqrt(ea.std_error**2 + eb.std_error**2)
+    ea = estimate_y(rho, EstimatorConfig(n_unitaries=5000, master_seed=31), 2)
+    eb = estimate_y(rho_p, EstimatorConfig(n_unitaries=5000, master_seed=32), 2)
+    z = np.abs(ea.values - eb.values) / np.sqrt(ea.std_error**2 + eb.std_error**2)
     assert np.max(z) < 5.0
 
 
@@ -407,7 +396,7 @@ def test_std_error_matches_two_pass_reference():
     # two chunks of 512, rebuilt one unitary at a time from the same substreams
     rho = werner_state(5, 0.002)
     cfg = EstimatorConfig(n_unitaries=1024, master_seed=3)
-    _, est = estimate_y3(rho, cfg)
+    est = estimate_y(rho, cfg, 3)
     samples = per_unitary_samples(rho, cfg, order=3)
     ref = np.std(samples, axis=0, ddof=1) / np.sqrt(cfg.n_unitaries)
     # the samples spread over ~1e-7 of their value, so ~9 digits of each

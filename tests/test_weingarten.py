@@ -1,16 +1,20 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import diagram_contract_loops
+from oracles import cycle_type, diagram_contract_loops, wg
+from twirlkit.reconstruct import forward_matrix
 from twirlkit.states import (
     DensityMatrix,
     DimsProfile,
     make_state,
     max_entangled_projector,
+    maximally_mixed,
     random_density,
 )
+from twirlkit.twirl import EstimatorConfig, estimate_y
 from twirlkit.weingarten import (
     INVARIANT_ID,
     Permutation,
@@ -24,7 +28,6 @@ from twirlkit.weingarten import (
     permutations_of_order,
     s_matrix,
     w_matrix,
-    wg,
 )
 
 
@@ -46,7 +49,7 @@ def test_compose_and_inverse():
     [((0, 1, 2), (1, 1, 1)), ((1, 0, 2), (2, 1)), ((2, 0, 1), (3,)), ((1, 0), (2,))],
 )
 def test_cycle_types(images, ct):
-    assert Permutation(images).cycle_type == ct
+    assert cycle_type(Permutation(images)) == ct
 
 
 def test_s3_contains_all_six_permutations():
@@ -71,6 +74,31 @@ def test_wg_order3_values(d):
 def test_wg_order3_singular_at_d2():
     with pytest.raises(SingularDimensionError):
         wg((3,), 2)
+
+
+@pytest.mark.parametrize("n,d", [(2, d) for d in range(2, 9)] + [(3, d) for d in range(3, 9)])
+def test_w_matrix_matches_the_closed_form_oracle(n, d):
+    perms = permutations_of_order(n)
+    want = np.array([[wg(s.compose(t.inverse()), d) for t in perms] for s in perms])
+    np.testing.assert_allclose(w_matrix(n, d), want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: w_matrix(3, 2),
+        lambda: forward_matrix(3, (2, 3)),
+        lambda: estimate_y(maximally_mixed((2, 2)), EstimatorConfig(n_unitaries=10), 3),
+    ],
+    ids=["w_matrix", "forward_matrix", "estimate_y"],
+)
+def test_a_singular_gram_matrix_raises_without_a_warning(call):
+    # gram_matrix(3, 2) has rank 5 of 6, so order 3 has no qubit inverse
+    assert np.linalg.matrix_rank(gram_matrix(3, 2)) == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularDimensionError, match="rank 5 of 6"):
+            call()
 
 
 @pytest.mark.parametrize("n,d", [(2, d) for d in range(2, 7)] + [(3, d) for d in range(3, 7)])

@@ -38,7 +38,7 @@ from .stateio import StateFileError, load_state, save_state
 from .twirl import (
     EstimationError,
     EstimatorConfig,
-    YEstimate,
+    Estimate,
     estimate_y,
 )
 from .weingarten import (

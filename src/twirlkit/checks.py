@@ -133,8 +133,7 @@ def run_selftest(perturb_w: float = 0.0) -> list[tuple[str, bool, str]]:
     worst3 = 0.0
     for dims in [(3, 3), (3, 4), (4, 4)]:
         rho = random_density(dims, rank=4, seed=rng)
-        x = reconstruct.exact_x3(rho)
-        target = np.array(x.values[:9] + (x.x_s, x.x_s))
+        target = reconstruct.exact_x3(rho).measurable
         xr = reconstruct.invert(3, dims, reconstruct.forward_matrix(3, dims) @ target[:10])
         worst3 = max(worst3, float(np.max(np.abs(xr - target))))
     checks.append(("order-3 forward/invert round trip", worst3 < 1e-10,

@@ -194,30 +194,21 @@ def _estimate_rows(rho: DensityMatrix, args):
             f"unbiased order-{args.order} estimation needs --shots >= {args.order}"
             " (or --plug-in)"
         )
-    order, dims = args.order, rho.dims.dims
-    est = twirl.estimate_y(rho, cfg, order)
-    x_hat = reconstruct.invert(order, dims, est.values)
-    if cfg.n_unitaries == 1:
-        # one unitary has no spread, so its covariance is NaN and so is every error bar
-        se_x = np.full(x_hat.shape, np.nan)
-    else:
-        # the inversion is linear, so two applications give A C A^T; rounding
-        # can leave the variance of a state-constant invariant slightly negative
-        cov_x = reconstruct.invert(order, dims, reconstruct.invert(order, dims, est.covariance).T)
-        se_x = np.sqrt(np.maximum(np.diag(cov_x), 0.0))
-    names = ["x%d" % k for k in range(len(x_hat))]
-    if order == 2:
+    est = twirl.estimate_y(rho, cfg, args.order)
+    names = ["x%d" % k for k in range(len(est.values))]
+    if args.order == 2:
         exact = reconstruct.exact_x2(rho).purities
-        crit, _ = criteria.purity_criterion(x_hat)
+        crit, _ = criteria.purity_criterion(est.values)
     else:
-        xt = reconstruct.exact_x3(rho)
-        exact = np.array(xt.values[:9] + (xt.x_s, xt.x_s))
-        crit = criteria.third_order_criterion(x_hat)
-    return names, x_hat, se_x, exact, [crit]
+        exact = reconstruct.exact_x3(rho).measurable
+        crit = criteria.third_order_criterion(est.values)
+    return names, est.values, est.std_error, exact, [crit]
 
 
 def cmd_estimate(args) -> int:
     rho = _state_for_order(args)
+    if rho.dims.n_parties < 2:
+        raise StateError("estimate requires at least two parties: one party has no cut")
     names, x_hat, se_x, exact, crits = _estimate_rows(rho, args)
     lines = []
     if args.format == "csv":

@@ -42,20 +42,20 @@ def purity_criterion(x) -> tuple[CriterionReport, list[tuple[int, ...]]]:
 
     ``x`` holds the 2^N purities Tr rho_P^2 indexed by subset bitmask.  A
     state separable across every cut has Tr rho^2 <= Tr rho_P^2 for every
-    nonempty proper subset P.  Returns the aggregate report (rhs = minimal
-    marginal purity) and the subsets P whose own margin flags them.
+    nonempty proper subset P (one party has no cut, so N >= 2).  Returns the
+    aggregate report (rhs = minimal marginal purity) and the flagged subsets.
     """
     x = np.asarray(x, dtype=float)
     n = len(x).bit_length() - 1
-    if n < 1 or len(x) != 2**n:
-        raise ValueError(f"a purity vector has 2^N entries with N >= 1, got {len(x)}")
+    if n < 2 or len(x) != 2**n:
+        raise ValueError(f"a purity vector has 2^N entries with N >= 2, got {len(x)}")
     full = float(x[-1])
     violated = [
         tuple(l for l in range(n) if _in_mask(mask, l, n))
         for mask in range(1, 2**n - 1)
         if x[mask] - full < -TIE_TOL
     ]
-    rhs = float(np.min(x[1:-1], initial=math.inf))
+    rhs = float(np.min(x[1:-1]))
     return CriterionReport(name="purity", lhs=full, rhs=rhs), violated
 
 

@@ -114,7 +114,7 @@ class XVector3:
     x0..x10, with x9 = Tr rho^3 and x10 = Tr (rho^Gamma)^3.
 
     Only x9 + x10 is accessible from randomized measurements, so
-    :func:`invert` returns the symmetric combination ``x_s`` in both slots.
+    :func:`invert` and ``measurable`` carry x_S = (x9 + x10) / 2 in both slots.
     """
 
     values: tuple[float, ...]
@@ -126,8 +126,10 @@ class XVector3:
         object.__setattr__(self, "values", values)
 
     @property
-    def x_s(self) -> float:
-        return 0.5 * (self.values[9] + self.values[10])
+    def measurable(self) -> np.ndarray:
+        """x0..x8, x_S, x_S: the layout of :func:`invert`."""
+        x_s = 0.5 * (self.values[9] + self.values[10])
+        return np.array(self.values[:9] + (x_s, x_s))
 
 
 def exact_x3(rho: DensityMatrix) -> XVector3:

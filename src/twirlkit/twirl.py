@@ -20,10 +20,10 @@ contractions to run, and the one matrix taking them to the components, are
 planned once per (order, dims, shots > 0) by ``_kernel_plan``.
 
 Reproducibility: unitaries are drawn in fixed chunks; chunk c for party l uses
-the substream ``c * n_parties + l`` of the master seed, and per-chunk
-``(n, mean, M2)`` triples, M2 a component matrix, are merged in chunk order
-(Chan, Golub and LeVeque).  Values and covariance are therefore bit-identical
-for a given (state, config) regardless of the worker count.
+the substream ``c * n_parties + l`` of the master seed.  Each chunk inverts its
+per-unitary class averages to invariants x, and its ``(n, mean, M2)`` triple
+of x is merged in chunk order (Chan, Golub and LeVeque), so x and its
+covariance are bit-identical for a given (state, config) at any worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .haar import DEFAULT_SEED, RngStream, sample_haar_batch
-from .reconstruct import _pooling, forward_matrix
+from .reconstruct import _pooling, forward_matrix, invert
 from .states import DensityMatrix
 from .weingarten import _partitions
 
@@ -78,9 +78,9 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
-class YEstimate:
-    """A y-vector estimate and the covariance C of its mean (NaN for one
-    unitary); x = A y has covariance A C A^T."""
+class Estimate:
+    """Invariants in the layout of ``reconstruct.invert`` and the covariance
+    of their mean (NaN for one unitary)."""
 
     values: np.ndarray = field(repr=False)
     covariance: np.ndarray = field(repr=False)
@@ -286,12 +286,10 @@ def _merge_moments(parts):
     return n, mean, m2
 
 
-def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> YEstimate:
-    """Estimate the per-class averages y of an order-2 or order-3 protocol run.
-
-    Order 2 gives the 2^N components of an N-partite state; order 3 the ten
-    of a bipartite one.  The forward matrix of (order, dims) is built before
-    any unitary is drawn, so dimensions it cannot invert raise first.
+def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate:
+    """Estimate the invariants of an order-2 or order-3 run, in the layout of
+    ``invert``.  The forward matrix of (order, dims) is built before any
+    unitary is drawn, so dimensions it cannot invert raise first.
     """
     dims = rho.dims.dims
     forward_matrix(order, dims)
@@ -326,7 +324,8 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> YEstimat
             ).generator()
             # plug-in: the exact-probability kernel on frequencies
             q = shot_rng.multinomial(cfg.shots, q) / (cfg.shots if cfg.plug_in else 1)
-        samples = _class_sums(q.reshape((size,) + dims), order, kernel_shots) / class_counts
+        y = _class_sums(q.reshape((size,) + dims), order, kernel_shots) / class_counts
+        samples = invert(order, dims, y)
         mean = samples.mean(axis=0)
         dev = samples - mean
         return size, mean, dev.T @ dev
@@ -338,9 +337,7 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> YEstimat
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             n, mean, m2 = _merge_moments(pool.map(one_chunk, range(n_chunks)))
-    if not np.all(np.isfinite(mean)):
-        raise EstimationError("estimator produced non-finite values")
-    return YEstimate(
+    return Estimate(
         values=mean,
         covariance=m2 / ((n - 1) * n) if n > 1 else np.full(m2.shape, np.nan),
     )

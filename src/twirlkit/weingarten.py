@@ -107,13 +107,17 @@ def w_matrix(n: int, d: int) -> np.ndarray:
     is exactly when n > d (rank 5 of 6 at n = 3, d = 2).
     """
     g = gram_matrix(n, d)
-    rank = np.linalg.matrix_rank(g)
-    if rank < len(g):
+    try:
+        m = np.linalg.inv(g)
+        singular = np.max(np.abs(m @ g - np.eye(len(g)))) > 1e-9
+    except np.linalg.LinAlgError:
+        singular = True
+    if singular:
+        # the rank is an SVD that nothing else in a run needs, so only here
         raise SingularDimensionError(
-            f"the order-{n} Gram matrix at d={d} has rank {rank} of {len(g)},"
-            " so it has no Weingarten inverse"
+            f"the order-{n} Gram matrix at d={d} has rank {np.linalg.matrix_rank(g)}"
+            f" of {len(g)}, so it has no Weingarten inverse"
         )
-    m = np.linalg.inv(g)
     m.setflags(write=False)
     return m
 

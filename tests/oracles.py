@@ -84,8 +84,7 @@ def measurable_x(rho: DensityMatrix, order: int) -> np.ndarray:
     purities, or x0..x8 with x_S in both the x9 and x10 slots."""
     if order == 2:
         return exact_x2(rho).purities
-    x = exact_x3(rho)
-    return np.array(x.values[:9] + (x.x_s, x.x_s))
+    return exact_x3(rho).measurable
 
 
 def exact_y(rho: DensityMatrix, order: int) -> np.ndarray:

@@ -82,9 +82,10 @@ def test_negative_seed_is_a_one_line_usage_error(argv, capsys):
         ["invariants", "--builtin", "bell-diagonal", "--params", "l1=0.5,l2=0.2,l3=0.2,l4=0.2"],
         ["invariants", "--builtin", "random", "--dims", "2,2", "--params", "rank=9"],
         ["invariants", "--state", "NOT_UTF8"],
+        ["estimate", "--builtin", "random", "--dims", "3", "--order", "2", "--unitaries", "50"],
     ],
     ids=["missing-file", "werner-p-out-of-range", "bell-weights-not-normalised", "rank-too-large",
-         "not-utf8"],
+         "not-utf8", "estimate-one-party"],
 )
 def test_bad_state_file_exit_code(argv, tmp_path, capsys):
     # NOT_UTF8 stands for a file that starts with a UTF-16 byte-order mark
@@ -105,6 +106,14 @@ def test_order3_on_non_bipartite_state_exit_code(argv, capsys):
     assert code == 2
     assert "invalid state input" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_invariants_on_one_party(capsys):
+    # a one-party state has no cut to estimate a criterion on, but its
+    # purities are still defined
+    code, out, err = run(["invariants", "--builtin", "random", "--dims", "3"], capsys)
+    assert code == 0 and err == ""
+    assert [line.split(",")[0] for line in out.splitlines()] == ["name", "x0", "x1"]
 
 
 def test_werner_with_matching_dims_is_accepted(capsys):

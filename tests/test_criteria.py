@@ -54,6 +54,13 @@ def test_purity_criterion_on_pure_product_states(seed):
     assert violated == []
 
 
+@pytest.mark.parametrize("n_entries", [1, 2, 3, 6])
+def test_purity_criterion_needs_two_parties(n_entries):
+    # one party (2 entries) has no cut, and other lengths are not 2^N
+    with pytest.raises(ValueError):
+        purity_criterion(np.ones(n_entries))
+
+
 def test_purity_criterion_multipartite_cuts():
     # GHZ-like: every cut of a pure entangled state is violated
     d = 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import born_kron, exact_y, pair_class_counts, per_unitary_samples
+from oracles import born_kron, measurable_x, pair_class_counts, per_unitary_samples
 from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import invert
 from twirlkit.states import (
@@ -181,21 +181,28 @@ def test_class_matrix_3_counts():
         assert counts[4] == 2 * counts[5]
 
 
+def _assert_unbiased(est, x, constant=(0,)):
+    """z < 5 on the invariants that vary across unitaries.  An invariant
+    constant on every unitary (x0 = 1, or a Werner marginal) has a rounding-
+    noise error bar, so its estimate is held to the exact value instead."""
+    constant = list(constant)
+    varying = np.setdiff1d(np.arange(len(x)), constant)
+    np.testing.assert_allclose(est.values[constant], x[constant], rtol=0, atol=1e-12)
+    z = np.abs(est.values[varying] - x[varying]) / est.std_error[varying]
+    assert np.max(z) < 5.0
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
 def test_analytic_estimate_y2_is_unbiased(dims):
     rho = random_density(dims, rank=2, seed=5)
     cfg = EstimatorConfig(n_unitaries=4000, master_seed=101)
-    est = estimate_y(rho, cfg, 2)
-    z = np.abs(est.values - exact_y(rho, 2)) / est.std_error
-    assert np.max(z) < 5.0
+    _assert_unbiased(estimate_y(rho, cfg, 2), measurable_x(rho, 2))
 
 
 def test_analytic_estimate_y3_is_unbiased():
     rho = random_density((3, 3), rank=2, seed=6)
     cfg = EstimatorConfig(n_unitaries=4000, master_seed=102)
-    est = estimate_y(rho, cfg, 3)
-    z = np.abs(est.values - exact_y(rho, 3)) / est.std_error
-    assert np.max(z) < 5.0
+    _assert_unbiased(estimate_y(rho, cfg, 3), measurable_x(rho, 3))
 
 
 def test_estimate_y3_rejects_qubits():
@@ -348,25 +355,23 @@ def test_shot_estimates_converge_to_analytic():
     rho = make_state(max_entangled_projector(2), (2, 2))
     cfg = EstimatorConfig(n_unitaries=3000, shots=200, master_seed=55)
     est = estimate_y(rho, cfg, 2)
-    z = np.abs(est.values - exact_y(rho, 2)) / est.std_error
-    assert np.max(z) < 5.0
+    _assert_unbiased(est, measurable_x(rho, 2))
     # and the reconstruction recovers purity 1 within a loose band
-    x = invert(2, (2, 2), est.values)
-    assert x[-1] == pytest.approx(1.0, abs=0.05)
+    assert est.values[-1] == pytest.approx(1.0, abs=0.05)
 
 
 def test_maximally_mixed_y2_components_are_exact():
-    # p is uniform for every unitary, so all components are (1/4)^2 = 1/16
+    # p is uniform for every unitary, so every unitary gives the exact purities
     rho = maximally_mixed((2, 2))
-    y = estimate_y(rho, EstimatorConfig(n_unitaries=50, master_seed=3), 2)
-    assert np.allclose(y.values, 1.0 / 16, atol=1e-14)
+    est = estimate_y(rho, EstimatorConfig(n_unitaries=50, master_seed=3), 2)
+    assert np.allclose(est.values, measurable_x(rho, 2), atol=1e-14)
 
 
 def test_maximally_mixed_y3_components_are_exact():
     for dims in [(3, 3), (8, 8)]:
         rho = maximally_mixed(dims)
-        y = estimate_y(rho, EstimatorConfig(n_unitaries=50, master_seed=3), 3)
-        assert np.allclose(y.values, (1.0 / rho.total) ** 3, atol=1e-14)
+        est = estimate_y(rho, EstimatorConfig(n_unitaries=50, master_seed=3), 3)
+        assert np.allclose(est.values, measurable_x(rho, 3), atol=1e-14)
 
 
 def test_product_state_delta_statistic_vanishes():
@@ -374,8 +379,9 @@ def test_product_state_delta_statistic_vanishes():
     b = random_density((3,), rank=2, seed=2)
     rho = make_state(np.kron(a.entries, b.entries), (3, 3))
     est = estimate_y(rho, EstimatorConfig(n_unitaries=3000, master_seed=21), 3)
-    delta_hat = (est.values[4] - est.values[5]) * 3 * 8 * 3 * 8
-    se = np.sqrt(est.std_error[4] ** 2 + est.std_error[5] ** 2) * 3 * 8 * 3 * 8
+    # x4 - x5 = (y4 - y5) d_A(d_A^2-1) d_B(d_B^2-1)
+    delta_hat = est.values[4] - est.values[5]
+    se = np.sqrt(est.std_error[4] ** 2 + est.std_error[5] ** 2)
     assert abs(delta_hat) < 5 * se
 
 
@@ -388,7 +394,9 @@ def test_basis_permutation_leaves_y_expectation_unchanged():
     rho_p = make_state(u @ rho.entries @ u.T, (2, 3))
     ea = estimate_y(rho, EstimatorConfig(n_unitaries=5000, master_seed=31), 2)
     eb = estimate_y(rho_p, EstimatorConfig(n_unitaries=5000, master_seed=32), 2)
-    z = np.abs(ea.values - eb.values) / np.sqrt(ea.std_error**2 + eb.std_error**2)
+    # x0 = 1 on every unitary; the purities x1..x3 vary
+    assert abs(ea.values[0] - eb.values[0]) <= 1e-12
+    z = np.abs(ea.values[1:] - eb.values[1:]) / np.sqrt(ea.std_error[1:]**2 + eb.std_error[1:]**2)
     assert np.max(z) < 5.0
 
 
@@ -397,16 +405,31 @@ def test_std_error_matches_two_pass_reference():
     rho = werner_state(5, 0.002)
     cfg = EstimatorConfig(n_unitaries=1024, master_seed=3)
     est = estimate_y(rho, cfg, 3)
-    samples = per_unitary_samples(rho, cfg, order=3)
+    samples = invert(3, (5, 5), per_unitary_samples(rho, cfg, order=3))
     ref = np.std(samples, axis=0, ddof=1) / np.sqrt(cfg.n_unitaries)
     # the samples spread over ~1e-7 of their value, so ~9 digits of each
-    # deviation are significant; the one-pass formula was off by up to 1%
-    np.testing.assert_allclose(est.std_error, ref, rtol=1e-8)
+    # deviation are significant; the one-pass formula was off by up to 1%.
+    # x0..x4 and x7 are 1 and the maximally mixed marginals on every
+    # unitary, so both of their error bars are rounding noise
+    varying = [5, 6, 8, 9, 10]
+    np.testing.assert_allclose(est.std_error[varying], ref[varying], rtol=1e-8)
     ref_cov = np.cov(samples, rowvar=False) / cfg.n_unitaries
     np.testing.assert_allclose(
         est.covariance, ref_cov, rtol=0, atol=1e-8 * np.max(np.diag(ref_cov))
     )
     assert np.array_equal(est.covariance, est.covariance.T)
+
+
+@pytest.fixture(scope="module")
+def werner3_exact_estimate():
+    return estimate_y(werner_state(3, 0.5), EstimatorConfig(n_unitaries=700), 3)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7])
+def test_state_constant_invariants_have_no_rounding_noise_error_bar(werner3_exact_estimate, k):
+    # x0 = 1 and the Werner marginals take one value on every unitary, so the
+    # spread of the per-unitary invariants is only their last-digit rounding
+    assert werner3_exact_estimate.std_error[k] <= 1e-14
 
 
 def test_moment_merge_on_uneven_chunks():

@@ -101,6 +101,17 @@ def test_a_singular_gram_matrix_raises_without_a_warning(call):
             call()
 
 
+def test_an_invertible_gram_matrix_takes_no_rank(monkeypatch):
+    # the SVD behind matrix_rank runs only to word the singular-case error
+    def no_rank(*args, **kwargs):
+        raise AssertionError("matrix_rank called on an invertible Gram matrix")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+    w_matrix.cache_clear()
+    for n, d in [(2, 2), (3, 3), (3, 5)]:
+        assert np.allclose(w_matrix(n, d) @ gram_matrix(n, d), np.eye(len(gram_matrix(n, d))))
+
+
 @pytest.mark.parametrize("n,d", [(2, d) for d in range(2, 7)] + [(3, d) for d in range(3, 7)])
 def test_gram_inverse_identity(n, d):
     # sum_tau Wg(sigma tau^-1, d) d^{#cycles(tau mu^-1)} = delta_{sigma mu}

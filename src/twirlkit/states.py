@@ -92,7 +92,8 @@ def make_state(entries, dims: DimsProfile | Iterable[int]) -> DensityMatrix:
 
     Raises a distinct error per violated invariant: dimension mismatch,
     Hermiticity (1e-12), unit trace (1e-9), positivity (smallest eigenvalue
-    >= -1e-9).
+    >= -1e-9).  Non-finite entries raise a plain ``StateError`` first, since
+    no tolerance comparison can reject a NaN.
     """
     if not isinstance(dims, DimsProfile):
         dims = DimsProfile(dims)
@@ -101,6 +102,8 @@ def make_state(entries, dims: DimsProfile | Iterable[int]) -> DensityMatrix:
         raise DimensionMismatchError(
             f"matrix size {m.shape[0]} != product of local dimensions {dims.total}"
         )
+    if not np.isfinite(m).all():
+        raise StateError("matrix has non-finite entries")
     herm = np.max(np.abs(m - m.conj().T))
     if herm > HERMITICITY_TOL:
         raise HermiticityError(f"Hermiticity violation {herm:.3e} > {HERMITICITY_TOL}")

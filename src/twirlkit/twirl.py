@@ -7,7 +7,7 @@ run as rho = c I + W^dag diag(s) W from its eigendecomposition: c is its most
 degenerate eigenvalue, W = sqrt|lambda - c| V^dag runs over the eigenvalues
 that differ from c, and s holds their signs.  U^dag I U = I, so c adds to
 every probability, and each local unitary acts on its own tensor axis of W by
-one batched matmul.  A chunk costs O(B r D sum_l d_l) time and two (B, r, D)
+one batched matmul.  B unitaries cost O(B r D sum_l d_l) time and two (B, r, D)
 complex arrays, with r = 1 for a Werner state and r = 0 for I/D.
 
 ``_class_sums`` is the one moment kernel for both orders and every shot mode:
@@ -19,11 +19,14 @@ with weight mu(0, rho) over the partitions rho of coinciding shots.  Which
 contractions to run, and the one matrix taking them to the components, are
 planned once per (order, dims, shots > 0) by ``_kernel_plan``.
 
-Reproducibility: unitaries are drawn in fixed chunks; chunk c for party l uses
-the substream ``c * n_parties + l`` of the master seed.  Each chunk inverts its
-per-unitary class averages to invariants x, and its ``(n, mean, M2)`` triple
-of x is merged in chunk order (Chan, Golub and LeVeque), so x and its
-covariance are bit-identical for a given (state, config) at any worker count.
+Reproducibility: unitaries are drawn in blocks of ``DRAW_BLOCK``; block b for
+party l uses the substream ``b * n_parties + l`` of the master seed, and its
+shot noise ``(n_blocks + b) * n_parties``.  Each block inverts its per-unitary
+class averages to invariants x, and its ``(n, mean, M2)`` triple of x is
+merged in block order (Chan, Golub and LeVeque), so x and its covariance are
+bit-identical for a given (state, config) at any worker count.  Only Born
+runs in row slices of a block, sized by ``BORN_SLICE_BYTES``; it computes
+each row on its own, so the slicing bounds memory without changing a bit.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,6 +45,13 @@ from .haar import DEFAULT_SEED, RngStream, sample_haar_batch
 from .reconstruct import _pooling, forward_matrix, invert
 from .states import DensityMatrix
 from .weingarten import _partitions
+
+
+# unitaries per draw block: the unit that keys the seeded substreams and the
+# moment merge
+DRAW_BLOCK = 512
+# bytes allowed for the two (rows, r D / d, d) complex arrays of one Born slice
+BORN_SLICE_BYTES = 8 * 2**20
 
 
 class EstimationError(ArithmeticError):
@@ -55,14 +66,15 @@ class EstimatorConfig:
     no multinomial sampling.  With finite shots the default estimators are
     the unbiased U-statistics over ordered distinct shots; ``plug_in`` swaps
     in the biased empirical-frequency products (O(1/shots) bias).
+    ``batch_size`` is not settable: it reads the draw block, ``DRAW_BLOCK``.
     """
 
     n_unitaries: int
     shots: int = 0
     master_seed: int = DEFAULT_SEED
-    batch_size: int = 512
     plug_in: bool = False
     workers: int = 1
+    batch_size: ClassVar[int] = DRAW_BLOCK
 
     def __post_init__(self):
         if self.n_unitaries < 1:
@@ -71,8 +83,6 @@ class EstimatorConfig:
             raise ValueError("shots must be >= 0")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -294,7 +304,7 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate
     dims = rho.dims.dims
     forward_matrix(order, dims)
     n_parties = rho.dims.n_parties
-    n_chunks = -(-cfg.n_unitaries // cfg.batch_size)
+    n_blocks = -(-cfg.n_unitaries // DRAW_BLOCK)
     if cfg.shots and cfg.shots < order and not cfg.plug_in:
         raise EstimationError(
             f"unbiased order-{order} estimation needs at least {order} shots"
@@ -306,21 +316,25 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate
         )
     class_counts = _class_sums(np.ones((1,) + dims), order)[0]
     factor = _eigen_factor(rho)
+    # Born rows per slice: a row has r D complex entries in each of the two arrays
+    rows = max(1, BORN_SLICE_BYTES // max(1, 2 * 16 * len(factor[2]) * rho.total))
     kernel_shots = 0 if cfg.plug_in else cfg.shots
 
-    def one_chunk(c: int) -> tuple[int, np.ndarray, np.ndarray]:
-        start = c * cfg.batch_size
-        size = min(cfg.batch_size, cfg.n_unitaries - start)
+    def one_block(b: int) -> tuple[int, np.ndarray, np.ndarray]:
+        size = min(DRAW_BLOCK, cfg.n_unitaries - b * DRAW_BLOCK)
         locals_ = []
         for l in range(n_parties):
-            stream = RngStream(cfg.master_seed, c * n_parties + l)
+            stream = RngStream(cfg.master_seed, b * n_parties + l)
             locals_.append(sample_haar_batch(rho.dims[l], size, stream))
-        q = np.maximum(_batched_probabilities(factor, locals_), 0.0)
+        q = np.maximum(np.concatenate([
+            _batched_probabilities(factor, [u[s : s + rows] for u in locals_])
+            for s in range(0, size, rows)
+        ]), 0.0)
         if cfg.shots:
-            # shot noise reuses the last party's chunk stream, offset so it
-            # never collides with a unitary substream of any chunk
+            # shot noise reuses the last party's block stream, offset so it
+            # never collides with a unitary substream of any block
             shot_rng = RngStream(
-                cfg.master_seed, (n_chunks + c) * n_parties
+                cfg.master_seed, (n_blocks + b) * n_parties
             ).generator()
             # plug-in: the exact-probability kernel on frequencies
             q = shot_rng.multinomial(cfg.shots, q) / (cfg.shots if cfg.plug_in else 1)
@@ -330,13 +344,13 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate
         dev = samples - mean
         return size, mean, dev.T @ dev
 
-    # merged as the chunks arrive; one worker runs in this thread, because a
+    # merged as the blocks arrive; one worker runs in this thread, because a
     # pool thread raised the peak RSS of order 3 at (5,5) by ~20%
     if cfg.workers == 1:
-        n, mean, m2 = _merge_moments(map(one_chunk, range(n_chunks)))
+        n, mean, m2 = _merge_moments(map(one_block, range(n_blocks)))
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            n, mean, m2 = _merge_moments(pool.map(one_chunk, range(n_chunks)))
+            n, mean, m2 = _merge_moments(pool.map(one_block, range(n_blocks)))
     return Estimate(
         values=mean,
         covariance=m2 / ((n - 1) * n) if n > 1 else np.full(m2.shape, np.nan),

@@ -36,7 +36,13 @@ import numpy as np
 from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import _in_mask, exact_x2, exact_x3, forward_matrix, subset_mask
 from twirlkit.states import DensityMatrix
-from twirlkit.twirl import EstimatorConfig, _batched_probabilities, _class_sums, _eigen_factor
+from twirlkit.twirl import (
+    DRAW_BLOCK,
+    EstimatorConfig,
+    _batched_probabilities,
+    _class_sums,
+    _eigen_factor,
+)
 from twirlkit.weingarten import Permutation, SingularDimensionError
 
 
@@ -158,13 +164,13 @@ def born_kron(rho: DensityMatrix, locals_: list[np.ndarray]) -> np.ndarray:
 
 def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> np.ndarray:
     """(n_unitaries, n_components) class averages at exact probabilities,
-    drawn from the same seeded substreams as the estimator's chunks."""
+    drawn from the same seeded substreams as the estimator's draw blocks."""
     dims, n = rho.dims.dims, rho.dims.n_parties
     counts = _class_sums(np.ones((1,) + dims), order)[0]
     factor = _eigen_factor(rho)
     rows = []
-    for start in range(0, cfg.n_unitaries, cfg.batch_size):
-        c, size = start // cfg.batch_size, min(cfg.batch_size, cfg.n_unitaries - start)
+    for start in range(0, cfg.n_unitaries, DRAW_BLOCK):
+        c, size = start // DRAW_BLOCK, min(DRAW_BLOCK, cfg.n_unitaries - start)
         locals_ = [
             sample_haar_batch(d, size, RngStream(cfg.master_seed, c * n + l))
             for l, d in enumerate(dims)

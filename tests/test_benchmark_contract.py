@@ -9,6 +9,8 @@ import importlib.util
 import os
 import sys
 
+import pytest
+
 from twirlkit import cli, twirl
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -42,3 +44,11 @@ def test_the_tracer_sees_the_chunks_of_an_order3_estimate(monkeypatch, capsys):
         tracer.uninstall()
     assert code == 0
     assert [s["chunks"] for s in tracer.spans if "chunks" in s] == [2]
+
+
+def test_the_config_still_reads_the_block_size_the_tracer_reads():
+    # spans._run_estimate counts chunks from cfg.batch_size; it is the fixed
+    # draw block, no longer a constructor argument
+    assert twirl.EstimatorConfig(10).batch_size == 512 == twirl.DRAW_BLOCK
+    with pytest.raises(TypeError):
+        twirl.EstimatorConfig(10, batch_size=256)

@@ -30,6 +30,18 @@ def test_invariant_table_rejects_a_residual_above_the_limit(monkeypatch):
         invariant_table(random_density((2, 2), rank=2, seed=0), 2)
 
 
+def test_invariant_table_rejects_a_nan_residual(monkeypatch):
+    # a NaN after finite residuals, which a Python max() would pass over
+    def oracle(rho):
+        x = exact_x2(rho).purities.copy()
+        x[-1] = np.nan
+        return x
+
+    monkeypatch.setattr("twirlkit.checks.x2_oracle", oracle)
+    with pytest.raises(ReconstructionError, match="nan"):
+        invariant_table(random_density((2, 2), rank=2, seed=0), 2)
+
+
 def test_purity_oracle_agrees_with_exact_x2_in_bounded_memory_at_ten_qubits():
     # the state itself is 16 MiB; the basis expansion holds about two copies
     rho = random_density((2,) * 10, rank=2, seed=5)

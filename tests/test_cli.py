@@ -12,7 +12,7 @@ import twirlkit
 from twirlkit.cli import main
 from twirlkit.reconstruct import forward_matrix, invert
 from twirlkit.stateio import save_state
-from twirlkit.states import random_density, werner_state
+from twirlkit.states import DensityMatrix, DimsProfile, random_density, werner_state
 from twirlkit.twirl import EstimatorConfig
 
 
@@ -42,12 +42,15 @@ WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
         ["invariants", "--builtin", "werner", "--dims", "3,3", "--params", "d=4,p=0.5"],
         ["invariants", "--builtin", "bell-diagonal", "--dims", "3,3",
          "--params", "l1=1,l2=0,l3=0,l4=0"],
+        ["werner-sweep", "--d", "3", "--steps", "10000000000000"],
+        ["werner-sweep", "--d", "3", "--steps", "1000001"],
     ],
     ids=[
         "no-state", "unitaries-0", "workers-0", "shots-negative", "werner-d-not-integer",
         "order3-shots-2", "random-unknown-key", "werner-unknown-key",
         "bell-diagonal-unknown-key", "maximally-mixed-unknown-key", "werner-unequal-dims",
         "werner-d-disagrees-with-dims", "bell-diagonal-not-two-qubits",
+        "sweep-steps-huge", "sweep-steps-above-bound",
     ],
 )
 def test_usage_error_exit_code(argv, capsys):
@@ -74,6 +77,15 @@ def test_negative_seed_is_a_one_line_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+def _unvalidated_identity(dims, entries) -> DensityMatrix:
+    """I/D with some entries replaced, never passed through make_state."""
+    total = math.prod(dims)
+    m = np.eye(total, dtype=complex) / total
+    for (i, j), v in entries.items():
+        m[i, j] = v
+    return DensityMatrix(DimsProfile(dims), m)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -83,15 +95,28 @@ def test_negative_seed_is_a_one_line_usage_error(argv, capsys):
         ["invariants", "--builtin", "random", "--dims", "2,2", "--params", "rank=9"],
         ["invariants", "--state", "NOT_UTF8"],
         ["estimate", "--builtin", "random", "--dims", "3", "--order", "2", "--unitaries", "50"],
+        ["invariants", "--state", "NAN_DIAGONAL", "--order", "2"],
+        ["invariants", "--state", "NAN_OFF_DIAGONAL"],
+        ["invariants", "--state", "INF_OFF_DIAGONAL"],
+        ["invariants", "--builtin", "bell-diagonal", "--params", "l1=nan,l2=0.5,l3=0.25,l4=0.25"],
     ],
     ids=["missing-file", "werner-p-out-of-range", "bell-weights-not-normalised", "rank-too-large",
-         "not-utf8", "estimate-one-party"],
+         "not-utf8", "estimate-one-party", "nan-diagonal", "nan-off-diagonal",
+         "infinity-off-diagonal", "bell-diagonal-nan-weight"],
 )
 def test_bad_state_file_exit_code(argv, tmp_path, capsys):
-    # NOT_UTF8 stands for a file that starts with a UTF-16 byte-order mark
-    path = tmp_path / "utf16.json"
-    path.write_bytes(b"\xff\xfe")
-    argv = [str(path) if a == "NOT_UTF8" else a for a in argv]
+    # NOT_UTF8 stands for a file that starts with a UTF-16 byte-order mark;
+    # the other names stand for state files whose JSON holds NaN or Infinity
+    (tmp_path / "NOT_UTF8").write_bytes(b"\xff\xfe")
+    nan, inf = float("nan"), float("inf")
+    states = {
+        "NAN_DIAGONAL": _unvalidated_identity([2], {(0, 0): nan}),
+        "NAN_OFF_DIAGONAL": _unvalidated_identity([2, 2], {(0, 1): nan, (1, 0): nan}),
+        "INF_OFF_DIAGONAL": _unvalidated_identity([2, 2], {(0, 1): inf, (1, 0): inf}),
+    }
+    for name, rho in states.items():
+        save_state(rho, tmp_path / name)
+    argv = [str(tmp_path / a) if a == "NOT_UTF8" or a in states else a for a in argv]
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "invalid state" in err
@@ -191,7 +216,7 @@ def _std_errors(out: str, fmt: str) -> list[float]:
 @pytest.mark.parametrize("fmt", ["csv", "report"])
 @pytest.mark.parametrize("unitaries", [512, 1000])
 def test_estimate_std_errors_are_finite(unitaries, fmt, capsys):
-    # 512 unitaries are one chunk, 1000 are two
+    # 512 unitaries are one draw block, 1000 are two
     code, out, _ = run(
         WERNER3 + ["--order", "3", "--unitaries", str(unitaries), "--format", fmt], capsys
     )
@@ -199,6 +224,19 @@ def test_estimate_std_errors_are_finite(unitaries, fmt, capsys):
     se = _std_errors(out, fmt)
     assert len(se) == 11
     assert all(math.isfinite(v) and v >= 0.0 for v in se)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_csv_estimate_computes_no_exact_invariants(order, monkeypatch, capsys):
+    # only the report prints the exact column
+    def refuse(rho):
+        raise AssertionError("exact invariants computed for CSV output")
+
+    monkeypatch.setattr("twirlkit.reconstruct.exact_x2", refuse)
+    monkeypatch.setattr("twirlkit.reconstruct.exact_x3", refuse)
+    code, out, err = run(WERNER3 + ["--order", str(order), "--unitaries", "20"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("criterion,")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "report"])

@@ -19,6 +19,8 @@ from twirlkit.states import (
     werner_state,
 )
 from twirlkit.twirl import (
+    BORN_SLICE_BYTES,
+    DRAW_BLOCK,
     EstimationError,
     EstimatorConfig,
     _batched_probabilities,
@@ -138,10 +140,10 @@ def test_class_matrix_2_columns_average_over_classes():
 
 
 def test_kernel_plan_is_built_once_per_run():
-    # one plan for the class counts and one for the shot chunks, reused by
-    # every chunk after the first
+    # one plan for the class counts and one for the shot blocks, reused by
+    # every block after the first
     _kernel_plan.cache_clear()
-    cfg = EstimatorConfig(n_unitaries=40, shots=5, batch_size=8, master_seed=4)
+    cfg = EstimatorConfig(n_unitaries=5 * DRAW_BLOCK, shots=5, master_seed=4)
     estimate_y(werner_state(3, 0.5), cfg, 3)
     info = _kernel_plan.cache_info()
     assert info.misses <= 2
@@ -220,6 +222,48 @@ def test_reproducible_and_worker_independent():
     assert np.array_equal(e1.values, e4.values)
     assert np.array_equal(e1.covariance, e4.covariance)
     assert np.array_equal(e1.values, estimate_y(rho, cfg1, 2).values)
+
+
+@pytest.mark.parametrize("order,shots", [(2, 0), (2, 6), (3, 0), (3, 6)])
+def test_born_slices_leave_estimates_bit_identical(order, shots, monkeypatch):
+    # rank 5 on (3, 4): r = 5 rows of W, and two blocks, the second partial
+    rho = random_density((3, 4), rank=5, seed=17)
+    row_bytes = 2 * 16 * len(_eigen_factor(rho)[2]) * rho.total
+    seen = []
+
+    def spy(factor, locals_):
+        seen.append(locals_[0].shape[0])
+        return _batched_probabilities(factor, locals_)
+
+    monkeypatch.setattr("twirlkit.twirl._batched_probabilities", spy)
+    results = []
+    for rows in (DRAW_BLOCK, 1, 7):
+        monkeypatch.setattr("twirlkit.twirl.BORN_SLICE_BYTES", rows * row_bytes)
+        for workers in (1, 2):
+            seen.clear()
+            cfg = EstimatorConfig(n_unitaries=DRAW_BLOCK + 90, shots=shots, master_seed=5,
+                                  workers=workers)
+            results.append(estimate_y(rho, cfg, order))
+            assert max(seen) == rows and sum(seen) == cfg.n_unitaries
+    for est in results[1:]:
+        assert np.array_equal(est.values, results[0].values)
+        assert np.array_equal(est.covariance, results[0].covariance)
+
+
+def test_born_slices_bound_the_peak_of_a_full_rank_block():
+    # 7 qubits at full rank: Born on a whole 512-unitary block would hold two
+    # 127 MiB complex arrays; the slices hold at most BORN_SLICE_BYTES, and
+    # everything else in the block (probabilities, kernel, inversion, merge)
+    # fits in the slack
+    rho = random_density((2,) * 7, rank=2**7, seed=3)
+    cfg = EstimatorConfig(n_unitaries=DRAW_BLOCK, master_seed=1)
+    tracemalloc.start()
+    try:
+        estimate_y(rho, cfg, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BORN_SLICE_BYTES + 8 * 2**20
 
 
 def test_different_seeds_differ():
@@ -379,10 +423,22 @@ def test_product_state_delta_statistic_vanishes():
     b = random_density((3,), rank=2, seed=2)
     rho = make_state(np.kron(a.entries, b.entries), (3, 3))
     est = estimate_y(rho, EstimatorConfig(n_unitaries=3000, master_seed=21), 3)
-    # x4 - x5 = (y4 - y5) d_A(d_A^2-1) d_B(d_B^2-1)
-    delta_hat = est.values[4] - est.values[5]
-    se = np.sqrt(est.std_error[4] ** 2 + est.std_error[5] ** 2)
-    assert abs(delta_hat) < 5 * se
+    # x4 - x5 = (y4 - y5) d_A(d_A^2-1) d_B(d_B^2-1), and the outcome
+    # probabilities factorise on every product unitary, so the delta is 0 on
+    # each unitary up to rounding
+    assert abs(est.values[4] - est.values[5]) <= 1e-12
+
+
+def test_entangled_state_delta_statistic_matches_exact():
+    # on Werner (3, 3) the delta varies per unitary; its exact value is
+    # x4 - x5 = -(8/9) p^2
+    p = 0.9
+    est = estimate_y(werner_state(3, p), EstimatorConfig(n_unitaries=2000, master_seed=21), 3)
+    g = np.zeros(len(est.values))
+    g[4], g[5] = 1.0, -1.0
+    sigma = np.sqrt(g @ est.covariance @ g)
+    assert sigma > 0
+    assert abs(g @ est.values + 8 / 9 * p**2) < 5 * sigma
 
 
 def test_basis_permutation_leaves_y_expectation_unchanged():
@@ -401,7 +457,7 @@ def test_basis_permutation_leaves_y_expectation_unchanged():
 
 
 def test_std_error_matches_two_pass_reference():
-    # two chunks of 512, rebuilt one unitary at a time from the same substreams
+    # two draw blocks of 512, rebuilt one unitary at a time from the same substreams
     rho = werner_state(5, 0.002)
     cfg = EstimatorConfig(n_unitaries=1024, master_seed=3)
     est = estimate_y(rho, cfg, 3)

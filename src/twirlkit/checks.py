@@ -57,10 +57,8 @@ def x2_oracle(rho: DensityMatrix) -> np.ndarray:
         # the cumsum sums over S for P containing l, and d_l scales P without l
         grid = np.cumsum(np.add.reduceat(grid, [0, 1], axis=l), axis=l)
         grid *= np.array([d, 1.0]).reshape((2,) + (1,) * (n - 1 - l))
-    purities = np.array([
-        grid[tuple(int(reconstruct._in_mask(mask, l, n)) for l in range(n))]
-        for mask in range(2**n)
-    ])
+    # party 0 is the leading axis, so the C-order index of the grid is the mask
+    purities = grid.ravel()
     purities[0] = 1.0
     return purities
 

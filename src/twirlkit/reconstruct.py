@@ -10,16 +10,18 @@ Order-2 vectors are indexed by subsystem subsets as bitmasks with subsystem 0
 the most significant bit, so for two parties the order is
 (1, Tr rho_B^2, Tr rho_A^2, Tr rho^2).
 
-The y-component order is defined once, by :func:`_component`.  At order 3
-(bipartite, three rounds) it is A-pattern major over {all-distinct, one-pair,
-all-equal} with the (pair, pair) case split:
+The y-component order is defined once, by :func:`_pooling`: orbits of the
+per-party exact patterns under one relabelling of the rounds, numbered by
+first appearance in ``itertools.product`` order over ``_partitions``.  Order
+2 keeps the class bitmask.  Order 3 (bipartite, three rounds) is A-pattern
+major over {all-equal, one-pair, all-distinct}, (pair, pair) split in two:
 
-    y0 (dist, dist)   y1 (dist, pair)   y2 (dist, equal)
-    y3 (pair, dist)   y4 (pair, pair | different pairs of rounds coincide)
-    y5 (pair, pair | the same pair of rounds coincides on both sides)
-    y6 (pair, equal)  y7 (equal, dist)  y8 (equal, pair)  y9 (equal, equal)
+    y0 (equal, equal)  y1 (equal, pair)  y2 (equal, dist)  y3 (pair, equal)
+    y4 (pair, pair | the same pair of rounds coincides on both sides)
+    y5 (pair, pair | different pairs of rounds coincide)
+    y6 (pair, dist)    y7 (dist, equal)  y8 (dist, pair)   y9 (dist, dist)
 
-With this order y4 - y5 = (x4 - x5) / (d_A(d_A^2-1) d_B(d_B^2-1)).  Each y
+With this order x4 - x5 = (y5 - y4) d_A(d_A^2-1) d_B(d_B^2-1).  Each y
 component is the average over all index tuples of its equality class (every
 representative has the same expectation, so the average equals the
 single-representative value).  The order-3 columns of M are x0..x8 and the
@@ -165,25 +167,22 @@ def exact_x3(rho: DensityMatrix) -> XVector3:
 # the forward matrix and its inverse, both orders
 # ---------------------------------------------------------------------------
 
-def _component(sigmas: tuple[tuple[int, ...], ...]) -> int:
-    """Index of the y component holding a tuple of exact per-party patterns.
-
-    The one definition of the component order, used by the moment kernel and
-    by :func:`forward_matrix`.
-    """
-    if len(sigmas[0]) == 2:
-        return sum(s[1] << (len(sigmas) - 1 - l) for l, s in enumerate(sigmas))
-    kinds = tuple(3 - len(set(s)) for s in sigmas)  # 0 distinct, 1 one pair, 2 equal
-    if kinds == (1, 1):
-        return 5 if sigmas[0] == sigmas[1] else 4  # same pair of rounds or not
-    return (0, 1, 2, 3, None, 6, 7, 8, 9)[3 * kinds[0] + kinds[1]]
-
-
 @lru_cache(maxsize=None)
 def _pooling(order: int, n_parties: int) -> np.ndarray:
-    """(P^N, n_components) 0/1 map from exact-pattern tuples to components."""
-    comps = [_component(t) for t in itertools.product(_partitions(order), repeat=n_parties)]
-    return np.eye(max(comps) + 1)[comps]
+    """(P^N, n_components) 0/1 map from exact-pattern tuples to components,
+    in the order of the module docstring; the moment kernel and
+    :func:`forward_matrix` both pool through it.  An orbit is keyed by its
+    least member, each pattern written as first-occurrence positions.
+    """
+    ids: dict[tuple, int] = {}
+    comps = [
+        ids.setdefault(min(
+            tuple(tuple(map(p.index, p)) for p in ([s[r] for r in perm] for s in t))
+            for perm in itertools.permutations(range(order))
+        ), len(ids))
+        for t in itertools.product(_partitions(order), repeat=n_parties)
+    ]
+    return np.eye(len(ids))[comps]
 
 
 def _pattern_rows(order: int, dims: tuple[int, ...]) -> np.ndarray:

@@ -177,10 +177,12 @@ def _mobius_matrix(n: int) -> np.ndarray:
 def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
     """What ``_class_sums`` computes from the shape of q alone.
 
-    Returns ``(steps, moments, fold)``:
-    - ``steps``: ``(keep, (wider, axis))`` in dependency order; the marginal
-      of q on the parties ``keep`` is the one on ``wider`` summed over
-      ``axis``, and the marginal on every party is q itself;
+    Returns ``(schedule, moments, fold)``:
+    - ``schedule``: ``(keep, step, run, drop)`` depth first over the marginal
+      tree.  The marginal of q on the parties ``keep`` is q itself for every
+      party, else the one on ``wider`` summed over ``axis`` with
+      ``step = (wider, axis)``; ``run`` lists the moments whose last operand
+      it is, and ``drop`` the marginals used for the last time;
     - ``moments``: one einsum per distinct contraction, as the
       ``(keep, labels)`` pairs of its operands; (rho, pi-tuple) moments
       equal up to operand order and per-party label renaming share one;
@@ -255,7 +257,26 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
     for l, d in enumerate(dims):
         weights[(slice(None),) * (1 + l) + ([i for i, s in enumerate(parts) if max(s) >= d],)] = 0.0
     fold = weights.reshape(len(moments), -1) @ _pooling(order, n_parties)
-    return tuple(steps.items()), tuple(moments), fold
+    # a marginal's parent has its least missing party back, so preorder sorts
+    # by the missing parties in descending order
+    tree = sorted([full, *steps], key=lambda k: sorted(set(full) - set(k), reverse=True))
+    at = {keep: i for i, keep in enumerate(tree)}
+    last = dict(at)
+    for keep, (wider, _) in steps.items():
+        last[wider] = max(last[wider], at[keep])
+    runs: list[list] = [[] for _ in tree]
+    drops: list[list] = [[] for _ in tree]
+    for k, operands in enumerate(moments):
+        i = max(at[keep] for keep, _ in operands)
+        runs[i].append(k)
+        for keep, _ in operands:
+            last[keep] = max(last[keep], i)
+    for keep, i in last.items():
+        drops[i].append(keep)
+    schedule = tuple(
+        (keep, steps.get(keep), tuple(runs[i]), tuple(drops[i])) for i, keep in enumerate(tree)
+    )
+    return schedule, tuple(moments), fold
 
 
 def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
@@ -266,14 +287,18 @@ def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
     q holds the outcome counts of M shots and each product p_{I_1} ... p_{I_n}
     is replaced by its unbiased U-statistic over ordered distinct shots.
     """
-    steps, moments, fold = _kernel_plan(order, q.shape[1:], shots > 0)
-    marginals = {tuple(range(q.ndim - 1)): q}
-    for keep, (wider, axis) in steps:
-        marginals[keep] = marginals[wider].sum(axis=axis)
+    schedule, moments, fold = _kernel_plan(order, q.shape[1:], shots > 0)
+    # each moment runs once its last marginal exists, and each marginal is
+    # held only until its last use
+    marginals = {}
     m = np.empty((len(moments), q.shape[0]))
-    for k, operands in enumerate(moments):
-        np.einsum(*itertools.chain(*((marginals[keep], labels) for keep, labels in operands)),
-                  [0], out=m[k])
+    for keep, step, run, drop in schedule:
+        marginals[keep] = marginals[step[0]].sum(axis=step[1]) if step else q
+        for k in run:
+            np.einsum(*itertools.chain(*((marginals[x], labels) for x, labels in moments[k])),
+                      [0], out=m[k])
+        for x in drop:
+            del marginals[x]
     # counts give integer moments and an integer fold, so the one division
     # is the only rounding
     sums = m.T @ fold

@@ -273,6 +273,8 @@ def _delta_correction(d_a: int, d_b: int) -> np.ndarray:
 def invert_3_closed_form(dims, y) -> np.ndarray:
     """Closed-form inversion: Delta rescaling plus the tensor-product solve.
 
+    y is in the hand layout, A-pattern major over {all-distinct, one pair,
+    all-equal}: the derived layout of ``reconstruct._pooling`` reversed.
     Delta = (y4 - y5) d_A(d_A^2-1) d_B(d_B^2-1), then the nine remaining
     unknowns come from the explicit 3x3 tensor factors and the Delta
     correction vector.  Returns x0..x8 with x_S in both the x9 and x10 slots.

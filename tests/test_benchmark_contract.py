@@ -6,6 +6,7 @@ estimate call, so a rename in ``src/`` that breaks the benchmark fails here.
 """
 
 import importlib.util
+import json
 import os
 import sys
 
@@ -13,7 +14,8 @@ import pytest
 
 from twirlkit import cli, twirl
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "perfbench")
 
 
 def _load(name: str, monkeypatch):
@@ -30,6 +32,25 @@ def test_every_workload_binds(tmp_path, monkeypatch):
     workloads = _load("workloads", monkeypatch)
     for name, make in workloads.WORKLOADS.items():
         make().bind(3, str(tmp_path / name))
+
+
+def _benchmarked_workloads():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return [w["name"] for w in json.load(fh)["workloads"]]
+
+
+@pytest.mark.parametrize("name", _benchmarked_workloads())
+def test_the_first_ops_of_each_benchmarked_workload_pass_its_checks(name, tmp_path, monkeypatch):
+    # ops 0 and 1 are the CSV and report formats of an estimate workload;
+    # check_op holds them to the workload's tolerance, verdict and layout
+    workloads = _load("workloads", monkeypatch)
+    cliop = _load("cliop", monkeypatch)
+    wl = workloads.WORKLOADS[name]()
+    wl.bind(1, str(tmp_path / name))
+    for index in (0, 1):
+        cmds = wl.commands(index)
+        results = [cliop.run_command(cli.main, c.argv) for c in cmds]
+        assert workloads.check_op(cmds, results) is None
 
 
 def test_the_tracer_sees_the_chunks_of_an_order3_estimate(monkeypatch, capsys):

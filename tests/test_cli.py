@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,26 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("p,poly2,poly3")
+
+
+def test_werner_sweep_writes_lines_as_they_are_made(tmp_path, capsys):
+    # 2e4 rows are about 1.4 MB of CSV, so holding them, or one string of
+    # them, breaks the bound; written as they are made only the grid is held
+    target = tmp_path / "sweep.csv"
+    argv = ["werner-sweep", "--d", "3", "--steps", "20000", "--out", str(target)]
+    run(argv[:4] + ["3"], capsys)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2**20
+    lines = target.read_text().splitlines()
+    assert len(lines) == 20002
+    assert lines[0] == "p,poly2,poly3,detected2,detected3"
+    assert lines[-1].startswith("summary,p_star_2=")
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "existing-directory"])

@@ -159,7 +159,7 @@ def test_exact_x3_matches_diagram_oracle(dims, seed):
 def test_order3_round_trip_closed_form(dims, seed):
     rho = random_density(dims, rank=4, seed=seed)
     y = exact_y(rho, 3)
-    for xr in (invert(3, dims, y), invert_3_closed_form(dims, y)):
+    for xr in (invert(3, dims, y), invert_3_closed_form(dims, y[::-1])):
         assert np.max(np.abs(xr - measurable_x(rho, 3))) < 1e-9
 
 
@@ -168,7 +168,7 @@ def test_order3_round_trip_closed_form(dims, seed):
 def test_closed_form_agrees_with_numeric_solve(dims, seed):
     rho = random_density(dims, rank=3, seed=seed)
     y = exact_y(rho, 3)
-    a = invert_3_closed_form(dims, y)
+    a = invert_3_closed_form(dims, y[::-1])
     b = invert(3, dims, y)
     assert np.max(np.abs(a - b)) < 1e-9
 
@@ -176,7 +176,7 @@ def test_closed_form_agrees_with_numeric_solve(dims, seed):
 def test_delta_recovers_x4_minus_x5():
     rho = random_density((3, 4), rank=5, seed=9)
     x = exact_x3(rho).values
-    y = exact_y(rho, 3)
+    y = exact_y(rho, 3)[::-1]  # the hand layout, the derived one reversed
     d_a, d_b = 3, 4
     delta = (y[4] - y[5]) * d_a * (d_a**2 - 1) * d_b * (d_b**2 - 1)
     assert delta == pytest.approx(x[4] - x[5], abs=1e-12)
@@ -254,7 +254,7 @@ def test_forward_model_exposes_coefficients():
     # row 4 minus row 5 isolates x4 - x5 with coefficient
     # 1 / (d_A(d_A^2-1) d_B(d_B^2-1)) and is zero on every other invariant
     d_a, d_b = 3, 4
-    m = forward_matrix(3, (d_a, d_b))
+    m = forward_matrix(3, (d_a, d_b))[::-1]  # rows in the hand layout
     c = 1.0 / (d_a * (d_a**2 - 1) * d_b * (d_b**2 - 1))
     diff = m[4] - m[5]
     assert diff[4] == pytest.approx(c)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import born_kron, measurable_x, pair_class_counts, per_unitary_samples
 from twirlkit.haar import RngStream, sample_haar_batch
-from twirlkit.reconstruct import invert
+from twirlkit.reconstruct import _pooling, invert
 from twirlkit.states import (
     DimsProfile,
     make_state,
@@ -30,7 +30,7 @@ from twirlkit.twirl import (
     _merge_moments,
     estimate_y,
 )
-from twirlkit.weingarten import SingularDimensionError
+from twirlkit.weingarten import SingularDimensionError, _partitions
 
 
 def test_config_validation():
@@ -174,7 +174,8 @@ def test_kernel_plan_runs_each_distinct_contraction_once():
 
 def test_class_matrix_3_counts():
     for d_a, d_b in [(3, 3), (3, 4), (8, 8)]:
-        counts = _class_sums(np.ones((1, d_a, d_b)), order=3)[0]
+        # indexed in the hand layout, the derived one reversed
+        counts = _class_sums(np.ones((1, d_a, d_b)), order=3)[0][::-1]
         assert counts.shape == (10,)
         assert counts.sum() == (d_a * d_b) ** 3
         assert counts[0] == d_a * (d_a - 1) * (d_a - 2) * d_b * (d_b - 1) * (d_b - 2)
@@ -266,6 +267,30 @@ def test_born_slices_bound_the_peak_of_a_full_rank_block():
     assert peak <= BORN_SLICE_BYTES + 8 * 2**20
 
 
+def test_kernel_holds_each_marginal_only_until_its_last_use():
+    # 8 qubits, one 512-row order-2 block: the 3^8 marginals of q held at
+    # once would be about 26 MiB; a depth-first chain of them is about 2 MiB
+    dims = (2,) * 8
+    q = np.random.default_rng(8).dirichlet(np.ones(2**8), size=DRAW_BLOCK).reshape((-1,) + dims)
+    schedule, moments, fold = _kernel_plan(2, dims, False)  # planned once per run
+    tracemalloc.start()
+    try:
+        sums = _class_sums(q, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    # bit-equal to the same einsums with every marginal held at once
+    marginals = {}
+    for keep, step, _, _ in schedule:
+        marginals[keep] = marginals[step[0]].sum(axis=step[1]) if step else q
+    m = np.array([
+        np.einsum(*itertools.chain(*((marginals[x], labels) for x, labels in operands)), [0])
+        for operands in moments
+    ])
+    assert np.array_equal(sums, m.T @ fold)
+
+
 def test_different_seeds_differ():
     rho = random_density((2, 2), rank=3, seed=7)
     ya = estimate_y(rho, EstimatorConfig(n_unitaries=200, master_seed=1), 2)
@@ -332,10 +357,11 @@ def test_triple_u_statistic_is_exactly_unbiased(p, shots):
 @pytest.mark.parametrize("dims,empty", [((2, 2), [0, 1, 2, 3, 7]), ((2, 3), [0, 1, 2])])
 def test_kernel_sums_empty_classes_to_exact_zero(dims, empty):
     # at d = 2 three rounds are never all distinct, so every class with an
-    # all-distinct pattern on a qubit party has no index tuples
+    # all-distinct pattern on a qubit party has no index tuples; ``empty``
+    # indexes the hand layout, the derived one reversed
     p = np.random.default_rng(3).random((4,) + dims)
     p /= p.sum(axis=(1, 2), keepdims=True)
-    assert np.array_equal(_class_sums(p, 3)[:, empty], np.zeros((4, len(empty))))
+    assert np.array_equal(_class_sums(p, 3)[:, ::-1][:, empty], np.zeros((4, len(empty))))
 
 
 def test_plug_in_estimator_is_biased():
@@ -346,7 +372,11 @@ def test_plug_in_estimator_is_biased():
 
 
 def _oracle_component(idx):
-    """y index of the index tuples idx[r][l] (round r, party l), by rule."""
+    """y index of the index tuples idx[r][l] (round r, party l), by rule.
+
+    The hand layout: at order 3, A-pattern major over {all-distinct, one
+    pair, all-equal}, which is the derived layout of ``_pooling`` reversed.
+    """
     n_parties = len(idx[0])
     if len(idx) == 2:
         return sum(1 << (n_parties - 1 - l) for l in range(n_parties) if idx[0][l] != idx[1][l])
@@ -361,10 +391,8 @@ def _oracle_component(idx):
             (2, 0): 7, (2, 1): 8, (2, 2): 9}[tuple(kinds)]
 
 
-def _oracle_class_sums(q, order, shots):
-    """Class sums of one unitary's q by explicit loops over index tuples."""
-    n_comp = 10 if order == 3 else 2 ** q.ndim
-    sums = np.zeros(n_comp)
+def _loop_terms(q, order, shots):
+    """(idx, term) for every index tuple of one unitary's q, by explicit loops."""
     for idx in itertools.product(np.ndindex(*q.shape), repeat=order):
         c = [q[i] for i in idx]
         if shots == 0:
@@ -377,6 +405,13 @@ def _oracle_class_sums(q, order, shots):
                 c[0] * (c[1] - (i == j)) * (c[2] - (i == k) - (j == k))
                 / (shots * (shots - 1) * (shots - 2))
             )
+        yield idx, value
+
+
+def _oracle_class_sums(q, order, shots):
+    """Class sums of one unitary's q in the hand layout of ``_oracle_component``."""
+    sums = np.zeros(10 if order == 3 else 2 ** q.ndim)
+    for idx, value in _loop_terms(q, order, shots):
         sums[_oracle_component(idx)] += value
     return sums
 
@@ -391,7 +426,66 @@ def test_kernel_matches_explicit_loop_oracle(dims, order, shots):
     q = rng.multinomial(shots, p).astype(float) if shots else p
     q = q.reshape((2,) + dims)
     got = _class_sums(q, order, shots)
+    if order == 3:
+        got = got[:, ::-1]  # the oracle's hand layout
     want = np.array([_oracle_class_sums(qi, order, shots) for qi in q])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("order,n_parties", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_derived_grouping_equals_the_hand_rule(order, n_parties):
+    # a tuple of exact patterns is its own index tuple: idx[r][l] = t[l][r]
+    derived, hand = {}, {}
+    for t, row in zip(itertools.product(_partitions(order), repeat=n_parties),
+                      _pooling(order, n_parties)):
+        c, c_hand = int(row.argmax()), _oracle_component(tuple(zip(*t)))
+        derived.setdefault(c, set()).add(t)
+        hand.setdefault(c_hand, set()).add(t)
+        # numbered as the hand rule (the class bitmask) at order 2 and in
+        # reverse at order 3
+        assert c == (9 - c_hand if order == 3 else c_hand)
+    assert {frozenset(g) for g in derived.values()} == {frozenset(g) for g in hand.values()}
+
+
+def test_multipartite_order3_component_counts():
+    for n_parties, count in ((3, 37), (4, 150)):
+        pool = _pooling(3, n_parties)
+        assert pool.shape == (5**n_parties, count)
+        assert np.array_equal(pool.sum(axis=1), np.ones(5**n_parties))
+
+
+def _round_orbit(idx):
+    """The per-party pattern tuples of idx under every relabelling of its rounds."""
+    def pattern(values):
+        first = {}
+        return tuple(first.setdefault(v, len(first)) for v in values)
+
+    return frozenset(
+        tuple(pattern([idx[r][l] for r in perm]) for l in range(len(idx[0])))
+        for perm in itertools.permutations(range(len(idx)))
+    )
+
+
+@pytest.mark.parametrize("shots", [0, 4])
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2), (2, 2, 2)])
+def test_three_party_order3_kernel_matches_explicit_loop(dims, shots):
+    rng = np.random.default_rng(23)
+    p = rng.dirichlet(np.ones(math.prod(dims)), size=2)
+    q = (rng.multinomial(shots, p).astype(float) if shots else p).reshape((2,) + dims)
+    tuples = list(itertools.product(_partitions(3), repeat=len(dims)))
+    pool = _pooling(3, len(dims))
+    got = _class_sums(q, 3, shots)
+    want = np.zeros_like(got)
+    for u, qu in enumerate(q):
+        sums = {}
+        for idx, value in _loop_terms(qu, 3, shots):
+            key = _round_orbit(idx)
+            sums[key] = sums.get(key, 0.0) + value
+        # one member tuple of each orbit names its column; classes with no
+        # index triples stay 0
+        cols = [int(pool[tuples.index(next(iter(key)))].argmax()) for key in sums]
+        assert len(set(cols)) == len(cols)
+        want[u, cols] = list(sums.values())
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 

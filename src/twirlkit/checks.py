@@ -63,14 +63,12 @@ def x2_oracle(rho: DensityMatrix) -> np.ndarray:
     return purities
 
 
-# the first (tau_A, tau_B) of each invariant id in INVARIANT_ID's row-major
-# order; every wiring of one id is the same contraction with the copies
-# relabelled, so one wiring per id gives all eleven values
+# the first (tau_A, tau_B) of each bipartite invariant in wiring order; every
+# wiring of one invariant is the same contraction with the copies relabelled,
+# so one wiring per invariant gives all eleven values
 _X3_WIRINGS = tuple(
-    next((weingarten.S3[a], weingarten.S3[b])
-         for a, row in enumerate(weingarten.INVARIANT_ID)
-         for b, k in enumerate(row) if k == cls)
-    for cls in range(11)
+    tuple(weingarten.S3[k] for k in divmod(ids.index(c), len(weingarten.S3)))
+    for ids in [reconstruct._invariants(3, 2)[0].tolist()] for c in range(max(ids) + 1)
 )
 
 
@@ -149,9 +147,8 @@ def run_selftest(perturb_w: float = 0.0) -> list[tuple[str, bool, str]]:
     # matching 3-cycles give Tr rho^3 = 1, opposite 3-cycles give
     # Tr (rho^Gamma)^3 = 1/d^2 (= 1/4 at d=2)
     bell = make_state(max_entangled_projector(2), DimsProfile((2, 2)))
-    c3, c3i = weingarten.S3[4], weingarten.S3[5]
-    same = weingarten.diagram_contract(bell, c3, c3)
-    opp = weingarten.diagram_contract(bell, c3, c3i)
+    same = weingarten.diagram_contract(bell, *_X3_WIRINGS[9])
+    opp = weingarten.diagram_contract(bell, *_X3_WIRINGS[10])
     ident_ok = abs(same - 1.0) < 1e-12 and abs(opp - 0.25) < 1e-12
     checks.append((
         "x9 = Tr rho^3 (matching cycles), x10 = Tr (rho^Gamma)^3 (opposite cycles)",

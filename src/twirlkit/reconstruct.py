@@ -24,8 +24,18 @@ major over {all-equal, one-pair, all-distinct}, (pair, pair) split in two:
 With this order x4 - x5 = (y5 - y4) d_A(d_A^2-1) d_B(d_B^2-1).  Each y
 component is the average over all index tuples of its equality class (every
 representative has the same expectation, so the average equals the
-single-representative value).  The order-3 columns of M are x0..x8 and the
-measurable x_S = (x9 + x10) / 2.
+single-representative value).
+
+The invariant order is defined once, by :func:`_invariants`.  An invariant is
+an orbit of per-party wiring permutations under one conjugation applied to
+every party at once, sorted by each party's cycle count (more first), then by
+the cycle count of tau_a tau_b for each pair of parties a < b (fewer first),
+then by least member: the subset bitmask at order 2, x0..x10 of
+:class:`XVector3` at bipartite order 3.  A column of M is an orbit that may
+also invert any one party's permutation, which no equality pattern can tell
+apart, numbered by first appearance.  Order 3 merges only x9 and x10, so
+:func:`invert` puts x_S in both slots; three and four parties give 49 and 251
+invariants on 37 and 150 columns.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from .states import (
     partial_transpose,
     trace_power,
 )
-from .weingarten import INVARIANT_ID, _partitions, s_matrix, w_matrix
+from .weingarten import _partitions, permutations_of_order, s_matrix, w_matrix
 
 
 class ReconstructionError(ArithmeticError):
@@ -185,20 +195,59 @@ def _pooling(order: int, n_parties: int) -> np.ndarray:
     return np.eye(len(ids))[comps]
 
 
-def _pattern_rows(order: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Forward rows of every tuple of exact per-party patterns, on invariants.
+@lru_cache(maxsize=None)
+def _invariants(order: int, n_parties: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, slots): the invariant of each tuple of per-party permutations, in
+    ``itertools.product`` order over ``permutations_of_order`` with party 0
+    slowest, and the measurable column of each invariant, both numbered as in
+    the module docstring.  Orbits are keyed by their least member.
+    """
+    group = permutations_of_order(order)
+    index = {p.images: i for i, p in enumerate(group)}
+    mul = [[index[p.compose(q).images] for q in group] for p in group]
+    inv = [index[p.inverse().images] for p in group]
+    conj = [[mul[mul[s][t]][inv[s]] for t in range(len(group))] for s in range(len(group))]
+    cycles = [len(p.cycles()) for p in group]
+    keys = [
+        min(tuple(c[t] for t in tup) for c in conj)
+        for tup in itertools.product(range(len(group)), repeat=n_parties)
+    ]
+    orbits = sorted(set(keys), key=lambda k: (
+        tuple(-cycles[t] for t in k),
+        tuple(cycles[mul[a][b]] for a, b in itertools.combinations(k, 2)),
+        k,
+    ))
+    rank = {k: i for i, k in enumerate(orbits)}
+    # inverting one party commutes with conjugation, so for each conjugation
+    # the least member takes the smaller of each party's pair {tau, tau^-1}
+    columns: dict[tuple, int] = {}
+    slots = [
+        columns.setdefault(min(tuple(min(c[t], c[inv[t]]) for t in k) for c in conj),
+                           len(columns))
+        for k in orbits
+    ]
+    ids, slots = np.array([rank[k] for k in keys]), np.array(slots)
+    for a in (ids, slots):
+        a.setflags(write=False)
+    return ids, slots
 
-    Row and column index the tuples in ``itertools.product`` order, party 0
-    slowest.  At order 2 a column is a tuple of S2 elements, i.e. the bitmask
-    of the swapped parties, which is already the purity index.  At order 3
-    columns fold onto ``INVARIANT_ID`` with x9 and x10 merged into x_S.
+
+def _pattern_rows(order: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Forward rows of every tuple of exact per-party patterns, on the
+    measurable columns of :func:`_invariants`.
+
+    Rows index the pattern tuples in ``itertools.product`` order, party 0
+    slowest; the wiring-tuple columns of the Kronecker product are summed into
+    their measurable column.  At order 2 that map is the identity.
     """
     rows = np.ones((1, 1))
     for d in dims:
         rows = np.kron(rows, s_matrix(order) @ w_matrix(order, d))
-    if order == 3:
-        rows = rows @ np.eye(10)[np.minimum(np.ravel(INVARIANT_ID), 9)]
-    return rows
+    ids, slots = _invariants(order, len(dims))
+    cols = slots[ids]
+    by_col = np.argsort(cols, kind="stable")
+    starts = np.searchsorted(cols[by_col], np.arange(slots.max() + 1))
+    return np.add.reduceat(rows[:, by_col], starts, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -228,8 +277,9 @@ def _inverse(order: int, dims: tuple[int, ...]) -> np.ndarray:
 def invert(order: int, dims: Sequence[int], y) -> np.ndarray:
     """Invariants from one y vector or a (k, n_components) batch of them.
 
-    Order 2 gives the 2^N purities; order 3 gives x0..x8 and x_S in both the
-    x9 and x10 slots.  Raises if the result does not reproduce y within
+    Each invariant of :func:`_invariants` reads its measurable column: the 2^N
+    purities at order 2, and x0..x8 with x_S in both the x9 and x10 slots at
+    order 3.  Raises if the result does not reproduce y within
     ``RESIDUAL_TOL``, or if y is not finite.
     """
     dims = tuple(dims)
@@ -242,4 +292,4 @@ def invert(order: int, dims: Sequence[int], y) -> np.ndarray:
         raise ReconstructionError(
             f"inversion residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
-    return x[..., list(range(10)) + [9]] if order == 3 else x
+    return np.take(x, _invariants(order, len(dims))[1], axis=-1)

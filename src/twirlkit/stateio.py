@@ -56,11 +56,7 @@ def load_state(path: str | Path) -> DensityMatrix:
 
 def save_state(rho: DensityMatrix, path: str | Path) -> None:
     """Write a state file that :func:`load_state` round-trips exactly."""
-    m = rho.entries
-    matrix = [
-        [[float(m[i, j].real), float(m[i, j].imag)] for j in range(m.shape[1])]
-        for i in range(m.shape[0])
-    ]
+    matrix = np.stack([rho.entries.real, rho.entries.imag], -1).tolist()
     Path(path).write_text(
         json.dumps({"dims": list(rho.dims.dims), "matrix": matrix})
     )

@@ -200,17 +200,3 @@ def diagram_contract(
         raise ArithmeticError(f"contraction has nonzero imaginary part {total.imag:.3e}")
     return total.real
 
-
-# Table of which invariant each (tau_A, tau_B) pair of S3 x S3 contracts to,
-# indexed in the fixed order {e,(12),(23),(13),(312),(231)} on both axes.
-# Ids 0..8 are the mixed-marginal traces; 9 is Tr rho^3 (matching cycles) and
-# 10 is Tr (rho^Gamma)^3 (opposite cycles) -- resolved by the oracle itself,
-# see tests and the selftest report.
-INVARIANT_ID = (
-    (0, 1, 1, 1, 2, 2),
-    (3, 5, 4, 4, 6, 6),
-    (3, 4, 5, 4, 6, 6),
-    (3, 4, 4, 5, 6, 6),
-    (7, 8, 8, 8, 9, 10),
-    (7, 8, 8, 8, 10, 9),
-)

@@ -9,6 +9,10 @@ two is evidence for both.
 (n <= 3) as an exact rational, against which ``twirlkit.weingarten.w_matrix``
 (the inverse of the Gram matrix) is checked.
 
+``INVARIANT_ID`` is the hand table of which bipartite order-3 invariant each
+(tau_A, tau_B) wiring contracts to, against which the orbit numbering of
+``twirlkit.reconstruct._invariants`` is checked.
+
 ``haar_from_ginibre`` is the phase-fixed QR of a Ginibre batch, one LAPACK
 factorisation per matrix, against which the batch Gram-Schmidt of
 ``twirlkit.haar.sample_haar_batch`` is checked.
@@ -83,6 +87,20 @@ def wg(ct, d: int, n: int | None = None) -> float:
         num = {(1, 1, 1): d * d - 2, (2, 1): -d, (3,): 2}[ct]
         return float(Fraction(num, denom))
     raise ValueError(f"unsupported order n={n} (only n <= 3)")
+
+
+# Which invariant each (tau_A, tau_B) pair of S3 x S3 contracts to, indexed in
+# the fixed order {e,(12),(23),(13),(312),(231)} on both axes.  Ids 0..8 are
+# the mixed-marginal traces; 9 is Tr rho^3 (matching cycles) and 10 is
+# Tr (rho^Gamma)^3 (opposite cycles), which the diagram contraction resolves.
+INVARIANT_ID = (
+    (0, 1, 1, 1, 2, 2),
+    (3, 5, 4, 4, 6, 6),
+    (3, 4, 5, 4, 6, 6),
+    (3, 4, 4, 5, 6, 6),
+    (7, 8, 8, 8, 9, 10),
+    (7, 8, 8, 8, 10, 9),
+)
 
 
 def measurable_x(rho: DensityMatrix, order: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from twirlkit.criteria import (
     werner_threshold_2,
     werner_threshold_3,
 )
-from oracles import measurable_x, purity_marginal_hamming
+from oracles import INVARIANT_ID, measurable_x, purity_marginal_hamming
 from twirlkit.haar import RngStream
 from twirlkit.reconstruct import exact_x2, exact_x3, forward_matrix, invert, subset_mask
 from twirlkit.states import (
@@ -29,7 +29,6 @@ from twirlkit.states import (
 )
 from twirlkit.twirl import EstimatorConfig, estimate_y
 from twirlkit.weingarten import (
-    INVARIANT_ID,
     S3,
     diagram_contract,
     gram,

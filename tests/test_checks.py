@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import purity_loops
+from oracles import INVARIANT_ID, purity_loops
 from twirlkit import weingarten
 from twirlkit.checks import _X3_WIRINGS, invariant_table, x2_oracle
 from twirlkit.reconstruct import ReconstructionError, exact_x2, subset_mask
@@ -58,11 +58,11 @@ def test_purity_oracle_agrees_with_exact_x2_in_bounded_memory_at_ten_qubits():
 @pytest.mark.parametrize("dims", [(3, 3), (3, 4), (4, 4)])
 def test_every_wiring_contracts_to_its_class_representative(dims):
     s3 = weingarten.S3
-    ids = [weingarten.INVARIANT_ID[s3.index(ta)][s3.index(tb)] for ta, tb in _X3_WIRINGS]
+    ids = [INVARIANT_ID[s3.index(ta)][s3.index(tb)] for ta, tb in _X3_WIRINGS]
     assert ids == list(range(11))
     rho = random_density(dims, rank=3, seed=17)
     for (a, ta), (b, tb) in itertools.product(enumerate(s3), repeat=2):
-        rep_a, rep_b = _X3_WIRINGS[weingarten.INVARIANT_ID[a][b]]
+        rep_a, rep_b = _X3_WIRINGS[INVARIANT_ID[a][b]]
         assert weingarten.diagram_contract(rho, ta, tb) == pytest.approx(
             weingarten.diagram_contract(rho, rep_a, rep_b), rel=1e-12
         )

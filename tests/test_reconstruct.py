@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    INVARIANT_ID,
     exact_y,
     invert_3_closed_form,
     measurable_x,
@@ -16,6 +17,7 @@ from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import (
     ReconstructionError,
     XVector3,
+    _invariants,
     _pattern_rows,
     _pooling,
     exact_x2,
@@ -35,7 +37,7 @@ from twirlkit.states import (
     trace_power,
     werner_state,
 )
-from twirlkit.weingarten import INVARIANT_ID, S3, SingularDimensionError, diagram_contract
+from twirlkit.weingarten import S3, SingularDimensionError, diagram_contract
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +298,40 @@ def test_pooled_pattern_rows_agree_within_each_component(order, dims):
     for comp in range(pool.shape[1]):
         members = rows[pool[:, comp] == 1]
         assert len(members) >= 1
+        assert np.max(np.abs(members - members[0])) <= 1e-12 * np.abs(rows).max()
+
+
+def test_bipartite_invariant_numbering_equals_the_hand_table():
+    ids, slots = _invariants(3, 2)
+    assert ids.reshape(6, 6).tolist() == [list(row) for row in INVARIANT_ID]
+    # x9 = Tr rho^3 and x10 = Tr (rho^Gamma)^3 share the measurable column x_S
+    assert slots.tolist() == list(range(10)) + [9]
+
+
+@pytest.mark.parametrize("n_parties", [1, 2, 3, 4, 5])
+def test_order2_invariant_numbering_is_the_subset_bitmask(n_parties):
+    ids, slots = _invariants(2, n_parties)
+    assert ids.tolist() == list(range(2**n_parties))
+    assert slots.tolist() == list(range(2**n_parties))
+
+
+@pytest.mark.parametrize("n_parties, n_ids, n_columns", [(3, 49, 37), (4, 251, 150)])
+def test_multipartite_order3_invariant_and_column_counts(n_parties, n_ids, n_columns):
+    ids, slots = _invariants(3, n_parties)
+    assert (ids.max() + 1, slots.max() + 1) == (n_ids, n_columns)
+    assert sorted(set(ids.tolist())) == list(range(n_ids))
+    assert n_columns == _pooling(3, n_parties).shape[1]
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 5)])
+def test_three_party_order3_forward_rows_are_square_full_rank_and_pooled(dims):
+    rows = _pattern_rows(3, dims)
+    pool = _pooling(3, len(dims))
+    rep = rows[pool.argmax(axis=0)]
+    assert rep.shape == (37, 37)
+    assert np.linalg.matrix_rank(rep) == 37
+    for comp in range(pool.shape[1]):
+        members = rows[pool[:, comp] == 1]
         assert np.max(np.abs(members - members[0])) <= 1e-12 * np.abs(rows).max()
 
 

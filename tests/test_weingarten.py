@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import cycle_type, diagram_contract_loops, wg
+from oracles import INVARIANT_ID, cycle_type, diagram_contract_loops, wg
 from twirlkit.reconstruct import forward_matrix
 from twirlkit.states import (
     DensityMatrix,
@@ -16,7 +16,6 @@ from twirlkit.states import (
 )
 from twirlkit.twirl import EstimatorConfig, estimate_y
 from twirlkit.weingarten import (
-    INVARIANT_ID,
     Permutation,
     S2,
     S3,

@@ -68,7 +68,7 @@ def x2_oracle(rho: DensityMatrix) -> np.ndarray:
 # so one wiring per invariant gives all eleven values
 _X3_WIRINGS = tuple(
     tuple(weingarten.S3[k] for k in divmod(ids.index(c), len(weingarten.S3)))
-    for ids in [reconstruct._invariants(3, 2)[0].tolist()] for c in range(max(ids) + 1)
+    for ids in [reconstruct._invariants(3, 2).tolist()] for c in range(max(ids) + 1)
 )
 
 
@@ -130,9 +130,9 @@ def run_selftest(perturb_w: float = 0.0) -> list[tuple[str, bool, str]]:
     worst3 = 0.0
     for dims in [(3, 3), (3, 4), (4, 4)]:
         rho = random_density(dims, rank=4, seed=rng)
-        target = reconstruct.exact_x3(rho).measurable
-        xr = reconstruct.invert(3, dims, reconstruct.forward_matrix(3, dims) @ target[:10])
-        worst3 = max(worst3, float(np.max(np.abs(xr - target))))
+        x = reconstruct.exact_x3(rho)
+        xr = reconstruct.invert(3, dims, reconstruct.forward_matrix(3, dims) @ x.values)
+        worst3 = max(worst3, float(np.max(np.abs(xr - x.measurable))))
     checks.append(("order-3 forward/invert round trip", worst3 < 1e-10,
                    f"max error {worst3:.3e}"))
 

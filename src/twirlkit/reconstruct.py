@@ -1,8 +1,8 @@
-"""The forward map y = M x between twirl-averaged statistics and invariants,
-its inverse, and the exact invariants of a state, at orders 2 and 3.
+"""The forward map y = A x between twirl-averaged statistics and invariants,
+its inverse, and the exact invariants of a state, at every order.
 
-:func:`forward_matrix` derives M for both orders from the Weingarten matrices
-and the equality-pattern rows; :func:`invert` applies its cached inverse.
+:func:`forward_matrix` derives A from the Weingarten matrices and the
+equality-pattern rows; :func:`invert` applies its cached minimum-norm inverse.
 
 Conventions
 -----------
@@ -31,11 +31,13 @@ an orbit of per-party wiring permutations under one conjugation applied to
 every party at once, sorted by each party's cycle count (more first), then by
 the cycle count of tau_a tau_b for each pair of parties a < b (fewer first),
 then by least member: the subset bitmask at order 2, x0..x10 of
-:class:`XVector3` at bipartite order 3.  A column of M is an orbit that may
-also invert any one party's permutation, which no equality pattern can tell
-apart, numbered by first appearance.  Order 3 merges only x9 and x10, so
-:func:`invert` puts x_S in both slots; three and four parties give 49 and 251
-invariants on 37 and 150 columns.
+:class:`XVector3` at bipartite order 3.
+
+A has one row per y component and one column per invariant: square at order
+2, 10 x 11 at bipartite order 3, 33 x 43 at order 4 on two parties and
+285 x 681 on three.  Randomized measurements see only A x, so :func:`invert`
+returns the x of least norm with A x = y.  At order 3 the x9 and x10 columns
+are equal, so it puts x_S = (x9 + x10) / 2 in both.
 """
 
 from __future__ import annotations
@@ -47,13 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import (
-    DensityMatrix,
-    DimsProfile,
-    partial_trace,
-    partial_transpose,
-    trace_power,
-)
+from .states import DensityMatrix, DimsProfile
 from .weingarten import _partitions, permutations_of_order, s_matrix, w_matrix
 
 
@@ -145,36 +141,42 @@ class XVector3:
 
 
 def exact_x3(rho: DensityMatrix) -> XVector3:
-    """Closed-form trace expressions for all eleven bipartite invariants."""
+    """Closed-form trace expressions for all eleven bipartite invariants.
+
+    Every trace is read off the (d_A, d_B, d_A, d_B) views of rho and rho^2:
+    the marginals and Tr_A rho^2, Tr_B rho^2 by ``np.trace``, and rho^Gamma
+    (B transposed) by one axis swap.  The first factor of each Tr(a b) is
+    Hermitian, so it is vdot(a, b).
+    """
     if rho.dims.n_parties != 2:
         raise ValueError("order-3 invariants are defined for bipartite states")
-    dims = rho.dims.dims
     m = rho.entries
-    r_a = partial_trace(rho, [0]).entries
-    r_b = partial_trace(rho, [1]).entries
+    t = m.reshape(rho.dims.dims * 2)
     m2 = m @ m
-    t = m2.reshape(dims + dims)
-    trb_m2 = np.trace(t, axis1=1, axis2=3)  # Tr_B rho^2, operator on A
-    tra_m2 = np.trace(t, axis1=0, axis2=2)  # Tr_A rho^2, operator on B
+    t2 = m2.reshape(t.shape)
+    r_a = np.trace(t, axis1=1, axis2=3)
+    r_b = np.trace(t, axis1=0, axis2=2)
+    pt = t.transpose(0, 3, 2, 1).reshape(m.shape)
+    tr = np.trace(m).real
     return XVector3(
-        (
-            float(np.trace(m).real) ** 3,
-            (np.trace(r_b @ r_b) * np.trace(m)).real,
-            np.trace(r_b @ r_b @ r_b).real,
-            (np.trace(r_a @ r_a) * np.trace(m)).real,
-            np.trace(np.kron(r_a, r_b) @ m).real,
-            (np.trace(m2) * np.trace(m)).real,
-            np.trace(tra_m2 @ r_b).real,
-            np.trace(r_a @ r_a @ r_a).real,
-            np.trace(trb_m2 @ r_a).real,
-            np.trace(m2 @ m).real,
-            trace_power(partial_transpose(rho, 1), 3),
-        )
+        np.real((
+            tr**3,
+            np.vdot(r_b, r_b) * tr,
+            np.vdot(r_b, r_b @ r_b),
+            np.vdot(r_a, r_a) * tr,
+            np.einsum("ij,kl,jlik->", r_a, r_b, t),
+            np.trace(m2) * tr,
+            np.vdot(np.trace(t2, axis1=0, axis2=2), r_b),
+            np.vdot(r_a, r_a @ r_a),
+            np.vdot(np.trace(t2, axis1=1, axis2=3), r_a),
+            np.vdot(m, m2),
+            np.vdot(pt, pt @ pt),
+        ))
     )
 
 
 # ---------------------------------------------------------------------------
-# the forward matrix and its inverse, both orders
+# the forward matrix and its inverse, every order
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -196,11 +198,11 @@ def _pooling(order: int, n_parties: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _invariants(order: int, n_parties: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, slots): the invariant of each tuple of per-party permutations, in
+def _invariants(order: int, n_parties: int) -> np.ndarray:
+    """The invariant of each tuple of per-party permutations, in
     ``itertools.product`` order over ``permutations_of_order`` with party 0
-    slowest, and the measurable column of each invariant, both numbered as in
-    the module docstring.  Orbits are keyed by their least member.
+    slowest, numbered as in the module docstring.  Orbits are keyed by their
+    least member.
     """
     group = permutations_of_order(order)
     index = {p.images: i for i, p in enumerate(group)}
@@ -218,58 +220,43 @@ def _invariants(order: int, n_parties: int) -> tuple[np.ndarray, np.ndarray]:
         k,
     ))
     rank = {k: i for i, k in enumerate(orbits)}
-    # inverting one party commutes with conjugation, so for each conjugation
-    # the least member takes the smaller of each party's pair {tau, tau^-1}
-    columns: dict[tuple, int] = {}
-    slots = [
-        columns.setdefault(min(tuple(min(c[t], c[inv[t]]) for t in k) for c in conj),
-                           len(columns))
-        for k in orbits
-    ]
-    ids, slots = np.array([rank[k] for k in keys]), np.array(slots)
-    for a in (ids, slots):
-        a.setflags(write=False)
-    return ids, slots
-
-
-def _pattern_rows(order: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Forward rows of every tuple of exact per-party patterns, on the
-    measurable columns of :func:`_invariants`.
-
-    Rows index the pattern tuples in ``itertools.product`` order, party 0
-    slowest; the wiring-tuple columns of the Kronecker product are summed into
-    their measurable column.  At order 2 that map is the identity.
-    """
-    rows = np.ones((1, 1))
-    for d in dims:
-        rows = np.kron(rows, s_matrix(order) @ w_matrix(order, d))
-    ids, slots = _invariants(order, len(dims))
-    cols = slots[ids]
-    by_col = np.argsort(cols, kind="stable")
-    starts = np.searchsorted(cols[by_col], np.arange(slots.max() + 1))
-    return np.add.reduceat(rows[:, by_col], starts, axis=1)
+    ids = np.array([rank[k] for k in keys])
+    ids.setflags(write=False)
+    return ids
 
 
 @lru_cache(maxsize=None)
 def forward_matrix(order: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Square map y = M x from invariants to the per-class averages.
+    """A: y = A x from the invariants of :func:`_invariants` to the per-class
+    averages, one row per y component.
 
-    Row c is the Weingarten expectation of component c: the row of the first
-    exact-pattern tuple that ``_pooling`` puts into c.  Every tuple of a
-    component has the same row, which the tests check.  Raises
+    Row c is the Weingarten expectation of component c at the first
+    exact-pattern tuple that ``_pooling`` puts into c: the Kronecker product
+    over parties of that pattern's row of ``s_matrix @ w_matrix``, whose
+    entries (tuples of permutations) are summed per invariant.  Every tuple of
+    a component has the same row, which the tests check.  Raises
     SingularDimensionError where a party's Weingarten matrix does not exist
-    (order 3 with a qubit).
+    (a party with fewer outcomes than the order, such as order 3 on a qubit).
     """
     if order == 3 and len(dims) != 2:
         raise ValueError("order-3 invariants are defined for bipartite states")
-    m = _pattern_rows(order, dims)[_pooling(order, len(dims)).argmax(axis=0)]
-    m.setflags(write=False)
-    return m
+    sw = s_matrix(order)
+    first = _pooling(order, len(dims)).argmax(axis=0)
+    rows = np.ones((len(first), 1))
+    for pattern, d in zip(np.unravel_index(first, (len(sw),) * len(dims)), dims):
+        factor = (sw @ w_matrix(order, d))[pattern]
+        rows = (rows[:, :, None] * factor[:, None, :]).reshape(len(first), -1)
+    ids = _invariants(order, len(dims))
+    a = np.array([np.bincount(ids, row, ids.max() + 1) for row in rows])
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=None)
 def _inverse(order: int, dims: tuple[int, ...]) -> np.ndarray:
-    m = np.linalg.inv(forward_matrix(order, dims))
+    # (A A^T)^-1 A, so that x = y @ it is A^T (A A^T)^-1 y
+    a = forward_matrix(order, dims)
+    m = np.linalg.solve(a @ a.T, a)
     m.setflags(write=False)
     return m
 
@@ -277,19 +264,19 @@ def _inverse(order: int, dims: tuple[int, ...]) -> np.ndarray:
 def invert(order: int, dims: Sequence[int], y) -> np.ndarray:
     """Invariants from one y vector or a (k, n_components) batch of them.
 
-    Each invariant of :func:`_invariants` reads its measurable column: the 2^N
-    purities at order 2, and x0..x8 with x_S in both the x9 and x10 slots at
-    order 3.  Raises if the result does not reproduce y within
-    ``RESIDUAL_TOL``, or if y is not finite.
+    Returns the minimum-norm solution of A x = y, one value per invariant of
+    :func:`_invariants`: the 2^N purities at order 2, and x0..x8 with x_S in
+    both the x9 and x10 slots at order 3.  Raises if the result does not
+    reproduce y within ``RESIDUAL_TOL``, or if y is not finite.
     """
     dims = tuple(dims)
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ReconstructionError("cannot invert a non-finite y")
-    x = y @ _inverse(order, dims).T
+    x = y @ _inverse(order, dims)
     residual = np.max(np.abs(x @ forward_matrix(order, dims).T - y))
     if residual > RESIDUAL_TOL:
         raise ReconstructionError(
             f"inversion residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
-    return np.take(x, _invariants(order, len(dims))[1], axis=-1)
+    return x

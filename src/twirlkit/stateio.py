@@ -30,8 +30,14 @@ def _parse_payload(payload) -> DensityMatrix:
     if not isinstance(dims_raw, list) or not all(isinstance(d, int) for d in dims_raw):
         raise StateFileError("dims must be an array of integers")
     dims = DimsProfile(dims_raw)
-    arr = np.asarray(payload["matrix"], dtype=float)
-    if arr.ndim != 3 or arr.shape != (dims.total, dims.total, 2):
+    try:
+        arr = np.array(payload["matrix"])
+    except ValueError as exc:  # numpy refuses ragged nesting
+        raise StateFileError("matrix is not a regular array of [re, im] pairs") from exc
+    # strings and nulls leave numpy a non-numeric dtype
+    if arr.dtype.kind not in "iuf":
+        raise StateFileError("matrix entries must be numbers")
+    if arr.shape != (dims.total, dims.total, 2):
         raise StateFileError(
             f"matrix must have shape ({dims.total}, {dims.total}, 2) of [re, im]"
             f" pairs, got {arr.shape}"

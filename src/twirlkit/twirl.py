@@ -52,6 +52,9 @@ from .weingarten import _partitions
 DRAW_BLOCK = 512
 # bytes allowed for the two (rows, r D / d, d) complex arrays of one Born slice
 BORN_SLICE_BYTES = 8 * 2**20
+# the most worker threads a run may ask for: every block is submitted at once,
+# so min(workers, blocks) threads start, each holding one block's arrays
+MAX_WORKERS = 64
 
 
 class EstimationError(ArithmeticError):
@@ -83,8 +86,8 @@ class EstimatorConfig:
             raise ValueError("shots must be >= 0")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
 
 
 @dataclass(frozen=True)

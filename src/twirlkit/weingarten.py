@@ -1,13 +1,15 @@
-"""Permutations of S2/S3, Gram and Weingarten matrices, and the one-einsum
+"""Permutations of S_n, Gram and Weingarten matrices, and the one-einsum
 diagram oracle.
 
 The fixed permutation order for all S3-indexed matrices is
 ``{e, (12), (23), (13), (312), (231)}`` where the cycles are written in
-one-line notation on {1,2,3} (0-based internally).
+one-line notation on {1,2,3} (0-based internally).  Every other S_n is in
+lexicographic order of its images, identity first: ``{e, (12)}`` for S2.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +70,6 @@ class Permutation:
         return out
 
 
-IDENTITY_1 = Permutation((0,))
 S2 = (Permutation((0, 1)), Permutation((1, 0)))
 # {e, (12), (23), (13), (312), (231)}; (312) maps 1->3, 2->1, 3->2.
 S3 = (
@@ -89,13 +90,12 @@ def gram(sigma: Permutation, tau: Permutation, d: int) -> float:
 
 
 def permutations_of_order(n: int) -> tuple[Permutation, ...]:
-    if n == 1:
-        return (IDENTITY_1,)
-    if n == 2:
-        return S2
+    """S_n in the fixed order of the module docstring."""
+    if n < 1:
+        raise ValueError(f"unsupported order n={n}")
     if n == 3:
         return S3
-    raise ValueError(f"unsupported order n={n}")
+    return tuple(map(Permutation, itertools.permutations(range(n))))
 
 
 @lru_cache(maxsize=None)

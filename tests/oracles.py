@@ -25,6 +25,10 @@ unitaries, an independent check of the per-party route.
 Tr rho_P^2, which ``twirlkit.checks.x2_oracle`` reads off an operator-basis
 expansion, as a direct sum; both loop over every index tuple.
 
+``pattern_rows`` is the forward row of every tuple of exact per-party
+patterns, the full Kronecker product of the per-party rows, against which the
+one-row-per-component ``twirlkit.reconstruct.forward_matrix`` is checked.
+
 ``per_unitary_samples`` rebuilds the estimator's per-unitary class averages
 one unitary at a time, so two-pass statistics on them check the streamed
 moment merge.
@@ -38,7 +42,14 @@ from fractions import Fraction
 import numpy as np
 
 from twirlkit.haar import RngStream, sample_haar_batch
-from twirlkit.reconstruct import _in_mask, exact_x2, exact_x3, forward_matrix, subset_mask
+from twirlkit.reconstruct import (
+    _in_mask,
+    _invariants,
+    exact_x2,
+    exact_x3,
+    forward_matrix,
+    subset_mask,
+)
 from twirlkit.states import DensityMatrix
 from twirlkit.twirl import (
     DRAW_BLOCK,
@@ -47,7 +58,7 @@ from twirlkit.twirl import (
     _class_sums,
     _eigen_factor,
 )
-from twirlkit.weingarten import Permutation, SingularDimensionError
+from twirlkit.weingarten import Permutation, SingularDimensionError, s_matrix, w_matrix
 
 
 def cycle_type(p: Permutation) -> tuple[int, ...]:
@@ -113,8 +124,20 @@ def measurable_x(rho: DensityMatrix, order: int) -> np.ndarray:
 
 def exact_y(rho: DensityMatrix, order: int) -> np.ndarray:
     """The exact per-class averages: the forward matrix on the invariants."""
-    x = measurable_x(rho, order)
-    return forward_matrix(order, rho.dims.dims) @ (x if order == 2 else x[:10])
+    x = exact_x2(rho).purities if order == 2 else np.array(exact_x3(rho).values)
+    return forward_matrix(order, rho.dims.dims) @ x
+
+
+def pattern_rows(order: int, dims) -> np.ndarray:
+    """(P^N, n_invariants) forward rows of every tuple of exact per-party
+    patterns, in ``itertools.product`` order with party 0 slowest: the
+    Kronecker product over parties of ``s_matrix @ w_matrix``, its columns
+    (tuples of permutations) summed per invariant by a one-hot matmul."""
+    rows = np.ones((1, 1))
+    for d in dims:
+        rows = np.kron(rows, s_matrix(order) @ w_matrix(order, d))
+    ids = _invariants(order, len(dims))
+    return rows @ np.eye(ids.max() + 1)[ids]
 
 
 def diagram_contract_loops(

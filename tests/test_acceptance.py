@@ -73,9 +73,8 @@ def test_acceptance_2_oracle_equivalence_and_round_trip():
         worst_oracle = max(
             worst_oracle, float(np.max(np.abs(sums / counts - np.array(x.values))))
         )
-        target = measurable_x(rho, 3)
-        xr = invert(3, dims, forward_matrix(3, dims) @ target[:10])
-        worst_rt = max(worst_rt, float(np.max(np.abs(xr - target))))
+        xr = invert(3, dims, forward_matrix(3, dims) @ np.array(x.values))
+        worst_rt = max(worst_rt, float(np.max(np.abs(xr - measurable_x(rho, 3)))))
     ok = worst_oracle < 1e-10 and worst_rt < 1e-9
     _report(2, "oracle equivalence", ok,
             f"20 states: oracle residual {worst_oracle:.3e}, round trip {worst_rt:.3e}")

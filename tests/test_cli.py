@@ -10,11 +10,12 @@ import pytest
 
 from oracles import per_unitary_samples
 import twirlkit
+from twirlkit import twirl
 from twirlkit.cli import main
 from twirlkit.reconstruct import forward_matrix, invert
 from twirlkit.stateio import save_state
 from twirlkit.states import DensityMatrix, DimsProfile, random_density, werner_state
-from twirlkit.twirl import EstimatorConfig
+from twirlkit.twirl import MAX_WORKERS, EstimatorConfig
 
 
 def run(argv, capsys):
@@ -121,6 +122,35 @@ def test_bad_state_file_exit_code(argv, tmp_path, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "invalid state" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_malformed_matrix_is_a_one_line_state_error_in_a_fresh_process(tmp_path):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}))
+    src = os.path.dirname(os.path.dirname(twirlkit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "twirlkit.cli", "invariants", "--state", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("invalid state input: ")
+    assert len(done.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_workers_above_the_cap_are_a_usage_error_before_any_thread(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(twirl, "ThreadPoolExecutor", no_pool)
+    assert EstimatorConfig(n_unitaries=1, workers=MAX_WORKERS).workers == MAX_WORKERS
+    with pytest.raises(ValueError, match=f"between 1 and {MAX_WORKERS}"):
+        EstimatorConfig(n_unitaries=1, workers=MAX_WORKERS + 1)
+    code, out, err = run(WERNER3 + ["--unitaries", "2048", "--workers", str(MAX_WORKERS + 1)],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error") and "workers" in err
     assert len(err.strip().splitlines()) == 1
 
 

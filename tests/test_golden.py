@@ -1,10 +1,11 @@
-"""Seeded `estimate` outputs pinned to values recorded before a refactor.
+"""Seeded `estimate` and `invariants` outputs pinned to values recorded
+before a refactor.
 
 Each CSV under ``tests/golden`` is the output of the command beside it.  A
 change that keeps the seeded unitary stream must reproduce every number to
 1e-12 relative.  Standard errors below 1e-9 belong to invariants that are
 constant on every unitary (such as x0 = 1); they are rounding noise, so they
-are held to 1e-10 absolute instead.
+are held to 1e-10 absolute instead, as is every oracle residual.
 """
 
 import csv
@@ -30,6 +31,13 @@ CASES = {
                            "--order", "2", "--unitaries", "600", "--shots", "10", "--seed", "16"],
 }
 
+INVARIANT_CASES = {
+    "invariants_o3_random34": ["--builtin", "random", "--dims", "3,4",
+                               "--params", "rank=4,seed=17", "--order", "3"],
+    "invariants_o2_random223": ["--builtin", "random", "--dims", "2,2,3",
+                                "--params", "rank=3,seed=18", "--order", "2"],
+}
+
 
 def _rows(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text)))
@@ -52,3 +60,18 @@ def test_seeded_estimate_matches_its_golden_values(name, capsys):
             rtol = 0.0 if atol else 1e-12
             np.testing.assert_allclose(float(g[col]), float(w[col]), rtol=rtol, atol=atol,
                                        err_msg=f"{w[1]} column {w[0]}:{col}")
+
+
+@pytest.mark.parametrize("name", list(INVARIANT_CASES))
+def test_exact_invariants_match_their_golden_values(name, capsys):
+    assert main(["invariants", *INVARIANT_CASES[name]]) == 0
+    got = _rows(capsys.readouterr().out)
+    with open(os.path.join(GOLDEN, f"{name}.csv")) as fh:
+        want = _rows(fh.read())
+    assert got[0] == want[0] == ["name", "exact", "oracle", "residual"]
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_allclose([float(v) for v in g[1:3]], [float(v) for v in w[1:3]],
+                                   rtol=1e-12, atol=0.0, err_msg=w[0])
+        np.testing.assert_allclose(float(g[3]), float(w[3]), rtol=0.0, atol=1e-10,
+                                   err_msg=w[0])

@@ -11,6 +11,7 @@ from oracles import (
     invert_3_closed_form,
     measurable_x,
     pair_class_counts,
+    pattern_rows,
     purity_marginal_hamming,
 )
 from twirlkit.haar import RngStream, sample_haar_batch
@@ -18,7 +19,6 @@ from twirlkit.reconstruct import (
     ReconstructionError,
     XVector3,
     _invariants,
-    _pattern_rows,
     _pooling,
     exact_x2,
     exact_x3,
@@ -37,7 +37,13 @@ from twirlkit.states import (
     trace_power,
     werner_state,
 )
-from twirlkit.weingarten import S3, SingularDimensionError, diagram_contract
+from twirlkit.twirl import EstimatorConfig, estimate_y
+from twirlkit.weingarten import (
+    S3,
+    SingularDimensionError,
+    diagram_contract,
+    permutations_of_order,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +192,8 @@ def test_delta_recovers_x4_minus_x5():
 
 def test_forward_model_is_invertible_for_d_at_least_3():
     for dims in [(3, 3), (3, 6), (5, 5)]:
-        # ten components on x0..x8 and x_S: the square system is full rank
+        # ten components on eleven invariants: full row rank, so every y has
+        # an exact preimage
         assert np.linalg.matrix_rank(forward_matrix(3, dims)) == 10
 
 
@@ -198,13 +205,13 @@ def test_order3_rejects_qubit_dimensions():
 
 
 def test_noisy_y_still_inverts_consistently():
-    # the reduced system is a bijection, so noisy data maps to an exact
-    # preimage: forward(invert(y)) reproduces y to machine precision
+    # A has full row rank, so noisy data maps to an exact preimage:
+    # forward(invert(y)) reproduces y to machine precision
     rho = random_density((3, 3), rank=2, seed=4)
     y = exact_y(rho, 3)
     y += 1e-3 * np.random.default_rng(0).normal(size=10) * np.abs(y)
     x = invert(3, (3, 3), y)
-    back = forward_matrix(3, (3, 3)) @ x[:10]
+    back = forward_matrix(3, (3, 3)) @ x
     assert np.max(np.abs(back - y)) < 1e-12
 
 
@@ -283,8 +290,7 @@ def test_forward_of_invert_is_identity_and_batches_row_for_row(order_dims, k, se
     m = forward_matrix(order, dims)
     ys = np.random.default_rng(seed).normal(size=(k, m.shape[0])) * np.abs(m).max()
     xs = invert(order, dims, ys)
-    x10 = xs if order == 2 else xs[:, :10]  # x9 and x10 slots both hold x_S
-    assert np.allclose(x10 @ m.T, ys, rtol=1e-12, atol=1e-12 * np.abs(ys).max())
+    assert np.allclose(xs @ m.T, ys, rtol=1e-12, atol=1e-12 * np.abs(ys).max())
     for y, x in zip(ys, xs):
         assert np.max(np.abs(invert(order, dims, y) - x)) <= 1e-13 * np.abs(xs).max()
 
@@ -293,46 +299,103 @@ def test_forward_of_invert_is_identity_and_batches_row_for_row(order_dims, k, se
     "order, dims", [(2, (2, 2)), (2, (3, 4)), (2, (2, 2, 3)), (3, (3, 3)), (3, (3, 4)), (3, (5, 5))]
 )
 def test_pooled_pattern_rows_agree_within_each_component(order, dims):
-    rows = _pattern_rows(order, dims)
+    rows = pattern_rows(order, dims)
     pool = _pooling(order, len(dims))
+    m = forward_matrix(order, dims)
     for comp in range(pool.shape[1]):
         members = rows[pool[:, comp] == 1]
         assert len(members) >= 1
-        assert np.max(np.abs(members - members[0])) <= 1e-12 * np.abs(rows).max()
+        assert np.max(np.abs(members - m[comp])) <= 1e-12 * np.abs(rows).max()
 
 
 def test_bipartite_invariant_numbering_equals_the_hand_table():
-    ids, slots = _invariants(3, 2)
+    ids = _invariants(3, 2)
     assert ids.reshape(6, 6).tolist() == [list(row) for row in INVARIANT_ID]
-    # x9 = Tr rho^3 and x10 = Tr (rho^Gamma)^3 share the measurable column x_S
-    assert slots.tolist() == list(range(10)) + [9]
+    # x9 = Tr rho^3 and x10 = Tr (rho^Gamma)^3 have equal columns, and the rank
+    # is 10, so e9 - e10 spans the null space and invert puts x_S in both
+    m = forward_matrix(3, (3, 4))
+    assert np.array_equal(m[:, 9], m[:, 10])
+    assert np.linalg.matrix_rank(m) == 10
+    x = invert(3, (3, 4), np.random.default_rng(1).normal(size=10))
+    assert x[9] == pytest.approx(x[10], rel=1e-13)
 
 
 @pytest.mark.parametrize("n_parties", [1, 2, 3, 4, 5])
 def test_order2_invariant_numbering_is_the_subset_bitmask(n_parties):
-    ids, slots = _invariants(2, n_parties)
-    assert ids.tolist() == list(range(2**n_parties))
-    assert slots.tolist() == list(range(2**n_parties))
+    assert _invariants(2, n_parties).tolist() == list(range(2**n_parties))
+    # every purity is measurable on its own: A is square and full rank
+    m = forward_matrix(2, (2,) * n_parties)
+    assert m.shape == (2**n_parties, 2**n_parties)
+    assert np.linalg.matrix_rank(m) == 2**n_parties
 
 
-@pytest.mark.parametrize("n_parties, n_ids, n_columns", [(3, 49, 37), (4, 251, 150)])
-def test_multipartite_order3_invariant_and_column_counts(n_parties, n_ids, n_columns):
-    ids, slots = _invariants(3, n_parties)
-    assert (ids.max() + 1, slots.max() + 1) == (n_ids, n_columns)
+@pytest.mark.parametrize("n_parties, n_ids, rank", [(3, 49, 37), (4, 251, 150)])
+def test_multipartite_order3_invariant_and_column_counts(n_parties, n_ids, rank):
+    ids = _invariants(3, n_parties)
     assert sorted(set(ids.tolist())) == list(range(n_ids))
-    assert n_columns == _pooling(3, n_parties).shape[1]
+    # as many measurable combinations of the invariants as there are y components
+    pool = _pooling(3, n_parties)
+    rows = pattern_rows(3, (3,) * n_parties)[pool.argmax(axis=0)]
+    assert np.linalg.matrix_rank(rows) == rank == pool.shape[1]
 
 
 @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 5)])
-def test_three_party_order3_forward_rows_are_square_full_rank_and_pooled(dims):
-    rows = _pattern_rows(3, dims)
+def test_three_party_order3_forward_rows_have_full_row_rank_and_are_pooled(dims):
+    rows = pattern_rows(3, dims)
     pool = _pooling(3, len(dims))
     rep = rows[pool.argmax(axis=0)]
-    assert rep.shape == (37, 37)
+    assert rep.shape == (37, 49)
     assert np.linalg.matrix_rank(rep) == 37
     for comp in range(pool.shape[1]):
         members = rows[pool[:, comp] == 1]
         assert np.max(np.abs(members - members[0])) <= 1e-12 * np.abs(rows).max()
+
+
+# ---------------------------------------------------------------------------
+# order 4, a library route
+# ---------------------------------------------------------------------------
+
+def test_order4_bipartite_forward_matrix_has_full_row_rank():
+    m = forward_matrix(4, (4, 4))
+    assert m.shape == (33, 43)
+    assert np.linalg.matrix_rank(m) == 33
+    rows = pattern_rows(4, (4, 4))
+    pool = _pooling(4, 2)
+    for comp in range(pool.shape[1]):
+        members = rows[pool[:, comp] == 1]
+        assert np.max(np.abs(members - m[comp])) <= 1e-12 * np.abs(rows).max()
+
+
+@pytest.mark.parametrize("p", [0.3, 0.9])
+def test_order4_werner_class_averages_match_the_diagram_contractions(p):
+    # x from one contraction per wiring pair, averaged per invariant; every
+    # wiring of an invariant is the same contraction with the copies relabelled
+    rho = werner_state(4, p)
+    perms = permutations_of_order(4)
+    wired = np.array([diagram_contract(rho, ta, tb) for ta in perms for tb in perms])
+    ids = _invariants(4, 2)
+    x = np.bincount(ids, wired) / np.bincount(ids)
+    assert np.allclose(wired, x[ids], rtol=1e-12, atol=1e-15)
+    m = forward_matrix(4, (4, 4))
+    est = estimate_y(rho, EstimatorConfig(n_unitaries=4096), 4)
+    sigma = np.sqrt(np.diag(m @ est.covariance @ m.T))
+    z = (m @ est.values - m @ x) / sigma
+    assert np.max(np.abs(z)) < 5
+
+
+def test_order4_three_party_forward_matrix_builds_in_bounded_memory():
+    # the full Kronecker product would be 3375 x 13824 float64, 373 MB
+    for f in (forward_matrix, _invariants, _pooling):
+        f.cache_clear()
+    tracemalloc.start()
+    try:
+        m = forward_matrix(4, (4, 4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    assert m.shape == (285, 681)
+    assert np.linalg.matrix_rank(m) == 285
 
 
 def _random_local_unitary(dims, seed):

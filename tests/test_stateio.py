@@ -44,10 +44,18 @@ def test_non_integer_dims(tmp_path):
 
 def test_shape_mismatch(tmp_path):
     path = tmp_path / "bad.json"
-    payload = {"dims": [2], "matrix": [[[1.0, 0.0]]]}
-    path.write_text(json.dumps(payload))
-    with pytest.raises(StateFileError):
-        load_state(path)
+    for matrix in [
+        [[[1.0, 0.0]]],
+        [[[1, 0], [0, 0]], [[0, 0]]],  # ragged rows
+        [[[1, 0], [0, 0]], [[0, 0], [0]]],  # an entry that is not a pair
+        [[[1, 0], [0, 0]], [[0, 0], 1]],  # a number where a pair belongs
+        [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]],  # triples
+        [[["x", 0], [0, 0]], [[0, 0], [0, 0]]],  # not a number
+        [[[None, 0], [0, 0]], [[0, 0], [1, 0]]],
+    ]:
+        path.write_text(json.dumps({"dims": [2], "matrix": matrix}))
+        with pytest.raises(StateFileError):
+            load_state(path)
 
 
 def test_state_invariants_still_enforced(tmp_path):

@@ -43,6 +43,13 @@ def test_compose_and_inverse():
     assert p.compose(q).images == tuple(p(q(k)) for k in range(3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+def test_permutations_beyond_s3_are_lexicographic_with_the_documented_s2_and_s3(n):
+    perms = permutations_of_order(n)
+    assert [p.images for p in perms] == list(itertools.permutations(range(n)))
+    assert permutations_of_order(2) == S2 and permutations_of_order(3) == S3
+
+
 @pytest.mark.parametrize(
     "images,ct",
     [((0, 1, 2), (1, 1, 1)), ((1, 0, 2), (2, 1)), ((2, 0, 1), (3,)), ((1, 0), (2,))],
@@ -111,7 +118,9 @@ def test_an_invertible_gram_matrix_takes_no_rank(monkeypatch):
         assert np.allclose(w_matrix(n, d) @ gram_matrix(n, d), np.eye(len(gram_matrix(n, d))))
 
 
-@pytest.mark.parametrize("n,d", [(2, d) for d in range(2, 7)] + [(3, d) for d in range(3, 7)])
+@pytest.mark.parametrize(
+    "n,d", [(2, d) for d in range(2, 7)] + [(3, d) for d in range(3, 7)] + [(4, 4), (4, 6)]
+)
 def test_gram_inverse_identity(n, d):
     # sum_tau Wg(sigma tau^-1, d) d^{#cycles(tau mu^-1)} = delta_{sigma mu}
     perms = permutations_of_order(n)

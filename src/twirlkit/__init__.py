@@ -42,10 +42,8 @@ from .twirl import (
     estimate_y,
 )
 from .weingarten import (
-    Permutation,
     SingularDimensionError,
     diagram_contract,
-    gram,
     gram_matrix,
     s_matrix,
     w_matrix,

@@ -67,7 +67,7 @@ def x2_oracle(rho: DensityMatrix) -> np.ndarray:
 # wiring of one invariant is the same contraction with the copies relabelled,
 # so one wiring per invariant gives all eleven values
 _X3_WIRINGS = tuple(
-    tuple(weingarten.S3[k] for k in divmod(ids.index(c), len(weingarten.S3)))
+    tuple(tuple(weingarten.permutations_of_order(3)[k].tolist()) for k in divmod(ids.index(c), 6))
     for ids in [reconstruct._invariants(3, 2).tolist()] for c in range(max(ids) + 1)
 )
 

@@ -50,7 +50,14 @@ from typing import Sequence
 import numpy as np
 
 from .states import DensityMatrix, DimsProfile
-from .weingarten import _partitions, permutations_of_order, s_matrix, w_matrix
+from .weingarten import (
+    _group_tables,
+    _partitions,
+    _row_index,
+    permutations_of_order,
+    s_matrix,
+    w_matrix,
+)
 
 
 class ReconstructionError(ArithmeticError):
@@ -179,22 +186,39 @@ def exact_x3(rho: DensityMatrix) -> XVector3:
 # the forward matrix and its inverse, every order
 # ---------------------------------------------------------------------------
 
+def _orbits(action: np.ndarray, n_parties: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of tuples of ``n_parties`` points under ``action``, whose row g
+    maps every point p to ``action[g, p]``, applied to every party at once.
+
+    Tuples are numbered in ``itertools.product`` order with party 0 slowest,
+    so a tuple's number is its base-(number of points) code and the least
+    member of an orbit is also its first.  Returns the sorted least members
+    and, per tuple, the position of its orbit among them.
+    """
+    n_moves, n_points = action.shape
+    codes = np.zeros((n_moves, 1), dtype=np.intp)
+    for _ in range(n_parties):
+        codes = (codes[:, :, None] * n_points + action[:, None, :]).reshape(n_moves, -1)
+    keys = codes.min(axis=0)
+    present = np.bincount(keys) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+
+
 @lru_cache(maxsize=None)
 def _pooling(order: int, n_parties: int) -> np.ndarray:
     """(P^N, n_components) 0/1 map from exact-pattern tuples to components,
     in the order of the module docstring; the moment kernel and
-    :func:`forward_matrix` both pool through it.  An orbit is keyed by its
-    least member, each pattern written as first-occurrence positions.
+    :func:`forward_matrix` both pool through it.  A relabelling of the rounds
+    acts on a pattern through its first-occurrence positions.
     """
-    ids: dict[tuple, int] = {}
-    comps = [
-        ids.setdefault(min(
-            tuple(tuple(map(p.index, p)) for p in ([s[r] for r in perm] for s in t))
-            for perm in itertools.permutations(range(order))
-        ), len(ids))
-        for t in itertools.product(_partitions(order), repeat=n_parties)
-    ]
-    return np.eye(len(ids))[comps]
+    parts = np.array(_partitions(order))
+
+    def first(patterns):
+        return (patterns[..., :, None] == patterns[..., None, :]).argmax(-1)
+
+    relabel = _row_index(first(parts), first(parts[:, permutations_of_order(order)]))
+    least, comps = _orbits(relabel.T, n_parties)
+    return np.eye(len(least))[comps]
 
 
 @lru_cache(maxsize=None)
@@ -204,23 +228,16 @@ def _invariants(order: int, n_parties: int) -> np.ndarray:
     slowest, numbered as in the module docstring.  Orbits are keyed by their
     least member.
     """
-    group = permutations_of_order(order)
-    index = {p.images: i for i, p in enumerate(group)}
-    mul = [[index[p.compose(q).images] for q in group] for p in group]
-    inv = [index[p.inverse().images] for p in group]
-    conj = [[mul[mul[s][t]][inv[s]] for t in range(len(group))] for s in range(len(group))]
-    cycles = [len(p.cycles()) for p in group]
-    keys = [
-        min(tuple(c[t] for t in tup) for c in conj)
-        for tup in itertools.product(range(len(group)), repeat=n_parties)
-    ]
-    orbits = sorted(set(keys), key=lambda k: (
-        tuple(-cycles[t] for t in k),
-        tuple(cycles[mul[a][b]] for a, b in itertools.combinations(k, 2)),
-        k,
-    ))
-    rank = {k: i for i, k in enumerate(orbits)}
-    ids = np.array([rank[k] for k in keys])
+    mul, inv, cycles = _group_tables(order)
+    # conjugation by s maps t to s t s^-1
+    least, orbit = _orbits(mul[mul, inv[:, None]], n_parties)
+    digits = np.unravel_index(least, (len(inv),) * n_parties)
+    pairs = [cycles[mul[a, b]] for a, b in itertools.combinations(digits, 2)]
+    # lexsort's last key is its first criterion
+    sort = np.lexsort([least, *pairs[::-1], *(-cycles[d] for d in digits[::-1])])
+    rank = np.empty_like(sort)
+    rank[sort] = np.arange(len(sort))
+    ids = rank[orbit]
     ids.setflags(write=False)
     return ids
 

@@ -2,12 +2,14 @@
 
 Grammar: a UTF-8 JSON object with two keys.
 ``dims`` is an array of integer local dimensions (each >= 2).
-``matrix`` is the row-major density matrix, one ``[re, im]`` pair per entry,
-so its shape is D x D x 2 with D the product of ``dims``.
+``matrix`` is the row-major density matrix, one ``[re, im]`` pair of numbers
+(not booleans) per entry, so its shape is D x D x 2 with D the product of
+``dims``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -42,6 +44,10 @@ def _parse_payload(payload) -> DensityMatrix:
             f"matrix must have shape ({dims.total}, {dims.total}, 2) of [re, im]"
             f" pairs, got {arr.shape}"
         )
+    # numpy reads a boolean among numbers as 0 or 1
+    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(payload["matrix"]))
+    if bool in set(map(type, entries)):
+        raise StateFileError("matrix entries must be numbers, not booleans")
     return make_state(arr[..., 0] + 1j * arr[..., 1], dims)
 
 

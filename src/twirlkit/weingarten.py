@@ -1,16 +1,18 @@
-"""Permutations of S_n, Gram and Weingarten matrices, and the one-einsum
+"""S_n as integer tables, Gram and Weingarten matrices, and the one-einsum
 diagram oracle.
 
-The fixed permutation order for all S3-indexed matrices is
-``{e, (12), (23), (13), (312), (231)}`` where the cycles are written in
-one-line notation on {1,2,3} (0-based internally).  Every other S_n is in
-lexicographic order of its images, identity first: ``{e, (12)}`` for S2.
+A permutation is its index in :func:`permutations_of_order`, a read-only
+(n!, n) array of images; :func:`_group_tables` holds the products, inverses
+and cycle counts of those indices.  The fixed order for all S3-indexed
+matrices is ``{e, (12), (23), (13), (312), (231)}`` where the cycles are
+written in one-line notation on {1,2,3} (0-based internally).  Every other
+S_n is in lexicographic order of its images, identity first: ``{e, (12)}``
+for S2.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,79 +25,48 @@ class SingularDimensionError(ValueError):
     so order 3 on a qubit)."""
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0..n-1}, stored as the tuple of images."""
-
-    images: tuple[int, ...]
-
-    def __init__(self, images):
-        images = tuple(int(i) for i in images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"{images} is not a bijection on 0..{len(images) - 1}")
-        object.__setattr__(self, "images", images)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, k: int) -> int:
-        return self.images[k]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self . other)(k) = self(other(k))."""
-        if self.n != other.n:
-            raise ValueError("order mismatch")
-        return Permutation(tuple(self.images[other.images[k]] for k in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for k, v in enumerate(self.images):
-            inv[v] = k
-        return Permutation(tuple(inv))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = []
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                cyc.append(k)
-                k = self.images[k]
-            out.append(tuple(cyc))
-        return out
-
-
-S2 = (Permutation((0, 1)), Permutation((1, 0)))
-# {e, (12), (23), (13), (312), (231)}; (312) maps 1->3, 2->1, 3->2.
-S3 = (
-    Permutation((0, 1, 2)),
-    Permutation((1, 0, 2)),
-    Permutation((0, 2, 1)),
-    Permutation((2, 1, 0)),
-    Permutation((2, 0, 1)),
-    Permutation((1, 2, 0)),
-)
-
-
-def gram(sigma: Permutation, tau: Permutation, d: int) -> float:
-    """Gram matrix entry d^(#cycles of sigma tau^-1)."""
-    if sigma.n != tau.n:
-        raise ValueError("order mismatch")
-    return float(d ** len(sigma.compose(tau.inverse()).cycles()))
-
-
-def permutations_of_order(n: int) -> tuple[Permutation, ...]:
-    """S_n in the fixed order of the module docstring."""
+@lru_cache(maxsize=None)
+def permutations_of_order(n: int) -> np.ndarray:
+    """Read-only (n!, n) images of S_n, one row per permutation, in the fixed
+    order of the module docstring."""
     if n < 1:
         raise ValueError(f"unsupported order n={n}")
+    perms = np.array(list(itertools.permutations(range(n))))
     if n == 3:
-        return S3
-    return tuple(map(Permutation, itertools.permutations(range(n))))
+        perms = perms[[0, 2, 1, 5, 4, 3]]
+    perms.setflags(write=False)
+    return perms
+
+
+def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index in ``table`` of each row along the last axis of ``rows``.
+
+    The rows of ``table`` are distinct, with entries below its width, so a
+    row is found by its base-width code in a lookup of width^width entries.
+    """
+    weights = table.shape[1] ** np.arange(table.shape[1])
+    lookup = np.zeros(table.shape[1] ** table.shape[1], dtype=np.intp)
+    lookup[table @ weights] = np.arange(len(table))
+    return lookup[rows @ weights]
+
+
+@lru_cache(maxsize=None)
+def _group_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(mul, inv, cycles)`` of S_n over :func:`permutations_of_order`:
+    ``mul[s, t]`` is the index of s t (t first), ``inv[s]`` that of s^-1 and
+    ``cycles[s]`` the number of cycles of s."""
+    perms = permutations_of_order(n)
+    mul = _row_index(perms, perms[:, perms])
+    inv = (mul == 0).argmax(axis=1)  # the identity is index 0
+    # an element leads its cycle when no power of s maps it lower
+    orbit = least = np.broadcast_to(np.arange(n), perms.shape)
+    for _ in range(n - 1):
+        orbit = np.take_along_axis(perms, orbit, axis=1)
+        least = np.minimum(least, orbit)
+    cycles = (least == np.arange(n)).sum(axis=1)
+    for table in (mul, inv, cycles):
+        table.setflags(write=False)
+    return mul, inv, cycles
 
 
 @lru_cache(maxsize=None)
@@ -124,9 +95,10 @@ def w_matrix(n: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def gram_matrix(n: int, d: int) -> np.ndarray:
-    """Read-only matrix of gram(sigma, tau, d) over the fixed permutation order."""
-    perms = permutations_of_order(n)
-    m = np.array([[gram(s, t, d) for t in perms] for s in perms])
+    """Read-only matrix of d^(#cycles of sigma tau^-1) over the fixed
+    permutation order."""
+    mul, inv, cycles = _group_tables(n)
+    m = float(d) ** cycles[mul[:, inv]]
     m.setflags(write=False)
     return m
 
@@ -148,12 +120,8 @@ def s_matrix(n: int) -> np.ndarray:
     Rows follow ``_partitions(n)``; a permutation survives a pattern when it
     maps every round into the round's own block.
     """
-    return np.array(
-        [
-            [float(all(s[k] == s[p(k)] for k in range(n))) for p in permutations_of_order(n)]
-            for s in _partitions(n)
-        ]
-    )
+    parts = np.array(_partitions(n))
+    return (parts[:, None, :] == parts[:, permutations_of_order(n)]).all(axis=2).astype(float)
 
 
 def _wiring_operands(images_a: tuple[int, ...], images_b: tuple[int, ...], t) -> list:
@@ -170,15 +138,20 @@ def _wiring_path(
     images_a: tuple[int, ...], images_b: tuple[int, ...], dims: tuple[int, ...]
 ) -> tuple:
     """The einsum path ``optimize=True`` picks for one wiring, planned once
-    per shape from a zero-stride stand-in for the state."""
+    per shape from a zero-stride stand-in for the state.  Raises ValueError
+    unless both sides are permutations of one order, so a wiring is checked
+    once."""
+    for images in (images_a, images_b):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"{images} is not a bijection on 0..{len(images) - 1}")
+    if len(images_a) != len(images_b):
+        raise ValueError("permutation order mismatch")
     stand_in = np.broadcast_to(np.complex128(0), dims * 2)
     path = np.einsum_path(*_wiring_operands(images_a, images_b, stand_in), [], optimize=True)[0]
     return tuple(path)
 
 
-def diagram_contract(
-    rho: DensityMatrix, tau_a: Permutation, tau_b: Permutation
-) -> float:
+def diagram_contract(rho: DensityMatrix, tau_a, tau_b) -> float:
     """Contract n copies of a bipartite rho along the (tau_A, tau_B) wiring.
 
     Row index p_k of copy k is tied to column index q_{tau(k)} on each side:
@@ -186,15 +159,13 @@ def diagram_contract(
     (tau_A(k), n + tau_B(k)) and column labels (k, n + k), and one einsum
     contracts all n copies.  It shares no code with the partial-trace route
     of ``reconstruct.exact_x3``, so it is the independent oracle that route
-    is checked against.
+    is checked against.  Each wiring is a sequence of images.
     """
-    if tau_a.n != tau_b.n:
-        raise ValueError("permutation order mismatch")
     if rho.dims.n_parties != 2:
         raise ValueError("diagram contraction is defined for bipartite states")
-    t = rho.entries.reshape(rho.dims.dims * 2)
-    operands = _wiring_operands(tau_a.images, tau_b.images, t)
-    path = _wiring_path(tau_a.images, tau_b.images, rho.dims.dims)
+    tau_a, tau_b = tuple(map(int, tau_a)), tuple(map(int, tau_b))
+    path = _wiring_path(tau_a, tau_b, rho.dims.dims)
+    operands = _wiring_operands(tau_a, tau_b, rho.entries.reshape(rho.dims.dims * 2))
     total = complex(np.einsum(*operands, [], optimize=path))
     if abs(total.imag) > 1e-12:
         raise ArithmeticError(f"contraction has nonzero imaginary part {total.imag:.3e}")

@@ -11,7 +11,14 @@ two is evidence for both.
 
 ``INVARIANT_ID`` is the hand table of which bipartite order-3 invariant each
 (tau_A, tau_B) wiring contracts to, against which the orbit numbering of
-``twirlkit.reconstruct._invariants`` is checked.
+``twirlkit.reconstruct._invariants`` is checked.  ``invariants_loops`` and
+``pooling_loops`` number the invariant and y-component orbits by loops over
+tuples, against which the array numberings of ``_invariants`` and
+``_pooling`` are checked at every order and party count.
+
+``compose``, ``inverse``, ``cycle_type`` and ``gram_entry`` work on image
+tuples by loops, independent of the integer group tables of
+``twirlkit.weingarten``.
 
 ``haar_from_ginibre`` is the phase-fixed QR of a Ginibre batch, one LAPACK
 factorisation per matrix, against which the batch Gram-Schmidt of
@@ -58,16 +65,49 @@ from twirlkit.twirl import (
     _class_sums,
     _eigen_factor,
 )
-from twirlkit.weingarten import Permutation, SingularDimensionError, s_matrix, w_matrix
+from twirlkit.weingarten import (
+    SingularDimensionError,
+    _partitions,
+    permutations_of_order,
+    s_matrix,
+    w_matrix,
+)
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    """Partition of n, sorted in decreasing order."""
-    return tuple(sorted((len(c) for c in p.cycles()), reverse=True))
+def compose(p, q) -> tuple[int, ...]:
+    """The images of p after q: (p q)(k) = p(q(k))."""
+    return tuple(p[q[k]] for k in range(len(q)))
+
+
+def inverse(p) -> tuple[int, ...]:
+    return tuple(list(p).index(k) for k in range(len(p)))
+
+
+def cycle_type(p) -> tuple[int, ...]:
+    """Partition of n, sorted in decreasing order, of the permutation with
+    images p."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        length, k = 0, start
+        while not seen[k]:
+            seen[k] = True
+            length += 1
+            k = p[k]
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def gram_entry(sigma, tau, d: int) -> float:
+    """Gram matrix entry d^(#cycles of sigma tau^-1), from the images."""
+    return float(d ** len(cycle_type(compose(sigma, inverse(tau)))))
 
 
 def _normalize_cycle_type(ct, n: int | None) -> tuple[int, ...]:
-    if isinstance(ct, Permutation):
+    # every part of a cycle type is positive, and the images of a
+    # permutation contain 0
+    if 0 in ct:
         ct = cycle_type(ct)
     else:
         ct = tuple(sorted((int(c) for c in ct), reverse=True))
@@ -77,7 +117,8 @@ def _normalize_cycle_type(ct, n: int | None) -> tuple[int, ...]:
 
 
 def wg(ct, d: int, n: int | None = None) -> float:
-    """Weingarten value for a conjugacy class of S_n at dimension d (n <= 3).
+    """Weingarten value for a conjugacy class of S_n at dimension d (n <= 3),
+    given as a cycle type or as the images of one member.
 
     Computed from the closed forms; exact rationals evaluated in floats.
     """
@@ -114,6 +155,44 @@ INVARIANT_ID = (
 )
 
 
+def invariants_loops(order: int, n_parties: int) -> np.ndarray:
+    """``reconstruct._invariants`` by pure-Python loops over tuples: the
+    group tables from composing image tuples, one conjugate tuple per group
+    element, orbits keyed by their least member and sorted as documented."""
+    group = [tuple(p) for p in permutations_of_order(order).tolist()]
+    index = {p: i for i, p in enumerate(group)}
+    mul = [[index[compose(p, q)] for q in group] for p in group]
+    inv = [index[inverse(p)] for p in group]
+    conj = [[mul[mul[s][t]][inv[s]] for t in range(len(group))] for s in range(len(group))]
+    cycles = [len(cycle_type(p)) for p in group]
+    keys = [
+        min(tuple(c[t] for t in tup) for c in conj)
+        for tup in itertools.product(range(len(group)), repeat=n_parties)
+    ]
+    orbits = sorted(set(keys), key=lambda k: (
+        tuple(-cycles[t] for t in k),
+        tuple(cycles[mul[a][b]] for a, b in itertools.combinations(k, 2)),
+        k,
+    ))
+    rank = {k: i for i, k in enumerate(orbits)}
+    return np.array([rank[k] for k in keys])
+
+
+def pooling_loops(order: int, n_parties: int) -> np.ndarray:
+    """``reconstruct._pooling`` by pure-Python loops over tuples: each
+    pattern tuple keyed by the least of its relabellings, each pattern
+    written as first-occurrence positions, numbered by first appearance."""
+    ids: dict[tuple, int] = {}
+    comps = [
+        ids.setdefault(min(
+            tuple(tuple(map(p.index, p)) for p in ([s[r] for r in perm] for s in t))
+            for perm in itertools.permutations(range(order))
+        ), len(ids))
+        for t in itertools.product(_partitions(order), repeat=n_parties)
+    ]
+    return np.eye(len(ids))[comps]
+
+
 def measurable_x(rho: DensityMatrix, order: int) -> np.ndarray:
     """The exact invariants in the layout ``invert`` returns: the 2^N
     purities, or x0..x8 with x_S in both the x9 and x10 slots."""
@@ -140,19 +219,18 @@ def pattern_rows(order: int, dims) -> np.ndarray:
     return rows @ np.eye(ids.max() + 1)[ids]
 
 
-def diagram_contract_loops(
-    rho: DensityMatrix, tau_a: Permutation, tau_b: Permutation
-) -> float:
-    """Contract n copies of a bipartite rho along the (tau_A, tau_B) wiring.
+def diagram_contract_loops(rho: DensityMatrix, tau_a, tau_b) -> float:
+    """Contract n copies of a bipartite rho along the (tau_A, tau_B) wiring,
+    each given by its images.
 
     Row index p_k of copy k is tied to column index q_{tau(k)} on each side,
     by explicit loops over all column-index tuples.
     """
-    if tau_a.n != tau_b.n:
+    if len(tau_a) != len(tau_b):
         raise ValueError("permutation order mismatch")
     if rho.dims.n_parties != 2:
         raise ValueError("diagram contraction is defined for bipartite states")
-    n = tau_a.n
+    n = len(tau_a)
     d_a, d_b = rho.dims.dims
     m = rho.entries
     total = 0.0 + 0.0j
@@ -160,7 +238,7 @@ def diagram_contract_loops(
         for qb in itertools.product(range(d_b), repeat=n):
             term = 1.0 + 0.0j
             for k in range(n):
-                row = qa[tau_a(k)] * d_b + qb[tau_b(k)]
+                row = qa[tau_a[k]] * d_b + qb[tau_b[k]]
                 col = qa[k] * d_b + qb[k]
                 term *= m[row, col]
             total += term

@@ -57,7 +57,7 @@ def test_purity_oracle_agrees_with_exact_x2_in_bounded_memory_at_ten_qubits():
 
 @pytest.mark.parametrize("dims", [(3, 3), (3, 4), (4, 4)])
 def test_every_wiring_contracts_to_its_class_representative(dims):
-    s3 = weingarten.S3
+    s3 = [tuple(p) for p in weingarten.permutations_of_order(3).tolist()]
     ids = [INVARIANT_ID[s3.index(ta)][s3.index(tb)] for ta, tb in _X3_WIRINGS]
     assert ids == list(range(11))
     rho = random_density(dims, rank=3, seed=17)

@@ -126,17 +126,21 @@ def test_bad_state_file_exit_code(argv, tmp_path, capsys):
 
 
 def test_malformed_matrix_is_a_one_line_state_error_in_a_fresh_process(tmp_path):
-    path = tmp_path / "ragged.json"
-    path.write_text(json.dumps({"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}))
+    path = tmp_path / "malformed.json"
     src = os.path.dirname(os.path.dirname(twirlkit.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "twirlkit.cli", "invariants", "--state", str(path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.returncode == 2
-    assert done.stderr.startswith("invalid state input: ")
-    assert len(done.stderr.strip().splitlines()) == 1
-    assert "Traceback" not in done.stderr
+    for matrix in [
+        [[[1, 0], [0, 0]], [[0, 0]]],  # ragged
+        [[[True, 0], [0, 0]], [[0, 0], [0, 0]]],  # a boolean among numbers
+    ]:
+        path.write_text(json.dumps({"dims": [2], "matrix": matrix}))
+        done = subprocess.run(
+            [sys.executable, "-m", "twirlkit.cli", "invariants", "--state", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("invalid state input: ")
+        assert len(done.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in done.stderr
 
 
 def test_workers_above_the_cap_are_a_usage_error_before_any_thread(monkeypatch, capsys):

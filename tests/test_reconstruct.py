@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from oracles import (
     INVARIANT_ID,
     exact_y,
+    invariants_loops,
     invert_3_closed_form,
     measurable_x,
     pair_class_counts,
     pattern_rows,
+    pooling_loops,
     purity_marginal_hamming,
 )
 from twirlkit.haar import RngStream, sample_haar_batch
@@ -39,7 +41,6 @@ from twirlkit.states import (
 )
 from twirlkit.twirl import EstimatorConfig, estimate_y
 from twirlkit.weingarten import (
-    S3,
     SingularDimensionError,
     diagram_contract,
     permutations_of_order,
@@ -154,8 +155,9 @@ def test_exact_x3_matches_diagram_oracle(dims, seed):
     x = exact_x3(rho)
     sums = np.zeros(11)
     counts = np.zeros(11)
-    for i, ta in enumerate(S3):
-        for j, tb in enumerate(S3):
+    s3 = permutations_of_order(3)
+    for i, ta in enumerate(s3):
+        for j, tb in enumerate(s3):
             k = INVARIANT_ID[i][j]
             sums[k] += diagram_contract(rho, ta, tb)
             counts[k] += 1
@@ -318,6 +320,19 @@ def test_bipartite_invariant_numbering_equals_the_hand_table():
     assert np.linalg.matrix_rank(m) == 10
     x = invert(3, (3, 4), np.random.default_rng(1).normal(size=10))
     assert x[9] == pytest.approx(x[10], rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "order, n_parties",
+    [(2, n) for n in range(1, 7)] + [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)],
+)
+def test_orbit_numberings_equal_the_loop_oracles(order, n_parties):
+    ids = _invariants(order, n_parties)
+    want = invariants_loops(order, n_parties)
+    assert ids.dtype == want.dtype and np.array_equal(ids, want)
+    pool = _pooling(order, n_parties)
+    want = pooling_loops(order, n_parties)
+    assert pool.dtype == want.dtype and np.array_equal(pool, want)
 
 
 @pytest.mark.parametrize("n_parties", [1, 2, 3, 4, 5])

@@ -52,6 +52,8 @@ def test_shape_mismatch(tmp_path):
         [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]],  # triples
         [[["x", 0], [0, 0]], [[0, 0], [0, 0]]],  # not a number
         [[[None, 0], [0, 0]], [[0, 0], [1, 0]]],
+        [[[True, 0], [0, 0]], [[0, 0], [0, 0]]],  # a boolean that numpy reads as 1
+        [[[0, False], [0, 0]], [[0, 0], [1.0, 0]]],
     ]:
         path.write_text(json.dumps({"dims": [2], "matrix": matrix}))
         with pytest.raises(StateFileError):

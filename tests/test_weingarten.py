@@ -4,7 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import INVARIANT_ID, cycle_type, diagram_contract_loops, wg
+from oracles import (
+    INVARIANT_ID,
+    compose,
+    cycle_type,
+    diagram_contract_loops,
+    gram_entry,
+    inverse,
+    wg,
+)
 from twirlkit.reconstruct import forward_matrix
 from twirlkit.states import (
     DensityMatrix,
@@ -16,13 +24,10 @@ from twirlkit.states import (
 )
 from twirlkit.twirl import EstimatorConfig, estimate_y
 from twirlkit.weingarten import (
-    Permutation,
-    S2,
-    S3,
     SingularDimensionError,
     diagram_contract,
+    _group_tables,
     _partitions,
-    gram,
     gram_matrix,
     permutations_of_order,
     s_matrix,
@@ -30,24 +35,50 @@ from twirlkit.weingarten import (
 )
 
 
+S3 = [tuple(p) for p in permutations_of_order(3).tolist()]
+
+
 def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
+    rho = random_density((2, 2), rank=2, seed=0)
+    with pytest.raises(ValueError, match="not a bijection"):
+        diagram_contract(rho, (0, 0, 1), (0, 1, 2))
+    with pytest.raises(ValueError, match="not a bijection"):
+        diagram_contract(rho, (0, 1, 2), (0, 0, 1))
+    with pytest.raises(ValueError, match="order mismatch"):
+        diagram_contract(rho, (0, 1, 2), (1, 0))
 
 
 def test_compose_and_inverse():
-    p = Permutation((1, 2, 0))
-    assert p.compose(p.inverse()).images == (0, 1, 2)
-    q = Permutation((1, 0, 2))
-    # (p.q)(k) = p(q(k))
-    assert p.compose(q).images == tuple(p(q(k)) for k in range(3))
+    # the group tables satisfy the group axioms and agree with composing
+    # image rows: mul[s, t] is s after t
+    for n in range(1, 6):
+        perms = permutations_of_order(n).tolist()
+        mul, inv, _ = _group_tables(n)
+        g = len(perms)
+        assert perms[0] == list(range(n))
+        assert np.array_equal(mul[0], np.arange(g)) and np.array_equal(mul[:, 0], np.arange(g))
+        assert np.all(mul[np.arange(g), inv] == 0) and np.all(mul[inv, np.arange(g)] == 0)
+        assert np.array_equal(mul[mul, :], mul[:, mul])  # (s t) u == s (t u)
+        for s in range(g):
+            for t in range(g):
+                assert tuple(perms[mul[s, t]]) == compose(perms[s], perms[t])
+            assert tuple(perms[inv[s]]) == inverse(perms[s])
+
+
+def test_group_table_cycle_counts_match_the_cycle_type_loop():
+    for n in range(1, 6):
+        perms = permutations_of_order(n).tolist()
+        assert _group_tables(n)[2].tolist() == [len(cycle_type(p)) for p in perms]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5])
 def test_permutations_beyond_s3_are_lexicographic_with_the_documented_s2_and_s3(n):
     perms = permutations_of_order(n)
-    assert [p.images for p in perms] == list(itertools.permutations(range(n)))
-    assert permutations_of_order(2) == S2 and permutations_of_order(3) == S3
+    assert perms.shape == (np.prod(range(1, n + 1)), n)
+    assert list(map(tuple, perms.tolist())) == list(itertools.permutations(range(n)))
+    assert permutations_of_order(2).tolist() == [[0, 1], [1, 0]]
+    # {e, (12), (23), (13), (312), (231)}; (312) maps 1->3, 2->1, 3->2
+    assert S3 == [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (2, 0, 1), (1, 2, 0)]
 
 
 @pytest.mark.parametrize(
@@ -55,11 +86,11 @@ def test_permutations_beyond_s3_are_lexicographic_with_the_documented_s2_and_s3(
     [((0, 1, 2), (1, 1, 1)), ((1, 0, 2), (2, 1)), ((2, 0, 1), (3,)), ((1, 0), (2,))],
 )
 def test_cycle_types(images, ct):
-    assert cycle_type(Permutation(images)) == ct
+    assert cycle_type(images) == ct
 
 
 def test_s3_contains_all_six_permutations():
-    assert sorted(p.images for p in S3) == sorted(itertools.permutations(range(3)))
+    assert sorted(S3) == sorted(itertools.permutations(range(3)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 7])
@@ -84,8 +115,8 @@ def test_wg_order3_singular_at_d2():
 
 @pytest.mark.parametrize("n,d", [(2, d) for d in range(2, 9)] + [(3, d) for d in range(3, 9)])
 def test_w_matrix_matches_the_closed_form_oracle(n, d):
-    perms = permutations_of_order(n)
-    want = np.array([[wg(s.compose(t.inverse()), d) for t in perms] for s in perms])
+    perms = permutations_of_order(n).tolist()
+    want = np.array([[wg(compose(s, inverse(t)), d) for t in perms] for s in perms])
     np.testing.assert_allclose(w_matrix(n, d), want, rtol=1e-14, atol=0)
 
 
@@ -123,9 +154,9 @@ def test_an_invertible_gram_matrix_takes_no_rank(monkeypatch):
 )
 def test_gram_inverse_identity(n, d):
     # sum_tau Wg(sigma tau^-1, d) d^{#cycles(tau mu^-1)} = delta_{sigma mu}
-    perms = permutations_of_order(n)
+    perms = permutations_of_order(n).tolist()
     w = w_matrix(n, d)
-    g = np.array([[gram(t, m, d) for m in perms] for t in perms])
+    g = np.array([[gram_entry(t, m, d) for m in perms] for t in perms])
     assert np.max(np.abs(w @ g - np.eye(len(perms)))) < 1e-12
 
 
@@ -146,7 +177,7 @@ def test_s_matrix_order3_row_sums():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_diagram_contract_order1_is_trace(seed):
     rho = random_density((2, 3), rank=3, seed=seed)
-    e = Permutation((0,))
+    e = (0,)
     assert diagram_contract(rho, e, e) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -155,7 +186,7 @@ def test_diagram_contract_order2_gives_marginal_purities(seed):
     from twirlkit.states import partial_trace, trace_power
 
     rho = random_density((2, 3), rank=4, seed=seed)
-    e, swap = S2
+    e, swap = (0, 1), (1, 0)
     pur_a = trace_power(partial_trace(rho, [0]).entries, 2)
     pur_b = trace_power(partial_trace(rho, [1]).entries, 2)
     assert diagram_contract(rho, swap, e) == pytest.approx(pur_a, abs=1e-12)
@@ -177,18 +208,20 @@ def test_invariant_table_resolves_x9_vs_x10_on_bell_state():
 
 def test_invariant_table_is_symmetric_under_simultaneous_inversion():
     # contracting with (tau_A^-1, tau_B^-1) gives the same invariant
-    inv_index = {p.images: i for i, p in enumerate(S3)}
     for i, pa in enumerate(S3):
         for j, pb in enumerate(S3):
-            ii = inv_index[pa.inverse().images]
-            jj = inv_index[pb.inverse().images]
+            ii = S3.index(inverse(pa))
+            jj = S3.index(inverse(pb))
             assert INVARIANT_ID[i][j] == INVARIANT_ID[ii][jj]
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (3, 4)])
 def test_diagram_contract_matches_loop_oracle_on_every_wiring(dims):
     rho = random_density(dims, rank=3, seed=7)
-    wirings = [(p, q) for perms in ((Permutation((0,)),), S2, S3) for p in perms for q in perms]
+    wirings = [
+        (p, q) for n in (1, 2, 3) for perms in [permutations_of_order(n).tolist()]
+        for p in perms for q in perms
+    ]
     assert len(wirings) == 1 + 4 + 36
     got = [diagram_contract(rho, p, q) for p, q in wirings]
     want = [diagram_contract_loops(rho, p, q) for p, q in wirings]
@@ -197,7 +230,7 @@ def test_diagram_contract_matches_loop_oracle_on_every_wiring(dims):
 
 def test_diagram_contract_rejects_a_complex_contraction():
     m = np.diag([0.5 + 0.5j, 0.5, 0.0, 0.0])  # not Hermitian, so its trace is complex
-    e = Permutation((0,))
+    e = (0,)
     with pytest.raises(ArithmeticError, match="imaginary part"):
         diagram_contract(DensityMatrix(DimsProfile((2, 2)), m), e, e)
     with pytest.raises(ArithmeticError, match="imaginary part"):
@@ -205,15 +238,20 @@ def test_diagram_contract_rejects_a_complex_contraction():
 
 
 def test_cached_permutation_tables_are_read_only():
+    # every call shares these arrays, so a write would corrupt later runs
     assert not w_matrix(3, 4).flags.writeable
     assert not gram_matrix(3, 4).flags.writeable
+    for n in (1, 3, 4):
+        assert not permutations_of_order(n).flags.writeable
+        for table in _group_tables(n):
+            assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("d", range(2, 7))
 def test_gram_matrix_equals_the_gram_comprehension(n, d):
-    perms = permutations_of_order(n)
-    want = np.array([[gram(s, t, d) for t in perms] for s in perms])
+    perms = permutations_of_order(n).tolist()
+    want = np.array([[gram_entry(s, t, d) for t in perms] for s in perms])
     assert np.array_equal(gram_matrix(n, d), want)
 
 
@@ -226,6 +264,6 @@ def test_diagram_contract_equals_a_freshly_planned_einsum(dims):
         for q in S3:
             operands = []
             for k in range(3):
-                operands += [t, [p(k), 3 + q(k), k, 3 + k]]
+                operands += [t, [p[k], 3 + q[k], k, 3 + k]]
             want = complex(np.einsum(*operands, [], optimize=True)).real
             assert diagram_contract(rho, p, q) == want

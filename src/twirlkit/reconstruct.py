@@ -218,7 +218,9 @@ def _pooling(order: int, n_parties: int) -> np.ndarray:
 
     relabel = _row_index(first(parts), first(parts[:, permutations_of_order(order)]))
     least, comps = _orbits(relabel.T, n_parties)
-    return np.eye(len(least))[comps]
+    pool = np.eye(len(least))[comps]
+    pool.setflags(write=False)
+    return pool
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,8 @@ def _parse_payload(payload) -> DensityMatrix:
     if missing:
         raise StateFileError(f"missing required keys: {sorted(missing)}")
     dims_raw = payload["dims"]
-    if not isinstance(dims_raw, list) or not all(isinstance(d, int) for d in dims_raw):
+    # a JSON boolean parses to bool, a subclass of int
+    if not isinstance(dims_raw, list) or not all(type(d) is int for d in dims_raw):
         raise StateFileError("dims must be an array of integers")
     dims = DimsProfile(dims_raw)
     try:

@@ -308,6 +308,14 @@ def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
     return sums / math.perm(shots, order) if shots else sums
 
 
+@lru_cache(maxsize=None)
+def _class_counts(order: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Read-only number of index tuples in each class: the kernel on ones."""
+    counts = _class_sums(np.ones((1,) + dims), order)[0]
+    counts.setflags(write=False)
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # the estimation loop
 # ---------------------------------------------------------------------------
@@ -342,7 +350,7 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate
             "plug-in estimator is biased at finite shots (O(1/shots))",
             stacklevel=2,
         )
-    class_counts = _class_sums(np.ones((1,) + dims), order)[0]
+    class_counts = _class_counts(order, dims)
     factor = _eigen_factor(rho)
     # Born rows per slice: a row has r D complex entries in each of the two arrays
     rows = max(1, BORN_SLICE_BYTES // max(1, 2 * 16 * len(factor[2]) * rho.total))

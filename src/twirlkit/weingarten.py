@@ -1,5 +1,5 @@
-"""S_n as integer tables, Gram and Weingarten matrices, and the one-einsum
-diagram oracle.
+"""S_n as integer tables, Gram and Weingarten matrices, and the diagram
+oracle, compiled once per wiring and shape into traces and a chain of matmuls.
 
 A permutation is its index in :func:`permutations_of_order`, a read-only
 (n!, n) array of images; :func:`_group_tables` holds the products, inverses
@@ -13,6 +13,7 @@ for S2.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -124,31 +125,66 @@ def s_matrix(n: int) -> np.ndarray:
     return (parts[:, None, :] == parts[:, permutations_of_order(n)]).all(axis=2).astype(float)
 
 
-def _wiring_operands(images_a: tuple[int, ...], images_b: tuple[int, ...], t) -> list:
-    """The einsum operands of one wiring, labelled as in :func:`diagram_contract`."""
-    n = len(images_a)
-    operands = []
-    for k in range(n):
-        operands += [t, [images_a[k], n + images_b[k], k, n + k]]
-    return operands
-
-
 @lru_cache(maxsize=None)
-def _wiring_path(
+def _wiring_plan(
     images_a: tuple[int, ...], images_b: tuple[int, ...], dims: tuple[int, ...]
-) -> tuple:
-    """The einsum path ``optimize=True`` picks for one wiring, planned once
-    per shape from a zero-stride stand-in for the state.  Raises ValueError
-    unless both sides are permutations of one order, so a wiring is checked
-    once."""
+) -> tuple[tuple, tuple]:
+    """The contraction of one wiring at one shape as ``(traces, steps)``.
+
+    ``traces[k]`` lists the axis pairs traced out of copy k, one per label
+    that repeats inside it (a fixed point of tau_A or tau_B).  Each step
+    ``(a, b, pa, pb, k, shape)`` contracts two held tensors by slot, copies
+    first and then step results, as
+    ``a.transpose(pa).reshape(-1, k) @ b.transpose(pb).reshape(k, -1)``:
+    every label is on exactly two copies, so a step contracts all the labels
+    its operands share.  The pairs come from the path ``optimize=True`` plans
+    on a zero-stride stand-in for the state; a step over more operands (the
+    greedy fallback when every pair outgrows the largest input) is taken left
+    to right.  Raises ValueError unless both sides are permutations of one
+    order, so a wiring is checked once.
+    """
     for images in (images_a, images_b):
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"{images} is not a bijection on 0..{len(images) - 1}")
     if len(images_a) != len(images_b):
         raise ValueError("permutation order mismatch")
+    n = len(images_a)
+    copies = [[images_a[k], n + images_b[k], k, n + k] for k in range(n)]
     stand_in = np.broadcast_to(np.complex128(0), dims * 2)
-    path = np.einsum_path(*_wiring_operands(images_a, images_b, stand_in), [], optimize=True)[0]
-    return tuple(path)
+    path = np.einsum_path(*itertools.chain(*((stand_in, c) for c in copies)), [], optimize=True)[0]
+    size = [dims[0]] * n + [dims[1]] * n
+    traces, labels = [], []
+    for copy in copies:
+        pairs = []
+        for label in set(copy):
+            if copy.count(label) == 2:
+                i = copy.index(label)
+                j = copy.index(label, i + 1)
+                pairs.append((i, j))
+                copy = copy[:i] + copy[i + 1 : j] + copy[j + 1 :]
+        traces.append(tuple(pairs))
+        labels.append(copy)
+    live, steps = list(range(n)), []
+    for step in path[1:]:
+        # einsum_path's list discipline: pop the step's operands, append its result
+        slots = [live[p] for p in step]
+        live = [s for p, s in enumerate(live) if p not in step]
+        a = slots[0]
+        for b in slots[1:]:
+            shared = [l for l in labels[a] if l in labels[b]]
+            free_a = [l for l in labels[a] if l not in shared]
+            free_b = [l for l in labels[b] if l not in shared]
+            steps.append((
+                a, b,
+                tuple(map(labels[a].index, free_a + shared)),
+                tuple(map(labels[b].index, shared + free_b)),
+                math.prod(size[l] for l in shared),
+                tuple(size[l] for l in free_a + free_b),
+            ))
+            a = len(labels)
+            labels.append(free_a + free_b)
+        live.append(a)
+    return tuple(traces), tuple(steps)
 
 
 def diagram_contract(rho: DensityMatrix, tau_a, tau_b) -> float:
@@ -156,18 +192,28 @@ def diagram_contract(rho: DensityMatrix, tau_a, tau_b) -> float:
 
     Row index p_k of copy k is tied to column index q_{tau(k)} on each side:
     copy k is rho as a (d_A, d_B, d_A, d_B) tensor with row labels
-    (tau_A(k), n + tau_B(k)) and column labels (k, n + k), and one einsum
-    contracts all n copies.  It shares no code with the partial-trace route
-    of ``reconstruct.exact_x3``, so it is the independent oracle that route
-    is checked against.  Each wiring is a sequence of images.
+    (tau_A(k), n + tau_B(k)) and column labels (k, n + k), and the cached
+    :func:`_wiring_plan` contracts all n copies by traces and matmuls.  It
+    shares no code with the partial-trace route of ``reconstruct.exact_x3``,
+    so it is the independent oracle that route is checked against.  Each
+    wiring is a sequence of images.
     """
     if rho.dims.n_parties != 2:
         raise ValueError("diagram contraction is defined for bipartite states")
     tau_a, tau_b = tuple(map(int, tau_a)), tuple(map(int, tau_b))
-    path = _wiring_path(tau_a, tau_b, rho.dims.dims)
-    operands = _wiring_operands(tau_a, tau_b, rho.entries.reshape(rho.dims.dims * 2))
-    total = complex(np.einsum(*operands, [], optimize=path))
+    traces, steps = _wiring_plan(tau_a, tau_b, rho.dims.dims)
+    t = rho.entries.reshape(rho.dims.dims * 2)
+    held = {}
+    for k, pairs in enumerate(traces):
+        held[k] = t
+        for i, j in pairs:
+            held[k] = held[k].trace(axis1=i, axis2=j)
+    for s, (a, b, pa, pb, k, shape) in enumerate(steps, start=len(traces)):
+        held[s] = (
+            held.pop(a).transpose(pa).reshape(-1, k) @ held.pop(b).transpose(pb).reshape(k, -1)
+        ).reshape(shape)
+    (total,) = held.values()
+    total = complex(total)
     if abs(total.imag) > 1e-12:
         raise ArithmeticError(f"contraction has nonzero imaginary part {total.imag:.3e}")
     return total.real
-

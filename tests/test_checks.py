@@ -6,8 +6,8 @@ import pytest
 
 from oracles import INVARIANT_ID, purity_loops
 from twirlkit import weingarten
-from twirlkit.checks import _X3_WIRINGS, invariant_table, x2_oracle
-from twirlkit.reconstruct import ReconstructionError, exact_x2, subset_mask
+from twirlkit.checks import _X3_WIRINGS, invariant_table, x2_oracle, x3_oracle
+from twirlkit.reconstruct import ReconstructionError, exact_x2, exact_x3, subset_mask
 from twirlkit.states import random_density
 
 
@@ -66,3 +66,27 @@ def test_every_wiring_contracts_to_its_class_representative(dims):
         assert weingarten.diagram_contract(rho, ta, tb) == pytest.approx(
             weingarten.diagram_contract(rho, rep_a, rep_b), rel=1e-12
         )
+
+
+def test_x3_oracle_plans_each_wiring_once_per_shape():
+    weingarten._wiring_plan.cache_clear()
+    rho = random_density((3, 4), rank=3, seed=4)
+    first = x3_oracle(rho)
+    assert np.array_equal(x3_oracle(rho), first)
+    info = weingarten._wiring_plan.cache_info()
+    assert (info.misses, info.hits) == (11, 11)
+
+
+def test_x3_oracle_holds_at_most_four_copies_of_the_state():
+    # planning included: every intermediate is at most the D^2 entries of rho,
+    # and a step holds its two transposed operands and its product
+    rho = random_density((12, 12), rank=3, seed=6)
+    weingarten._wiring_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        got = x3_oracle(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * rho.total**2
+    np.testing.assert_allclose(got, exact_x3(rho).values, rtol=1e-12)

@@ -37,9 +37,10 @@ def test_missing_keys(tmp_path):
 
 def test_non_integer_dims(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"dims": [2.0], "matrix": []}))
-    with pytest.raises(StateFileError):
-        load_state(path)
+    for dims in [[2.0], [True, 2], [2, False]]:  # JSON booleans parse to int subclasses
+        path.write_text(json.dumps({"dims": dims, "matrix": []}))
+        with pytest.raises(StateFileError, match="dims must be an array of integers"):
+            load_state(path)
 
 
 def test_shape_mismatch(tmp_path):

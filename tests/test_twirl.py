@@ -24,6 +24,7 @@ from twirlkit.twirl import (
     EstimationError,
     EstimatorConfig,
     _batched_probabilities,
+    _class_counts,
     _class_sums,
     _eigen_factor,
     _kernel_plan,
@@ -130,7 +131,7 @@ def test_born_memory_stays_far_below_the_product_unitary():
 def test_class_matrix_2_columns_average_over_classes():
     for dims in [(2, 2), (2, 3), (2, 2, 3)]:
         # the kernel on ones counts the index pairs of each class
-        counts = _class_sums(np.ones((1,) + dims), order=2)[0]
+        counts = _class_counts(2, dims)
         assert np.array_equal(counts, pair_class_counts(DimsProfile(dims)))
         # a uniform p has the same product on every pair, so every class
         # average is that product
@@ -143,6 +144,7 @@ def test_kernel_plan_is_built_once_per_run():
     # one plan for the class counts and one for the shot blocks, reused by
     # every block after the first
     _kernel_plan.cache_clear()
+    _class_counts.cache_clear()
     cfg = EstimatorConfig(n_unitaries=5 * DRAW_BLOCK, shots=5, master_seed=4)
     estimate_y(werner_state(3, 0.5), cfg, 3)
     info = _kernel_plan.cache_info()

@@ -13,7 +13,7 @@ from oracles import (
     inverse,
     wg,
 )
-from twirlkit.reconstruct import forward_matrix
+from twirlkit.reconstruct import _pooling, forward_matrix
 from twirlkit.states import (
     DensityMatrix,
     DimsProfile,
@@ -22,7 +22,7 @@ from twirlkit.states import (
     maximally_mixed,
     random_density,
 )
-from twirlkit.twirl import EstimatorConfig, estimate_y
+from twirlkit.twirl import EstimatorConfig, _class_counts, estimate_y
 from twirlkit.weingarten import (
     SingularDimensionError,
     diagram_contract,
@@ -215,7 +215,7 @@ def test_invariant_table_is_symmetric_under_simultaneous_inversion():
             assert INVARIANT_ID[i][j] == INVARIANT_ID[ii][jj]
 
 
-@pytest.mark.parametrize("dims", [(3, 3), (3, 4)])
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4), (2, 2), (2, 3)])
 def test_diagram_contract_matches_loop_oracle_on_every_wiring(dims):
     rho = random_density(dims, rank=3, seed=7)
     wirings = [
@@ -223,6 +223,23 @@ def test_diagram_contract_matches_loop_oracle_on_every_wiring(dims):
         for p in perms for q in perms
     ]
     assert len(wirings) == 1 + 4 + 36
+    got = [diagram_contract(rho, p, q) for p, q in wirings]
+    want = [diagram_contract_loops(rho, p, q) for p, q in wirings]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_diagram_contract_matches_loop_oracle_on_sampled_order4_wirings(dims):
+    # the sample has fixed points (traced inside a copy) on either side, and
+    # two wirings whose greedy path is one four-copy step, taken pairwise
+    perms = [tuple(p) for p in permutations_of_order(4).tolist()]
+    wirings = [(p, q) for p in perms[::5] for q in perms[::7]] + [
+        ((1, 0, 3, 2), (2, 3, 1, 0)),
+        ((3, 2, 1, 0), (1, 3, 0, 2)),
+    ]
+    assert any(p[k] == k for p, _ in wirings for k in range(4))
+    assert any(q[k] == k for _, q in wirings for k in range(4))
+    rho = random_density(dims, rank=3, seed=8)
     got = [diagram_contract(rho, p, q) for p, q in wirings]
     want = [diagram_contract_loops(rho, p, q) for p, q in wirings]
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -241,6 +258,8 @@ def test_cached_permutation_tables_are_read_only():
     # every call shares these arrays, so a write would corrupt later runs
     assert not w_matrix(3, 4).flags.writeable
     assert not gram_matrix(3, 4).flags.writeable
+    assert not _pooling(3, 2).flags.writeable
+    assert not _class_counts(3, (3, 3)).flags.writeable
     for n in (1, 3, 4):
         assert not permutations_of_order(n).flags.writeable
         for table in _group_tables(n):
@@ -257,7 +276,8 @@ def test_gram_matrix_equals_the_gram_comprehension(n, d):
 
 @pytest.mark.parametrize("dims", [(4, 4), (3, 5)])
 def test_diagram_contract_equals_a_freshly_planned_einsum(dims):
-    # the stored path is the one optimize=True plans, so values are bit-equal
+    # the plan pairs copies as optimize=True does, but runs each pair as a
+    # matmul in its own summation order, so values agree to rounding
     rho = random_density(dims, rank=3, seed=2)
     t = rho.entries.reshape(dims * 2)
     for p in S3:
@@ -266,4 +286,4 @@ def test_diagram_contract_equals_a_freshly_planned_einsum(dims):
             for k in range(3):
                 operands += [t, [p[k], 3 + q[k], k, 3 + k]]
             want = complex(np.einsum(*operands, [], optimize=True)).real
-            assert diagram_contract(rho, p, q) == want
+            assert diagram_contract(rho, p, q) == pytest.approx(want, rel=1e-13)

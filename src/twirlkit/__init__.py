@@ -28,10 +28,7 @@ from .states import (
     make_state,
     maximally_mixed,
     max_entangled_projector,
-    partial_trace,
-    partial_transpose,
     random_density,
-    trace_power,
     werner_state,
 )
 from .stateio import StateFileError, load_state, save_state

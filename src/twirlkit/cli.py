@@ -4,16 +4,21 @@ Subcommands: ``invariants`` (exact invariants plus oracle residuals),
 ``estimate`` (simulated protocol run, reconstructed invariants, criteria),
 ``werner-sweep`` (detection polynomials over a p-grid), ``selftest``.
 
-Exit codes: 0 success, 1 usage error, 2 invalid state input, 3 numerical
-failure.  CSV output is byte-identical for identical (command, config, seed)
-and uses repr round-trip precision; schemas are documented in the README.
+Exit codes: 0 success, 1 usage error (also an input too large for memory),
+2 invalid state input, 3 numerical failure, 141 stdout closed by its reader
+(as a shell reports SIGPIPE).  Each failure prints one line to stderr, and so
+does the plug-in estimator's bias warning; a closed stdout prints nothing.
+CSV output is byte-identical for identical (command, config, seed) and uses
+repr round-trip precision; schemas are documented in the README.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+import warnings
 from collections.abc import Iterable
 
 import numpy as np
@@ -34,6 +39,7 @@ from .states import (
 EXIT_USAGE = 1
 EXIT_BAD_STATE = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 # the largest werner-sweep grid: about 5 s and 40 MiB peak RSS on one core;
 # lines are written as they are made, so only the 8 MB grid of p is held
@@ -67,6 +73,8 @@ def _emit(lines: Iterable[str], out_path: str | None) -> None:
             raise UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.writelines(line + "\n" for line in lines)
+        # a reader that closed the pipe fails this flush, inside main
+        sys.stdout.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +207,12 @@ def _estimate_rows(rho: DensityMatrix, args):
             f"unbiased order-{args.order} estimation needs --shots >= {args.order}"
             " (or --plug-in)"
         )
-    est = twirl.estimate_y(rho, cfg, args.order)
+    # the library's warnings become one stderr line each, without a source line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        est = twirl.estimate_y(rho, cfg, args.order)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     names = ["x%d" % k for k in range(len(est.values))]
     if args.order == 2:
         crit, _ = criteria.purity_criterion(est.values)
@@ -364,6 +377,17 @@ def main(argv: list[str] | None = None) -> int:
             weingarten.SingularDimensionError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"usage error: input too large for memory: {str(exc) or 'MemoryError'}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: point stdout's descriptor at devnull so the
+        # interpreter's final flush is silent (Python's documented recipe);
+        # a replaced sys.stdout, such as a StringIO, is left alone
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

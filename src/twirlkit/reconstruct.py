@@ -80,15 +80,6 @@ class XVector2:
     purities: np.ndarray = field(repr=False)
 
 
-def subset_mask(subsystems: Sequence[int], n_parties: int) -> int:
-    mask = 0
-    for s in subsystems:
-        if not 0 <= s < n_parties:
-            raise ValueError(f"subsystem {s} out of range")
-        mask |= 1 << (n_parties - 1 - s)
-    return mask
-
-
 def _in_mask(mask: int, party: int, n_parties: int) -> bool:
     return bool(mask >> (n_parties - 1 - party) & 1)
 

@@ -1,4 +1,4 @@
-"""Multipartite density matrices and the trace polynomials built from them.
+"""Multipartite density matrices: validation and the built-in states.
 
 Subsystem convention: subsystem 0 is the first tensor factor (slowest index),
 so the flattened basis index is ``sum(i_l * stride_l)`` with
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -80,13 +80,6 @@ class DensityMatrix:
         return self.dims.total
 
 
-def _as_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def make_state(entries, dims: DimsProfile | Iterable[int]) -> DensityMatrix:
     """Validate a raw matrix as a density matrix on the given dimension profile.
 
@@ -97,7 +90,9 @@ def make_state(entries, dims: DimsProfile | Iterable[int]) -> DensityMatrix:
     """
     if not isinstance(dims, DimsProfile):
         dims = DimsProfile(dims)
-    m = _as_matrix(entries)
+    m = np.asarray(entries, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] != dims.total:
         raise DimensionMismatchError(
             f"matrix size {m.shape[0]} != product of local dimensions {dims.total}"
@@ -116,58 +111,6 @@ def make_state(entries, dims: DimsProfile | Iterable[int]) -> DensityMatrix:
     m = m.copy()
     m.flags.writeable = False
     return DensityMatrix(dims=dims, entries=m)
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state on the subsystems in ``keep`` (order preserved as in rho).
-
-    An empty ``keep`` returns the scalar 1 as a 1x1 matrix on a trivial
-    profile; this is the documented convention, not an error.
-    """
-    dims = rho.dims.dims
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    for k in keep:
-        if not 0 <= k < n:
-            raise DimensionMismatchError(f"subsystem index {k} out of range 0..{n - 1}")
-    if not keep:
-        return make_state(np.array([[1.0 + 0j]]), DimsProfile(()))
-    t = rho.entries.reshape(dims + dims)
-    remaining = list(dims)
-    for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(remaining))
-        remaining.pop(idx)
-    total = math.prod(remaining)
-    out = t.reshape(total, total).copy()
-    out.flags.writeable = False
-    return DensityMatrix(dims=DimsProfile(remaining), entries=out)
-
-
-def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
-    """Transpose the indices of one subsystem only.
-
-    The result is Hermitian with unit trace but may have negative
-    eigenvalues; it is returned as a raw matrix, never validated as a state.
-    """
-    dims = rho.dims.dims
-    n = len(dims)
-    if not 0 <= subsystem < n:
-        raise DimensionMismatchError(f"subsystem index {subsystem} out of range 0..{n - 1}")
-    t = rho.entries.reshape(dims + dims)
-    t = np.swapaxes(t, subsystem, subsystem + n)
-    return t.reshape(rho.total, rho.total)
-
-
-def trace_power(m, k: int) -> float:
-    """Tr(m^k) as a real number; imaginary part must vanish for Hermitian input."""
-    if k < 1:
-        raise ValueError("power k must be >= 1")
-    a = _as_matrix(m)
-    acc = a
-    for _ in range(k - 1):
-        acc = acc @ a
-    val = acc.trace()
-    return float(val.real)
 
 
 def maximally_mixed(dims: DimsProfile | Iterable[int]) -> DensityMatrix:

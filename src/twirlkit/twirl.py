@@ -22,11 +22,12 @@ planned once per (order, dims, shots > 0) by ``_kernel_plan``.
 Reproducibility: unitaries are drawn in blocks of ``DRAW_BLOCK``; block b for
 party l uses the substream ``b * n_parties + l`` of the master seed, and its
 shot noise ``(n_blocks + b) * n_parties``.  Each block inverts its per-unitary
-class averages to invariants x, and its ``(n, mean, M2)`` triple of x is
-merged in block order (Chan, Golub and LeVeque), so x and its covariance are
-bit-identical for a given (state, config) at any worker count.  Only Born
-runs in row slices of a block, sized by ``BORN_SLICE_BYTES``; it computes
-each row on its own, so the slicing bounds memory without changing a bit.
+class averages to invariants x, and its ``(n, mean, M2)`` triple of x, with
+M2 the per-invariant sum of squared deviations, is merged in block order
+(Chan, Golub and LeVeque), so x and its standard errors are bit-identical for
+a given (state, config) at any worker count.  Only Born runs in row slices of
+a block, sized by ``BORN_SLICE_BYTES``; it computes each row on its own, so
+the slicing bounds memory without changing a bit.
 """
 
 from __future__ import annotations
@@ -92,15 +93,11 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Invariants in the layout of ``reconstruct.invert`` and the covariance
-    of their mean (NaN for one unitary)."""
+    """Invariants in the layout of ``reconstruct.invert`` and the standard
+    error of each mean (NaN for one unitary)."""
 
     values: np.ndarray = field(repr=False)
-    covariance: np.ndarray = field(repr=False)
-
-    @property
-    def std_error(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.covariance))
+    std_error: np.ndarray = field(repr=False)
 
 
 def _eigen_factor(rho: DensityMatrix) -> tuple[float, np.ndarray, np.ndarray]:
@@ -321,13 +318,14 @@ def _class_counts(order: int, dims: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _merge_moments(parts):
-    """Merge an in-order iterable of (n, mean, M2) triples (Chan, Golub and LeVeque)."""
+    """Merge an in-order iterable of (n, mean, M2) triples, M2 the per-column
+    sum of squared deviations (Chan, Golub and LeVeque)."""
     parts = iter(parts)
     n, mean, m2 = next(parts)
     for n_b, mean_b, m2_b in parts:
         delta = mean_b - mean
         mean = mean + delta * (n_b / (n + n_b))
-        m2 = m2 + m2_b + np.outer(delta, delta) * (n * n_b / (n + n_b))
+        m2 = m2 + m2_b + delta * delta * (n * n_b / (n + n_b))
         n += n_b
     return n, mean, m2
 
@@ -378,7 +376,7 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate
         samples = invert(order, dims, y)
         mean = samples.mean(axis=0)
         dev = samples - mean
-        return size, mean, dev.T @ dev
+        return size, mean, np.square(dev).sum(axis=0)
 
     # merged as the blocks arrive; one worker runs in this thread, because a
     # pool thread raised the peak RSS of order 3 at (5,5) by ~20%
@@ -389,5 +387,5 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate
             n, mean, m2 = _merge_moments(pool.map(one_block, range(n_blocks)))
     return Estimate(
         values=mean,
-        covariance=m2 / ((n - 1) * n) if n > 1 else np.full(m2.shape, np.nan),
+        std_error=np.sqrt(m2 / ((n - 1) * n)) if n > 1 else np.full(m2.shape, np.nan),
     )

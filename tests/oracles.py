@@ -36,9 +36,17 @@ expansion, as a direct sum; both loop over every index tuple.
 patterns, the full Kronecker product of the per-party rows, against which the
 one-row-per-component ``twirlkit.reconstruct.forward_matrix`` is checked.
 
+``partial_trace``, ``partial_transpose`` and ``trace_power`` are the
+textbook reduced state, partial transpose and Tr(m^k), by ``np.trace``,
+``np.swapaxes`` and repeated matmuls; ``subset_mask`` is the order-2 subset
+bitmask (subsystem 0 the most significant bit).  The package reads marginal
+purities off one depth-first walk and order-3 invariants off tensor views
+instead, so these check it from outside.
+
 ``per_unitary_samples`` rebuilds the estimator's per-unitary class averages
-one unitary at a time, so two-pass statistics on them check the streamed
-moment merge.
+one unitary at a time, so two-pass statistics on them
+(``std_error_of_mean``) check the streamed moment merge and give the
+standard error of any linear functional of the invariants.
 """
 
 from __future__ import annotations
@@ -55,9 +63,8 @@ from twirlkit.reconstruct import (
     exact_x2,
     exact_x3,
     forward_matrix,
-    subset_mask,
 )
-from twirlkit.states import DensityMatrix
+from twirlkit.states import DensityMatrix, DimensionMismatchError, DimsProfile, make_state
 from twirlkit.twirl import (
     DRAW_BLOCK,
     EstimatorConfig,
@@ -72,6 +79,62 @@ from twirlkit.weingarten import (
     s_matrix,
     w_matrix,
 )
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced state on the subsystems in ``keep`` (order preserved as in rho).
+
+    An empty ``keep`` returns the scalar 1 as a 1x1 matrix on a trivial
+    profile.
+    """
+    dims = rho.dims.dims
+    n = len(dims)
+    keep = sorted(set(int(k) for k in keep))
+    for k in keep:
+        if not 0 <= k < n:
+            raise DimensionMismatchError(f"subsystem index {k} out of range 0..{n - 1}")
+    if not keep:
+        return make_state(np.array([[1.0 + 0j]]), DimsProfile(()))
+    t = rho.entries.reshape(dims + dims)
+    remaining = list(dims)
+    for idx in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=idx, axis2=idx + len(remaining))
+        remaining.pop(idx)
+    total = int(np.prod(remaining))
+    return DensityMatrix(dims=DimsProfile(remaining), entries=t.reshape(total, total))
+
+
+def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
+    """Transpose the indices of one subsystem only, as a raw matrix: the
+    result may have negative eigenvalues, so it is never validated as a state."""
+    dims = rho.dims.dims
+    n = len(dims)
+    if not 0 <= subsystem < n:
+        raise DimensionMismatchError(f"subsystem index {subsystem} out of range 0..{n - 1}")
+    t = np.swapaxes(rho.entries.reshape(dims + dims), subsystem, subsystem + n)
+    return t.reshape(rho.total, rho.total)
+
+
+def trace_power(m, k: int) -> float:
+    """Re Tr(m^k) by k - 1 matmuls."""
+    if k < 1:
+        raise ValueError("power k must be >= 1")
+    a = np.asarray(m, dtype=complex)
+    acc = a
+    for _ in range(k - 1):
+        acc = acc @ a
+    return float(acc.trace().real)
+
+
+def subset_mask(subsystems, n_parties: int) -> int:
+    """The order-2 bitmask of a subset of subsystems, subsystem 0 the most
+    significant bit."""
+    mask = 0
+    for s in subsystems:
+        if not 0 <= s < n_parties:
+            raise ValueError(f"subsystem {s} out of range")
+        mask |= 1 << (n_parties - 1 - s)
+    return mask
 
 
 def compose(p, q) -> tuple[int, ...]:
@@ -298,6 +361,11 @@ def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig, order: int) ->
             p = np.maximum(_batched_probabilities(factor, [u[k : k + 1] for u in locals_]), 0.0)
             rows.append(_class_sums(p.reshape((1,) + dims), order)[0] / counts)
     return np.array(rows)
+
+
+def std_error_of_mean(samples: np.ndarray) -> np.ndarray:
+    """Two-pass standard error of the mean of each column of ``samples``."""
+    return np.std(samples, axis=0, ddof=1) / np.sqrt(len(samples))
 
 
 def pair_class_counts(dims) -> np.ndarray:

@@ -13,18 +13,26 @@ from twirlkit.criteria import (
     werner_threshold_2,
     werner_threshold_3,
 )
-from oracles import INVARIANT_ID, gram_entry, measurable_x, purity_marginal_hamming
+from oracles import (
+    INVARIANT_ID,
+    gram_entry,
+    measurable_x,
+    partial_transpose,
+    per_unitary_samples,
+    purity_marginal_hamming,
+    std_error_of_mean,
+    subset_mask,
+    trace_power,
+)
 from twirlkit.haar import RngStream
-from twirlkit.reconstruct import exact_x2, exact_x3, forward_matrix, invert, subset_mask
+from twirlkit.reconstruct import exact_x2, exact_x3, forward_matrix, invert
 from twirlkit.states import (
     BellDiagonalSpectrum,
     DimsProfile,
     bell_diagonal,
     make_state,
     max_entangled_projector,
-    partial_transpose,
     random_density,
-    trace_power,
     werner_state,
 )
 from twirlkit.twirl import EstimatorConfig, estimate_y
@@ -148,10 +156,11 @@ def test_acceptance_6_end_to_end_werner_detection():
     cfg = EstimatorConfig(n_unitaries=20000, master_seed=20240917)
     est3 = estimate_y(rho, cfg, 3)
     rep3 = third_order_criterion(est3.values)
-    # the margin 2 x8 - x9 - x10 is linear in x, so its variance is g^T Sigma g
+    # the margin 2 x8 - x9 - x10 is linear in x, so its standard error is
+    # that of its per-unitary values, rebuilt from the same substreams
     g = np.zeros(11)
     g[8], g[9], g[10] = 2.0, -1.0, -1.0
-    se_margin = np.sqrt(g @ est3.covariance @ g)
+    se_margin = std_error_of_mean(invert(3, (3, 3), per_unitary_samples(rho, cfg, 3)) @ g)
     sigma = -rep3.margin / se_margin
 
     est2 = estimate_y(rho, cfg, 2)

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import INVARIANT_ID, purity_loops
+from oracles import INVARIANT_ID, purity_loops, subset_mask
 from twirlkit import weingarten
 from twirlkit.checks import _X3_WIRINGS, invariant_table, x2_oracle, x3_oracle
-from twirlkit.reconstruct import ReconstructionError, exact_x2, exact_x3, subset_mask
+from twirlkit.reconstruct import ReconstructionError, exact_x2, exact_x3
 from twirlkit.states import random_density
 
 

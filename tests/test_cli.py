@@ -444,6 +444,81 @@ def test_unwritable_out_is_a_one_line_usage_error(argv, where, tmp_path, capsys)
     assert "Traceback" not in err
 
 
+def _fresh_env() -> dict[str, str]:
+    # one BLAS thread, so numpy's import fits under an address-space limit
+    src = os.path.dirname(os.path.dirname(twirlkit.__file__))
+    return {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1"}
+
+
+def _limit_address_space():
+    # runs in the child only, between fork and exec
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--builtin", "maximally-mixed", "--dims", "1000,1000"],
+        ["estimate", "--builtin", "werner", "--params", "d=100000,p=0.5"],
+    ],
+    ids=["invariants", "estimate"],
+)
+def test_out_of_memory_is_a_one_line_usage_error_in_a_fresh_process(argv):
+    done = subprocess.run([sys.executable, "-m", "twirlkit.cli", *argv],
+                          capture_output=True, text=True, env=_fresh_env(),
+                          preexec_fn=_limit_address_space)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("usage error: input too large for memory: ")
+    assert len(done.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_closed_stdout_ends_quietly_in_a_fresh_process():
+    # far more than a pipe buffer holds, so the write fails inside main
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twirlkit.cli", "werner-sweep", "--d", "3",
+         "--steps", "1000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_fresh_env(),
+    )
+    try:
+        assert proc.stdout.readline() == "p,poly2,poly3,detected2,detected3\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == ""
+
+
+def test_closed_replaced_stdout_leaves_the_descriptors_alone(monkeypatch, capsys):
+    class ClosedPipe:
+        def writelines(self, lines):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["werner-sweep", "--d", "3", "--steps", "3"]) == 141
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+    assert capsys.readouterr().err == ""
+
+
+def test_plug_in_warning_is_one_stderr_line_in_a_fresh_process(capsys):
+    argv = WERNER3 + ["--order", "3", "--shots", "2", "--plug-in", "--unitaries", "50"]
+    done = subprocess.run([sys.executable, "-m", "twirlkit.cli", *argv],
+                          capture_output=True, text=True, env=_fresh_env())
+    line = "warning: plug-in estimator is biased at finite shots (O(1/shots))\n"
+    assert done.returncode == 0 and done.stderr == line
+    assert run(argv, capsys) == (0, done.stdout, line)
+
+
 def test_builtin_bell_diagonal(capsys):
     code, out, _ = run(
         [

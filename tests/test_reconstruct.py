@@ -12,9 +12,15 @@ from oracles import (
     invert_3_closed_form,
     measurable_x,
     pair_class_counts,
+    partial_trace,
+    partial_transpose,
     pattern_rows,
+    per_unitary_samples,
     pooling_loops,
     purity_marginal_hamming,
+    std_error_of_mean,
+    subset_mask,
+    trace_power,
 )
 from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import (
@@ -26,17 +32,13 @@ from twirlkit.reconstruct import (
     exact_x3,
     forward_matrix,
     invert,
-    subset_mask,
 )
 from twirlkit.states import (
     DimsProfile,
     make_state,
     max_entangled_projector,
     maximally_mixed,
-    partial_trace,
-    partial_transpose,
     random_density,
-    trace_power,
     werner_state,
 )
 from twirlkit.twirl import EstimatorConfig, estimate_y
@@ -392,8 +394,11 @@ def test_order4_werner_class_averages_match_the_diagram_contractions(p):
     x = np.bincount(ids, wired) / np.bincount(ids)
     assert np.allclose(wired, x[ids], rtol=1e-12, atol=1e-15)
     m = forward_matrix(4, (4, 4))
-    est = estimate_y(rho, EstimatorConfig(n_unitaries=4096), 4)
-    sigma = np.sqrt(np.diag(m @ est.covariance @ m.T))
+    cfg = EstimatorConfig(n_unitaries=4096)
+    est = estimate_y(rho, cfg, 4)
+    # A x_hat is the mean class average y_bar, so its error bars are those
+    # of the per-unitary class averages
+    sigma = std_error_of_mean(per_unitary_samples(rho, cfg, 4))
     z = (m @ est.values - m @ x) / sigma
     assert np.max(np.abs(z)) < 5
 

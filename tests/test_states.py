@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import partial_trace, partial_transpose, trace_power
 from twirlkit.states import (
     BellDiagonalSpectrum,
     DimensionMismatchError,
@@ -12,10 +13,7 @@ from twirlkit.states import (
     make_state,
     max_entangled_projector,
     maximally_mixed,
-    partial_trace,
-    partial_transpose,
     random_density,
-    trace_power,
     werner_state,
 )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import born_kron, measurable_x, pair_class_counts, per_unitary_samples
+from oracles import (
+    born_kron,
+    measurable_x,
+    pair_class_counts,
+    per_unitary_samples,
+    std_error_of_mean,
+)
 from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import _pooling, invert
 from twirlkit.states import (
@@ -222,8 +229,11 @@ def test_reproducible_and_worker_independent():
     cfg4 = EstimatorConfig(n_unitaries=1500, shots=20, master_seed=9, workers=4)
     e1 = estimate_y(rho, cfg1, 2)
     e4 = estimate_y(rho, cfg4, 2)
+    # one error bar per invariant, and no covariance matrix
+    assert [f.name for f in dataclasses.fields(e1)] == ["values", "std_error"]
+    assert e1.std_error.shape == e1.values.shape
     assert np.array_equal(e1.values, e4.values)
-    assert np.array_equal(e1.covariance, e4.covariance)
+    assert np.array_equal(e1.std_error, e4.std_error)
     assert np.array_equal(e1.values, estimate_y(rho, cfg1, 2).values)
 
 
@@ -250,7 +260,7 @@ def test_born_slices_leave_estimates_bit_identical(order, shots, monkeypatch):
             assert max(seen) == rows and sum(seen) == cfg.n_unitaries
     for est in results[1:]:
         assert np.array_equal(est.values, results[0].values)
-        assert np.array_equal(est.covariance, results[0].covariance)
+        assert np.array_equal(est.std_error, results[0].std_error)
 
 
 def test_born_slices_bound_the_peak_of_a_full_rank_block():
@@ -529,10 +539,12 @@ def test_entangled_state_delta_statistic_matches_exact():
     # on Werner (3, 3) the delta varies per unitary; its exact value is
     # x4 - x5 = -(8/9) p^2
     p = 0.9
-    est = estimate_y(werner_state(3, p), EstimatorConfig(n_unitaries=2000, master_seed=21), 3)
+    rho, cfg = werner_state(3, p), EstimatorConfig(n_unitaries=2000, master_seed=21)
+    est = estimate_y(rho, cfg, 3)
     g = np.zeros(len(est.values))
     g[4], g[5] = 1.0, -1.0
-    sigma = np.sqrt(g @ est.covariance @ g)
+    # the delta's own per-unitary spread, from the same substreams
+    sigma = std_error_of_mean(invert(3, (3, 3), per_unitary_samples(rho, cfg, 3)) @ g)
     assert sigma > 0
     assert abs(g @ est.values + 8 / 9 * p**2) < 5 * sigma
 
@@ -558,18 +570,16 @@ def test_std_error_matches_two_pass_reference():
     cfg = EstimatorConfig(n_unitaries=1024, master_seed=3)
     est = estimate_y(rho, cfg, 3)
     samples = invert(3, (5, 5), per_unitary_samples(rho, cfg, order=3))
-    ref = np.std(samples, axis=0, ddof=1) / np.sqrt(cfg.n_unitaries)
+    ref = std_error_of_mean(samples)
     # the samples spread over ~1e-7 of their value, so ~9 digits of each
     # deviation are significant; the one-pass formula was off by up to 1%.
     # x0..x4 and x7 are 1 and the maximally mixed marginals on every
     # unitary, so both of their error bars are rounding noise
     varying = [5, 6, 8, 9, 10]
     np.testing.assert_allclose(est.std_error[varying], ref[varying], rtol=1e-8)
-    ref_cov = np.cov(samples, rowvar=False) / cfg.n_unitaries
     np.testing.assert_allclose(
-        est.covariance, ref_cov, rtol=0, atol=1e-8 * np.max(np.diag(ref_cov))
+        est.std_error**2, ref**2, rtol=0, atol=1e-8 * np.max(ref**2)
     )
-    assert np.array_equal(est.covariance, est.covariance.T)
 
 
 @pytest.fixture(scope="module")
@@ -586,15 +596,12 @@ def test_state_constant_invariants_have_no_rounding_noise_error_bar(werner3_exac
 
 def test_moment_merge_on_uneven_chunks():
     rng = np.random.default_rng(0)
-    # a large offset makes the one-pass (sum y y^T - n mean mean^T) formula lose digits
+    # a large offset makes the one-pass (sum y^2 - n mean^2) formula lose digits
     x = 1e6 + rng.normal(size=(1000, 3)) @ np.array([[1, 0, 0], [0.5, 1, 0], [0, -0.3, 2]])
     chunks = np.split(x, [1, 3, 503, 510, 810])  # sizes 1, 2, 500, 7, 300, 190
-    parts = (
-        (len(c), c.mean(axis=0), (c - c.mean(axis=0)).T @ (c - c.mean(axis=0)))
-        for c in chunks
-    )
+    parts = ((len(c), c.mean(axis=0), np.square(c - c.mean(axis=0)).sum(axis=0)) for c in chunks)
     n, mean, m2 = _merge_moments(parts)
-    assert n == 1000
+    assert n == 1000 and m2.shape == (3,)
     np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-14)
-    ref = np.cov(x, rowvar=False)
+    ref = np.var(x, axis=0, ddof=1)
     np.testing.assert_allclose(m2 / (n - 1), ref, rtol=1e-10, atol=1e-10 * np.max(ref))

@@ -11,6 +11,8 @@ from oracles import (
     diagram_contract_loops,
     gram_entry,
     inverse,
+    partial_trace,
+    trace_power,
     wg,
 )
 from twirlkit.reconstruct import _pooling, forward_matrix
@@ -183,8 +185,6 @@ def test_diagram_contract_order1_is_trace(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_diagram_contract_order2_gives_marginal_purities(seed):
-    from twirlkit.states import partial_trace, trace_power
-
     rho = random_density((2, 3), rank=4, seed=seed)
     e, swap = (0, 1), (1, 0)
     pur_a = trace_power(partial_trace(rho, [0]).entries, 2)

@@ -121,8 +121,8 @@ _BUILTIN_PARAMS = {
 
 
 def resolve_state(args) -> DensityMatrix:
-    if args.state and args.builtin:
-        raise UsageError("--state and --builtin are mutually exclusive")
+    if args.state and any(a is not None for a in (args.builtin, args.dims, args.params)):
+        raise UsageError("--state gives the whole state: it takes no --builtin, --dims or --params")
     if args.state:
         return stateio.load_state(args.state)
     if not args.builtin:

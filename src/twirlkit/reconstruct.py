@@ -34,10 +34,11 @@ then by least member: the subset bitmask at order 2, x0..x10 of
 :class:`XVector3` at bipartite order 3.
 
 A has one row per y component and one column per invariant: square at order
-2, 10 x 11 at bipartite order 3, 33 x 43 at order 4 on two parties and
-285 x 681 on three.  Randomized measurements see only A x, so :func:`invert`
-returns the x of least norm with A x = y.  At order 3 the x9 and x10 columns
-are equal, so it puts x_S = (x9 + x10) / 2 in both.
+2; 10 x 11, 37 x 49 and 150 x 251 at order 3 on two, three and four parties;
+33 x 43 and 285 x 681 at order 4 on two and three.  Randomized measurements
+see only A x, so :func:`invert` returns the x of least norm with A x = y.
+Inverting one party's wiring keeps the column, so such invariants get one
+value, such as x_S = (x9 + x10) / 2 in both slots at two-party order 3.
 """
 
 from __future__ import annotations
@@ -240,16 +241,15 @@ def forward_matrix(order: int, dims: tuple[int, ...]) -> np.ndarray:
     """A: y = A x from the invariants of :func:`_invariants` to the per-class
     averages, one row per y component.
 
-    Row c is the Weingarten expectation of component c at the first
-    exact-pattern tuple that ``_pooling`` puts into c: the Kronecker product
-    over parties of that pattern's row of ``s_matrix @ w_matrix``, whose
-    entries (tuples of permutations) are summed per invariant.  Every tuple of
-    a component has the same row, which the tests check.  Raises
-    SingularDimensionError where a party's Weingarten matrix does not exist
-    (a party with fewer outcomes than the order, such as order 3 on a qubit).
+    Row c, at any order and number of parties, is the Weingarten expectation
+    of component c at the first exact-pattern tuple that ``_pooling`` puts
+    into c: the Kronecker product over parties of that pattern's row of
+    ``s_matrix @ w_matrix``, whose entries (tuples of permutations) are summed
+    per invariant.  Every tuple of a component has the same row, which the
+    tests check.  Raises SingularDimensionError where a party's Weingarten
+    matrix does not exist (a party with fewer outcomes than the order, such
+    as order 3 on a qubit).
     """
-    if order == 3 and len(dims) != 2:
-        raise ValueError("order-3 invariants are defined for bipartite states")
     sw = s_matrix(order)
     first = _pooling(order, len(dims)).argmax(axis=0)
     rows = np.ones((len(first), 1))
@@ -275,9 +275,9 @@ def invert(order: int, dims: Sequence[int], y) -> np.ndarray:
     """Invariants from one y vector or a (k, n_components) batch of them.
 
     Returns the minimum-norm solution of A x = y, one value per invariant of
-    :func:`_invariants`: the 2^N purities at order 2, and x0..x8 with x_S in
-    both the x9 and x10 slots at order 3.  Raises if the result does not
-    reproduce y within ``RESIDUAL_TOL``, or if y is not finite.
+    :func:`_invariants` (the 2^N purities at order 2); invariants that share
+    a column get one value, such as x_S in the two-party x9 and x10 slots.
+    Raises unless y is finite and x reproduces it within ``RESIDUAL_TOL``.
     """
     dims = tuple(dims)
     y = np.asarray(y, dtype=float)

@@ -1,7 +1,7 @@
 """Reading and writing density matrices as JSON state files.
 
 Grammar: a UTF-8 JSON object with two keys.
-``dims`` is an array of integer local dimensions (each >= 2).
+``dims`` is a non-empty array of integer local dimensions (each >= 2).
 ``matrix`` is the row-major density matrix, one ``[re, im]`` pair of numbers
 (not booleans) per entry, so its shape is D x D x 2 with D the product of
 ``dims``.
@@ -30,8 +30,8 @@ def _parse_payload(payload) -> DensityMatrix:
         raise StateFileError(f"missing required keys: {sorted(missing)}")
     dims_raw = payload["dims"]
     # a JSON boolean parses to bool, a subclass of int
-    if not isinstance(dims_raw, list) or not all(type(d) is int for d in dims_raw):
-        raise StateFileError("dims must be an array of integers")
+    if not isinstance(dims_raw, list) or not dims_raw or not all(type(d) is int for d in dims_raw):
+        raise StateFileError("dims must be an array of integers, one per party, at least one")
     dims = DimsProfile(dims_raw)
     try:
         arr = np.array(payload["matrix"])

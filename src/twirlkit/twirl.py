@@ -331,9 +331,9 @@ def _merge_moments(parts):
 
 
 def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate:
-    """Estimate the invariants of an order-2 or order-3 run, in the layout of
-    ``invert``.  The forward matrix of (order, dims) is built before any
-    unitary is drawn, so dimensions it cannot invert raise first.
+    """Estimate the invariants of a run, at any order and number of parties,
+    in the layout of ``invert``.  The forward matrix of (order, dims) is built
+    before any unitary is drawn, so dimensions it cannot invert raise first.
     """
     dims = rho.dims.dims
     forward_matrix(order, dims)

@@ -126,33 +126,34 @@ def s_matrix(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _wiring_plan(
-    images_a: tuple[int, ...], images_b: tuple[int, ...], dims: tuple[int, ...]
-) -> tuple[tuple, tuple]:
+def _wiring_plan(taus: tuple[tuple[int, ...], ...], dims: tuple[int, ...]) -> tuple[tuple, tuple]:
     """The contraction of one wiring at one shape as ``(traces, steps)``.
 
-    ``traces[k]`` lists the axis pairs traced out of copy k, one per label
-    that repeats inside it (a fixed point of tau_A or tau_B).  Each step
-    ``(a, b, pa, pb, k, shape)`` contracts two held tensors by slot, copies
-    first and then step results, as
+    ``taus`` holds one permutation per party; copy k carries row label
+    ``l n + tau_l(k)`` and column label ``l n + k``, of size ``dims[l]``, on
+    each party l.  ``traces[k]`` lists the axis pairs traced out of copy k,
+    one per label that repeats inside it (a fixed point of some tau_l).  Each
+    step ``(a, b, pa, pb, k, shape)`` contracts two held tensors by slot,
+    copies first and then step results, as
     ``a.transpose(pa).reshape(-1, k) @ b.transpose(pb).reshape(k, -1)``:
     every label is on exactly two copies, so a step contracts all the labels
     its operands share.  The pairs come from the path ``optimize=True`` plans
     on a zero-stride stand-in for the state; a step over more operands (the
     greedy fallback when every pair outgrows the largest input) is taken left
-    to right.  Raises ValueError unless both sides are permutations of one
+    to right.  Raises ValueError unless all wirings are permutations of one
     order, so a wiring is checked once.
     """
-    for images in (images_a, images_b):
+    for images in taus:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"{images} is not a bijection on 0..{len(images) - 1}")
-    if len(images_a) != len(images_b):
+    n, parties = len(taus[0]), range(len(taus))
+    if any(len(images) != n for images in taus):
         raise ValueError("permutation order mismatch")
-    n = len(images_a)
-    copies = [[images_a[k], n + images_b[k], k, n + k] for k in range(n)]
+    copies = [[l * n + taus[l][k] for l in parties] + [l * n + k for l in parties]
+              for k in range(n)]
     stand_in = np.broadcast_to(np.complex128(0), dims * 2)
     path = np.einsum_path(*itertools.chain(*((stand_in, c) for c in copies)), [], optimize=True)[0]
-    size = [dims[0]] * n + [dims[1]] * n
+    size = [d for d in dims for _ in range(n)]
     traces, labels = [], []
     for copy in copies:
         pairs = []
@@ -187,21 +188,20 @@ def _wiring_plan(
     return tuple(traces), tuple(steps)
 
 
-def diagram_contract(rho: DensityMatrix, tau_a, tau_b) -> float:
-    """Contract n copies of a bipartite rho along the (tau_A, tau_B) wiring.
+def diagram_contract(rho: DensityMatrix, *taus) -> float:
+    """Contract n copies of rho along a wiring of one permutation per party.
 
-    Row index p_k of copy k is tied to column index q_{tau(k)} on each side:
-    copy k is rho as a (d_A, d_B, d_A, d_B) tensor with row labels
-    (tau_A(k), n + tau_B(k)) and column labels (k, n + k), and the cached
-    :func:`_wiring_plan` contracts all n copies by traces and matmuls.  It
-    shares no code with the partial-trace route of ``reconstruct.exact_x3``,
+    Row index p_k of copy k is tied to column index q_{tau_l(k)} on party l by
+    the labels of the cached :func:`_wiring_plan`, which contracts the copies
+    by traces and matmuls.  It shares no code with ``reconstruct.exact_x3``,
     so it is the independent oracle that route is checked against.  Each
-    wiring is a sequence of images.
+    wiring is a sequence of images.  Its inverse gives the complex conjugate,
+    so beyond two parties, where the two need not be conjugate, a complex
+    value can occur; that raises ArithmeticError.
     """
-    if rho.dims.n_parties != 2:
-        raise ValueError("diagram contraction is defined for bipartite states")
-    tau_a, tau_b = tuple(map(int, tau_a)), tuple(map(int, tau_b))
-    traces, steps = _wiring_plan(tau_a, tau_b, rho.dims.dims)
+    if not taus or len(taus) != rho.dims.n_parties:
+        raise ValueError("diagram contraction takes one wiring per party, at least one")
+    traces, steps = _wiring_plan(tuple(tuple(map(int, tau)) for tau in taus), rho.dims.dims)
     t = rho.entries.reshape(rho.dims.dims * 2)
     held = {}
     for k, pairs in enumerate(traces):

@@ -27,6 +27,11 @@ factorisation per matrix, against which the batch Gram-Schmidt of
 ``born_kron`` is the Born rule on the full Kronecker product of the local
 unitaries, an independent check of the per-party route.
 
+``wiring_einsum`` contracts one wiring per party with a freshly planned
+einsum, complex values included, and ``invariant_values`` gives every
+N-party invariant from it, so the N-party estimates are checked against
+values that no package contraction produced.
+
 ``diagram_contract_loops`` evaluates the einsum diagram contraction of
 ``twirlkit.weingarten`` term by term, and ``purity_loops`` evaluates
 Tr rho_P^2, which ``twirlkit.checks.x2_oracle`` reads off an operator-basis
@@ -280,6 +285,28 @@ def pattern_rows(order: int, dims) -> np.ndarray:
         rows = np.kron(rows, s_matrix(order) @ w_matrix(order, d))
     ids = _invariants(order, len(dims))
     return rows @ np.eye(ids.max() + 1)[ids]
+
+
+def wiring_einsum(rho: DensityMatrix, taus) -> complex:
+    """The contraction of n copies of rho along one wiring per party, as one
+    complex einsum: copy k has row label l n + tau_l(k) and column label
+    l n + k on party l."""
+    n, parties = len(taus[0]), range(rho.dims.n_parties)
+    t = rho.entries.reshape(rho.dims.dims * 2)
+    operands = []
+    for k in range(n):
+        operands += [t, [l * n + taus[l][k] for l in parties] + [l * n + k for l in parties]]
+    return complex(np.einsum(*operands, [], optimize=True))
+
+
+def invariant_values(rho: DensityMatrix, order: int) -> np.ndarray:
+    """Every invariant of ``_invariants(order, N)``, complex where it is, as
+    the einsum of the first wiring of its orbit."""
+    perms = permutations_of_order(order).tolist()
+    n_parties = rho.dims.n_parties
+    first = np.unique(_invariants(order, n_parties), return_index=True)[1]
+    digits = np.unravel_index(first, (len(perms),) * n_parties)
+    return np.array([wiring_einsum(rho, [perms[d] for d in w]) for w in zip(*digits)])
 
 
 def diagram_contract_loops(rho: DensityMatrix, tau_a, tau_b) -> float:

@@ -101,20 +101,23 @@ def _unvalidated_identity(dims, entries) -> DensityMatrix:
         ["invariants", "--state", "NAN_OFF_DIAGONAL"],
         ["invariants", "--state", "INF_OFF_DIAGONAL"],
         ["invariants", "--builtin", "bell-diagonal", "--params", "l1=nan,l2=0.5,l3=0.25,l4=0.25"],
+        ["invariants", "--state", "NO_PARTIES"],
     ],
     ids=["missing-file", "werner-p-out-of-range", "bell-weights-not-normalised", "rank-too-large",
          "not-utf8", "estimate-one-party", "nan-diagonal", "nan-off-diagonal",
-         "infinity-off-diagonal", "bell-diagonal-nan-weight"],
+         "infinity-off-diagonal", "bell-diagonal-nan-weight", "no-parties"],
 )
 def test_bad_state_file_exit_code(argv, tmp_path, capsys):
-    # NOT_UTF8 stands for a file that starts with a UTF-16 byte-order mark;
-    # the other names stand for state files whose JSON holds NaN or Infinity
+    # NOT_UTF8 stands for a file that starts with a UTF-16 byte-order mark,
+    # NO_PARTIES for a 1 x 1 state with empty dims, and the other names for
+    # state files whose JSON holds NaN or Infinity
     (tmp_path / "NOT_UTF8").write_bytes(b"\xff\xfe")
     nan, inf = float("nan"), float("inf")
     states = {
         "NAN_DIAGONAL": _unvalidated_identity([2], {(0, 0): nan}),
         "NAN_OFF_DIAGONAL": _unvalidated_identity([2, 2], {(0, 1): nan, (1, 0): nan}),
         "INF_OFF_DIAGONAL": _unvalidated_identity([2, 2], {(0, 1): inf, (1, 0): inf}),
+        "NO_PARTIES": _unvalidated_identity([], {}),
     }
     for name, rho in states.items():
         save_state(rho, tmp_path / name)
@@ -203,6 +206,18 @@ def test_invariants_builtin_werner_order2(capsys):
     assert lines[0] == "name,exact,oracle,residual"
     values = [float(l.split(",")[1]) for l in lines[1:]]
     assert values == pytest.approx([1.0, 0.5, 0.5, 0.25], abs=1e-12)
+
+
+@pytest.mark.parametrize("flag", [["--dims", "2,2"], ["--params", "p=0.3"]], ids=["dims", "params"])
+def test_a_builtin_flag_next_to_a_state_file_is_a_usage_error(flag, tmp_path, capsys):
+    # the file gives the whole state, so a flag that shapes a builtin is not
+    # silently ignored
+    path = tmp_path / "r.json"
+    save_state(random_density((4, 4), rank=3, seed=1), path)
+    code, out, err = run(["invariants", "--state", str(path), "--order", "3", *flag], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error") and flag[0] in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_invariants_from_state_file(tmp_path, capsys):

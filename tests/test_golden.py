@@ -1,7 +1,9 @@
 """Seeded `estimate` and `invariants` outputs pinned to values recorded
 before a refactor.
 
-Each CSV under ``tests/golden`` is the output of the command beside it.  A
+Each CSV under ``tests/golden`` is the output of the command or library call
+beside it; the CLI prints order 3 for two parties only, so the three-party
+order-3 estimate is pinned as ``estimate_y``'s values and standard errors.  A
 change that keeps the seeded unitary stream must reproduce every number to
 1e-12 relative.  Standard errors below 1e-9 belong to invariants that are
 constant on every unitary (such as x0 = 1); they are rounding noise, so they
@@ -16,6 +18,8 @@ import numpy as np
 import pytest
 
 from twirlkit.cli import main
+from twirlkit.states import random_density
+from twirlkit.twirl import EstimatorConfig, estimate_y
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -36,6 +40,14 @@ INVARIANT_CASES = {
                                "--params", "rank=4,seed=17", "--order", "3"],
     "invariants_o2_random223": ["--builtin", "random", "--dims", "2,2,3",
                                 "--params", "rank=3,seed=18", "--order", "2"],
+}
+
+LIBRARY_CASES = {
+    "o3_random333_rank2_shots20": lambda: estimate_y(
+        random_density((3, 3, 3), rank=2, seed=21),
+        EstimatorConfig(n_unitaries=1024, shots=20, master_seed=23),
+        3,
+    ),
 }
 
 
@@ -75,3 +87,18 @@ def test_exact_invariants_match_their_golden_values(name, capsys):
                                    rtol=1e-12, atol=0.0, err_msg=w[0])
         np.testing.assert_allclose(float(g[3]), float(w[3]), rtol=0.0, atol=1e-10,
                                    err_msg=w[0])
+
+
+@pytest.mark.parametrize("name", list(LIBRARY_CASES))
+def test_seeded_library_estimate_matches_its_golden_values(name):
+    est = LIBRARY_CASES[name]()
+    with open(os.path.join(GOLDEN, f"{name}.csv")) as fh:
+        want = _rows(fh.read())
+    assert want[0] == ["name", "value", "std_error"]
+    assert [w[0] for w in want[1:]] == ["x%d" % k for k in range(len(est.values))]
+    for k, (_, value, std_error) in enumerate(want[1:]):
+        np.testing.assert_allclose(est.values[k], float(value), rtol=1e-12, atol=0.0,
+                                   err_msg=f"x{k} value")
+        atol = 1e-10 if float(std_error) < 1e-9 else 0.0
+        np.testing.assert_allclose(est.std_error[k], float(std_error), rtol=0.0 if atol else 1e-12,
+                                   atol=atol, err_msg=f"x{k} std_error")

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from oracles import (
     INVARIANT_ID,
     exact_y,
+    invariant_values,
     invariants_loops,
+    inverse,
     invert_3_closed_form,
     measurable_x,
     pair_class_counts,
@@ -300,7 +303,9 @@ def test_forward_of_invert_is_identity_and_batches_row_for_row(order_dims, k, se
 
 
 @pytest.mark.parametrize(
-    "order, dims", [(2, (2, 2)), (2, (3, 4)), (2, (2, 2, 3)), (3, (3, 3)), (3, (3, 4)), (3, (5, 5))]
+    "order, dims",
+    [(2, (2, 2)), (2, (3, 4)), (2, (2, 2, 3)), (3, (3, 3)), (3, (3, 4)), (3, (5, 5)),
+     (3, (3, 3, 3)), (3, (3, 4, 5))],
 )
 def test_pooled_pattern_rows_agree_within_each_component(order, dims):
     rows = pattern_rows(order, dims)
@@ -366,6 +371,48 @@ def test_three_party_order3_forward_rows_have_full_row_rank_and_are_pooled(dims)
     for comp in range(pool.shape[1]):
         members = rows[pool[:, comp] == 1]
         assert np.max(np.abs(members - members[0])) <= 1e-12 * np.abs(rows).max()
+
+
+@pytest.mark.parametrize(
+    "dims,shape", [((3, 3, 3), (37, 49)), ((3, 4, 5), (37, 49)), ((3, 3, 3, 3), (150, 251))]
+)
+def test_multipartite_order3_forward_matrix_has_full_row_rank_and_inverse_wirings_share_columns(
+    dims, shape
+):
+    a = forward_matrix(3, dims)
+    assert a.shape == shape
+    assert np.linalg.matrix_rank(a) == shape[0]
+    # no equality pattern tells a permutation from its inverse, so inverting
+    # one party's wiring keeps the column; inverting every party's gives the
+    # complex conjugate invariant, so A x is real
+    perms = [tuple(p) for p in permutations_of_order(3).tolist()]
+    ids = _invariants(3, len(dims))
+    for flip in [{l} for l in range(len(dims))] + [set(range(len(dims)))]:
+        other = ids[[
+            np.ravel_multi_index(
+                [perms.index(inverse(perms[k])) if l in flip else k for l, k in enumerate(w)],
+                (6,) * len(dims),
+            )
+            for w in itertools.product(range(6), repeat=len(dims))
+        ]]
+        assert np.any(other != ids)
+        np.testing.assert_allclose(a[:, other], a[:, ids], rtol=0, atol=1e-12 * np.abs(a).max())
+
+
+@pytest.mark.parametrize("shots,n_unitaries", [(0, 2048), (20, 4096)])
+def test_three_party_order3_estimate_is_near_the_minimum_norm_x(shots, n_unitaries):
+    # x is one complex einsum per invariant; conjugate invariants share a
+    # column of A, so A x is real, and the estimate targets the least-norm
+    # preimage of A x
+    dims = (3, 3, 3)
+    rho = random_density(dims, rank=2, seed=21)
+    y = forward_matrix(3, dims) @ invariant_values(rho, 3)
+    assert np.max(np.abs(y.imag)) < 1e-12
+    want = invert(3, dims, y.real)
+    est = estimate_y(rho, EstimatorConfig(n_unitaries=n_unitaries, shots=shots, master_seed=22), 3)
+    # a state-constant invariant such as x0 has a rounding-level error bar
+    sigma = np.maximum(est.std_error, 1e-12)
+    assert np.max(np.abs(est.values - want) / sigma) < 5
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ def test_missing_keys(tmp_path):
 
 def test_non_integer_dims(tmp_path):
     path = tmp_path / "bad.json"
-    for dims in [[2.0], [True, 2], [2, False]]:  # JSON booleans parse to int subclasses
+    # JSON booleans parse to int subclasses; a state names at least one party
+    for dims in [[2.0], [True, 2], [2, False], []]:
         path.write_text(json.dumps({"dims": dims, "matrix": []}))
         with pytest.raises(StateFileError, match="dims must be an array of integers"):
             load_state(path)

@@ -14,6 +14,7 @@ from oracles import (
     partial_trace,
     trace_power,
     wg,
+    wiring_einsum,
 )
 from twirlkit.reconstruct import _pooling, forward_matrix
 from twirlkit.states import (
@@ -48,6 +49,10 @@ def test_permutation_rejects_non_bijection():
         diagram_contract(rho, (0, 1, 2), (0, 0, 1))
     with pytest.raises(ValueError, match="order mismatch"):
         diagram_contract(rho, (0, 1, 2), (1, 0))
+    with pytest.raises(ValueError, match="one wiring per party"):
+        diagram_contract(rho, (0, 1, 2), (0, 1, 2), (0, 1, 2))
+    with pytest.raises(ValueError, match="one wiring per party"):
+        diagram_contract(DensityMatrix(DimsProfile(()), np.ones((1, 1))))
 
 
 def test_compose_and_inverse():
@@ -274,16 +279,22 @@ def test_gram_matrix_equals_the_gram_comprehension(n, d):
     assert np.array_equal(gram_matrix(n, d), want)
 
 
-@pytest.mark.parametrize("dims", [(4, 4), (3, 5)])
+@pytest.mark.parametrize("dims", [(4, 4), (3, 5), (2, 3, 2), (3, 3, 3), (2, 2, 2, 2)])
 def test_diagram_contract_equals_a_freshly_planned_einsum(dims):
     # the plan pairs copies as optimize=True does, but runs each pair as a
-    # matmul in its own summation order, so values agree to rounding
+    # matmul in its own summation order, so values agree to rounding; beyond
+    # two parties a wiring that is not conjugate to its inverse is complex
+    # (six order-3 wirings per orbit, three conjugate pairs of orbits)
     rho = random_density(dims, rank=3, seed=2)
-    t = rho.entries.reshape(dims * 2)
-    for p in S3:
-        for q in S3:
-            operands = []
-            for k in range(3):
-                operands += [t, [p[k], 3 + q[k], k, 3 + k]]
-            want = complex(np.einsum(*operands, [], optimize=True)).real
-            assert diagram_contract(rho, p, q) == pytest.approx(want, rel=1e-13)
+    for order in {2: (3,), 3: (2, 3), 4: (2,)}[len(dims)]:
+        perms = permutations_of_order(order).tolist()
+        n_complex = 0
+        for taus in itertools.product(perms, repeat=len(dims)):
+            want = wiring_einsum(rho, taus)
+            if abs(want.imag) > 1e-12:
+                n_complex += 1
+                with pytest.raises(ArithmeticError, match="imaginary part"):
+                    diagram_contract(rho, *taus)
+            else:
+                assert diagram_contract(rho, *taus) == pytest.approx(want.real, rel=1e-13)
+        assert n_complex == (36 if order == 3 and len(dims) == 3 else 0)

@@ -81,7 +81,18 @@ def _emit(lines: Iterable[str], out_path: str | None) -> None:
 # state resolution
 # ---------------------------------------------------------------------------
 
-def _parse_params(text: str | None) -> dict[str, float]:
+# read exactly when written as integers: a float rounds a seed above 2**53
+_INT_PARAMS = {"d", "rank", "seed"}
+
+
+def _number(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _parse_params(text: str | None) -> dict[str, int | float]:
     if not text:
         return {}
     params = {}
@@ -89,16 +100,17 @@ def _parse_params(text: str | None) -> dict[str, float]:
         if "=" not in item:
             raise UsageError(f"malformed --params item {item!r}, expected key=value")
         k, v = item.split("=", 1)
+        k = k.strip()
         try:
-            params[k.strip()] = float(v)
+            params[k] = _number(v) if k in _INT_PARAMS else float(v)
         except ValueError as exc:
             raise UsageError(f"--params value {v!r} is not a number") from exc
     return params
 
 
-def _int_param(params: dict[str, float], key: str, default: int) -> int:
+def _int_param(params: dict[str, int | float], key: str, default: int) -> int:
     value = params.get(key, default)
-    if not float(value).is_integer():
+    if isinstance(value, float) and not value.is_integer():
         raise UsageError(f"--params {key}={value!r} is not an integer")
     return int(value)
 

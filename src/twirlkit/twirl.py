@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar
@@ -53,9 +53,12 @@ from .weingarten import _partitions
 DRAW_BLOCK = 512
 # bytes allowed for the two (rows, r D / d, d) complex arrays of one Born slice
 BORN_SLICE_BYTES = 8 * 2**20
-# the most worker threads a run may ask for: every block is submitted at once,
-# so min(workers, blocks) threads start, each holding one block's arrays
+# the most worker threads a run may ask for: min(workers, blocks) threads
+# start, each holding one block's arrays
 MAX_WORKERS = 64
+# blocks submitted per worker ahead of the in-order merge, so a run of any
+# length queues a bounded number of blocks
+BLOCKS_AHEAD_PER_WORKER = 2
 
 
 class EstimationError(ArithmeticError):
@@ -330,6 +333,19 @@ def _merge_moments(parts):
     return n, mean, m2
 
 
+def _map_ahead(pool, fn, n_items: int, ahead: int):
+    """``map(fn, range(n_items))`` on ``pool``, in order, with at most ``ahead``
+    items submitted and not yet returned (``Executor.map`` submits every item
+    before it returns)."""
+    pending = deque()
+    for i in range(n_items):
+        pending.append(pool.submit(fn, i))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate:
     """Estimate the invariants of a run, at any order and number of parties,
     in the layout of ``invert``.  The forward matrix of (order, dims) is built
@@ -383,8 +399,13 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate
     if cfg.workers == 1:
         n, mean, m2 = _merge_moments(map(one_block, range(n_blocks)))
     else:
+        # imported here, so a one-worker process never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            n, mean, m2 = _merge_moments(pool.map(one_block, range(n_blocks)))
+            n, mean, m2 = _merge_moments(_map_ahead(
+                pool, one_block, n_blocks, BLOCKS_AHEAD_PER_WORKER * cfg.workers
+            ))
     return Estimate(
         values=mean,
         std_error=np.sqrt(m2 / ((n - 1) * n)) if n > 1 else np.full(m2.shape, np.nan),

@@ -137,11 +137,11 @@ def _wiring_plan(taus: tuple[tuple[int, ...], ...], dims: tuple[int, ...]) -> tu
     copies first and then step results, as
     ``a.transpose(pa).reshape(-1, k) @ b.transpose(pb).reshape(k, -1)``:
     every label is on exactly two copies, so a step contracts all the labels
-    its operands share.  The pairs come from the path ``optimize=True`` plans
-    on a zero-stride stand-in for the state; a step over more operands (the
-    greedy fallback when every pair outgrows the largest input) is taken left
-    to right.  Raises ValueError unless all wirings are permutations of one
-    order, so a wiring is checked once.
+    its operands share.  Each step takes the pair of held tensors that share
+    a label and give the fewest result entries, the first such pair in slot
+    order on a tie; a pair sharing no label is taken only when no pair shares
+    one.  Raises ValueError unless all wirings are permutations of one order,
+    so a wiring is checked once.
     """
     for images in taus:
         if sorted(images) != list(range(len(images))):
@@ -151,8 +151,6 @@ def _wiring_plan(taus: tuple[tuple[int, ...], ...], dims: tuple[int, ...]) -> tu
         raise ValueError("permutation order mismatch")
     copies = [[l * n + taus[l][k] for l in parties] + [l * n + k for l in parties]
               for k in range(n)]
-    stand_in = np.broadcast_to(np.complex128(0), dims * 2)
-    path = np.einsum_path(*itertools.chain(*((stand_in, c) for c in copies)), [], optimize=True)[0]
     size = [d for d in dims for _ in range(n)]
     traces, labels = [], []
     for copy in copies:
@@ -165,26 +163,27 @@ def _wiring_plan(taus: tuple[tuple[int, ...], ...], dims: tuple[int, ...]) -> tu
                 copy = copy[:i] + copy[i + 1 : j] + copy[j + 1 :]
         traces.append(tuple(pairs))
         labels.append(copy)
+
+    def cost(pair):
+        a, b = (set(labels[s]) for s in pair)
+        return a.isdisjoint(b), math.prod(size[l] for l in a ^ b)
+
     live, steps = list(range(n)), []
-    for step in path[1:]:
-        # einsum_path's list discipline: pop the step's operands, append its result
-        slots = [live[p] for p in step]
-        live = [s for p, s in enumerate(live) if p not in step]
-        a = slots[0]
-        for b in slots[1:]:
-            shared = [l for l in labels[a] if l in labels[b]]
-            free_a = [l for l in labels[a] if l not in shared]
-            free_b = [l for l in labels[b] if l not in shared]
-            steps.append((
-                a, b,
-                tuple(map(labels[a].index, free_a + shared)),
-                tuple(map(labels[b].index, shared + free_b)),
-                math.prod(size[l] for l in shared),
-                tuple(size[l] for l in free_a + free_b),
-            ))
-            a = len(labels)
-            labels.append(free_a + free_b)
-        live.append(a)
+    while len(live) > 1:
+        # min keeps the first pair in held order on a tie
+        a, b = min(itertools.combinations(live, 2), key=cost)
+        shared = [l for l in labels[a] if l in labels[b]]
+        free_a = [l for l in labels[a] if l not in shared]
+        free_b = [l for l in labels[b] if l not in shared]
+        steps.append((
+            a, b,
+            tuple(map(labels[a].index, free_a + shared)),
+            tuple(map(labels[b].index, shared + free_b)),
+            math.prod(size[l] for l in shared),
+            tuple(size[l] for l in free_a + free_b),
+        ))
+        live = [s for s in live if s not in (a, b)] + [len(labels)]
+        labels.append(free_a + free_b)
     return tuple(traces), tuple(steps)
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -10,7 +11,6 @@ import pytest
 
 from oracles import per_unitary_samples
 import twirlkit
-from twirlkit import twirl
 from twirlkit.cli import main
 from twirlkit.reconstruct import forward_matrix, invert
 from twirlkit.stateio import save_state
@@ -150,7 +150,7 @@ def test_workers_above_the_cap_are_a_usage_error_before_any_thread(monkeypatch, 
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was built")
 
-    monkeypatch.setattr(twirl, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert EstimatorConfig(n_unitaries=1, workers=MAX_WORKERS).workers == MAX_WORKERS
     with pytest.raises(ValueError, match=f"between 1 and {MAX_WORKERS}"):
         EstimatorConfig(n_unitaries=1, workers=MAX_WORKERS + 1)
@@ -555,3 +555,28 @@ def test_builtin_random_is_seeded(capsys):
     _, out1, _ = run(argv, capsys)
     _, out2, _ = run(argv, capsys)
     assert out1 == out2
+
+
+def test_builtin_random_reads_integer_params_exactly(tmp_path, capsys):
+    # 2**53 + 1 is the first integer a float cannot hold
+    outs = []
+    for seed in (2**53, 2**53 + 1):
+        argv = ["invariants", "--builtin", "random", "--dims", "3,3",
+                "--params", f"rank=2,seed={seed}"]
+        _, out, _ = run(argv, capsys)
+        save_state(random_density((3, 3), 2, seed), tmp_path / "state.json")
+        assert out == run(["invariants", "--state", str(tmp_path / "state.json")], capsys)[1]
+        outs.append(out)
+    assert outs[0] != outs[1]
+    argv = ["invariants", "--builtin", "random", "--dims", "3,3", "--params", "rank=2,seed=1e3"]
+    assert run(argv, capsys)[1] == run(argv[:-1] + ["rank=2,seed=1000"], capsys)[1]
+    code, _, err = run(["invariants", "--builtin", "werner", "--params", "d=3.5,p=0.5"], capsys)
+    assert code == 1 and "--params d=3.5 is not an integer" in err
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # a one-worker run never builds a pool, so it pays no import for one
+    code = "import sys, twirlkit.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_fresh_env())
+    assert done.returncode == 0 and done.stdout == "False\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -26,6 +27,7 @@ from twirlkit.states import (
     werner_state,
 )
 from twirlkit.twirl import (
+    BLOCKS_AHEAD_PER_WORKER,
     BORN_SLICE_BYTES,
     DRAW_BLOCK,
     EstimationError,
@@ -235,6 +237,34 @@ def test_reproducible_and_worker_independent():
     assert np.array_equal(e1.values, e4.values)
     assert np.array_equal(e1.std_error, e4.std_error)
     assert np.array_equal(e1.values, estimate_y(rho, cfg1, 2).values)
+
+
+def test_a_pool_gets_a_bounded_number_of_blocks_ahead_of_the_merge(monkeypatch):
+    # Executor.map would submit all forty blocks before the first merge
+    submitted, at_first_merge = [], []
+    real_submit = concurrent.futures.ThreadPoolExecutor.submit
+
+    def submit(pool, fn, *args):
+        submitted.append(args)
+        return real_submit(pool, fn, *args)
+
+    def merge(parts):
+        parts = iter(parts)
+        first = next(parts)
+        at_first_merge.append(len(submitted))
+        return _merge_moments(itertools.chain([first], parts))
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", submit)
+    monkeypatch.setattr("twirlkit.twirl._merge_moments", merge)
+    monkeypatch.setattr("twirlkit.twirl.DRAW_BLOCK", 4)
+    rho = random_density((2, 2), rank=3, seed=7)
+    cfg = EstimatorConfig(n_unitaries=160, shots=20, master_seed=9, workers=2)
+    got = estimate_y(rho, cfg, 2)
+    assert at_first_merge == [BLOCKS_AHEAD_PER_WORKER * cfg.workers]
+    assert submitted == [(b,) for b in range(40)]
+    want = estimate_y(rho, dataclasses.replace(cfg, workers=1), 2)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.std_error, want.std_error)
 
 
 @pytest.mark.parametrize("order,shots", [(2, 0), (2, 6), (3, 0), (3, 6)])

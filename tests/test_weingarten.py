@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from twirlkit.weingarten import (
     diagram_contract,
     _group_tables,
     _partitions,
+    _wiring_plan,
     gram_matrix,
     permutations_of_order,
     s_matrix,
@@ -236,7 +238,8 @@ def test_diagram_contract_matches_loop_oracle_on_every_wiring(dims):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
 def test_diagram_contract_matches_loop_oracle_on_sampled_order4_wirings(dims):
     # the sample has fixed points (traced inside a copy) on either side, and
-    # two wirings whose greedy path is one four-copy step, taken pairwise
+    # two wirings whose plans pair copies out of slot order and, at (2, 2),
+    # join two step results
     perms = [tuple(p) for p in permutations_of_order(4).tolist()]
     wirings = [(p, q) for p in perms[::5] for q in perms[::7]] + [
         ((1, 0, 3, 2), (2, 3, 1, 0)),
@@ -248,6 +251,25 @@ def test_diagram_contract_matches_loop_oracle_on_sampled_order4_wirings(dims):
     got = [diagram_contract(rho, p, q) for p, q in wirings]
     want = [diagram_contract_loops(rho, p, q) for p, q in wirings]
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _largest_step(taus, dims) -> int:
+    # planned uncached, so sweeping every wiring leaves the process cache alone
+    return max(math.prod(step[5]) for step in _wiring_plan.__wrapped__(taus, dims)[1])
+
+
+@pytest.mark.parametrize("dims, bound", [((3, 4), 2), ((2, 3, 4), 8)])
+def test_every_order4_plan_keeps_each_step_within_a_few_copies_of_the_state(dims, bound):
+    perms = [tuple(p) for p in permutations_of_order(4).tolist()]
+    worst = max(_largest_step(taus, dims) for taus in itertools.product(perms, repeat=len(dims)))
+    assert worst <= bound * math.prod(dims) ** 2
+
+
+def test_an_order4_wiring_once_planned_at_144_copies_of_the_state_stays_within_two():
+    # numpy's greedy path took this wiring as one four-copy step, whose first
+    # pair built a 144 D^2 intermediate
+    dims = (2, 3, 4)
+    assert _largest_step(((1, 2, 3, 0), (3, 2, 1, 0), (2, 3, 0, 1)), dims) <= 2 * 24**2
 
 
 def test_diagram_contract_rejects_a_complex_contraction():
@@ -281,8 +303,8 @@ def test_gram_matrix_equals_the_gram_comprehension(n, d):
 
 @pytest.mark.parametrize("dims", [(4, 4), (3, 5), (2, 3, 2), (3, 3, 3), (2, 2, 2, 2)])
 def test_diagram_contract_equals_a_freshly_planned_einsum(dims):
-    # the plan pairs copies as optimize=True does, but runs each pair as a
-    # matmul in its own summation order, so values agree to rounding; beyond
+    # the plan runs each pair of copies as a matmul in its own summation
+    # order, so values agree with one einsum to rounding; beyond
     # two parties a wiring that is not conjugate to its inverse is complex
     # (six order-3 wirings per orbit, three conjugate pairs of orbits)
     rho = random_density(dims, rank=3, seed=2)

@@ -32,12 +32,7 @@ from .states import (
     werner_state,
 )
 from .stateio import StateFileError, load_state, save_state
-from .twirl import (
-    EstimationError,
-    EstimatorConfig,
-    Estimate,
-    estimate_y,
-)
+from .twirl import EstimatorConfig, Estimate, estimate_y
 from .weingarten import (
     SingularDimensionError,
     diagram_contract,

@@ -99,17 +99,12 @@ def invariant_table(
     return exact, oracle, residuals
 
 
-def run_selftest(perturb_w: float = 0.0) -> list[tuple[str, bool, str]]:
-    """All internal consistency checks as (name, passed, detail) triples.
-
-    ``perturb_w`` is a debug hook that offsets one Weingarten-matrix entry
-    to confirm the Gram-identity check is sensitive.
-    """
+def run_selftest() -> list[tuple[str, bool, str]]:
+    """All internal consistency checks as (name, passed, detail) triples."""
     checks = []
 
     def gram_ok(n: int, d: int) -> float:
-        w = weingarten.w_matrix(n, d).copy()
-        w[0, 0] += perturb_w
+        w = weingarten.w_matrix(n, d)
         return float(np.max(np.abs(w @ weingarten.gram_matrix(n, d) - np.eye(len(w)))))
 
     worst = max(gram_ok(2, d) for d in range(2, 7))

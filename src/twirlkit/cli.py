@@ -207,6 +207,7 @@ def _estimate_rows(rho: DensityMatrix, args):
     try:
         cfg = twirl.EstimatorConfig(
             n_unitaries=args.unitaries,
+            order=args.order,
             shots=args.shots,
             master_seed=args.seed,
             plug_in=args.plug_in,
@@ -214,15 +215,10 @@ def _estimate_rows(rho: DensityMatrix, args):
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.shots and args.shots < args.order and not args.plug_in:
-        raise UsageError(
-            f"unbiased order-{args.order} estimation needs --shots >= {args.order}"
-            " (or --plug-in)"
-        )
     # the library's warnings become one stderr line each, without a source line
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        est = twirl.estimate_y(rho, cfg, args.order)
+        est = twirl.estimate_y(rho, cfg)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     names = ["x%d" % k for k in range(len(est.values))]
@@ -304,7 +300,7 @@ def cmd_werner_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = checks.run_selftest(perturb_w=args.debug_perturb_w)
+    results = checks.run_selftest()
     lines = []
     ok = True
     for name, passed, detail in results:
@@ -364,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_werner_sweep)
 
     p = sub.add_parser("selftest", help="internal consistency checks")
-    p.add_argument("--debug-perturb-w", type=float, default=0.0,
-                   help=argparse.SUPPRESS)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_selftest)
     return parser
@@ -385,8 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except StateError as exc:
         print(f"invalid state input: {exc}", file=sys.stderr)
         return EXIT_BAD_STATE
-    except (reconstruct.ReconstructionError, twirl.EstimationError,
-            weingarten.SingularDimensionError, ArithmeticError) as exc:
+    except (weingarten.SingularDimensionError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:

@@ -64,6 +64,8 @@ def load_state(path: str | Path) -> DensityMatrix:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StateFileError(f"{path} nests its arrays too deeply to parse") from exc
     return _parse_payload(payload)
 
 

@@ -17,7 +17,9 @@ pooling of the exact patterns into the y components.  For shot counts, the
 U-statistic over ordered distinct shots sums the contractions on pi v rho
 with weight mu(0, rho) over the partitions rho of coinciding shots.  Which
 contractions to run, and the one matrix taking them to the components, are
-planned once per (order, dims, shots > 0) by ``_kernel_plan``.
+planned once per (order, dims, shots > 0) by ``_kernel_plan``.  The order
+and the shots are one ``EstimatorConfig``, so the rule that ties them (the
+U-statistics need shots >= order) is checked once, when the config is built.
 
 Reproducibility: unitaries are drawn in blocks of ``DRAW_BLOCK``; block b for
 party l uses the substream ``b * n_parties + l`` of the master seed, and its
@@ -61,22 +63,22 @@ MAX_WORKERS = 64
 BLOCKS_AHEAD_PER_WORKER = 2
 
 
-class EstimationError(ArithmeticError):
-    """Raised when an estimator cannot produce finite statistics."""
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs of a simulated protocol run.
+    """Settings of a simulated protocol run: the order n of the invariants
+    it estimates and how they are sampled.
 
     shots = 0 means ideal statistics: exact Born probabilities per unitary,
     no multinomial sampling.  With finite shots the default estimators are
-    the unbiased U-statistics over ordered distinct shots; ``plug_in`` swaps
-    in the biased empirical-frequency products (O(1/shots) bias).
+    the unbiased U-statistics over ordered distinct shots, which need
+    shots >= order; ``plug_in`` swaps in the biased empirical-frequency
+    products (O(1/shots) bias), which need no such bound.  Shots are at most
+    2**63 - 1, the largest count numpy's multinomial sampler takes.
     ``batch_size`` is not settable: it reads the draw block, ``DRAW_BLOCK``.
     """
 
     n_unitaries: int
+    order: int
     shots: int = 0
     master_seed: int = DEFAULT_SEED
     plug_in: bool = False
@@ -88,6 +90,12 @@ class EstimatorConfig:
             raise ValueError("n_unitaries must be >= 1")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
+        if self.shots > 2**63 - 1:
+            raise ValueError("shots must be at most 2**63 - 1")
+        if 0 < self.shots < self.order and not self.plug_in:
+            raise ValueError(
+                f"unbiased order-{self.order} estimation needs shots >= {self.order} (or plug_in)"
+            )
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         if not 1 <= self.workers <= MAX_WORKERS:
@@ -346,19 +354,16 @@ def _map_ahead(pool, fn, n_items: int, ahead: int):
         yield pending.popleft().result()
 
 
-def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> Estimate:
-    """Estimate the invariants of a run, at any order and number of parties,
-    in the layout of ``invert``.  The forward matrix of (order, dims) is built
-    before any unitary is drawn, so dimensions it cannot invert raise first.
+def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig) -> Estimate:
+    """Estimate the order-``cfg.order`` invariants of a run, at any number of
+    parties, in the layout of ``invert``.  The forward matrix of (order, dims)
+    is built before any unitary is drawn, so dimensions it cannot invert raise
+    first.
     """
-    dims = rho.dims.dims
+    order, dims = cfg.order, rho.dims.dims
     forward_matrix(order, dims)
     n_parties = rho.dims.n_parties
     n_blocks = -(-cfg.n_unitaries // DRAW_BLOCK)
-    if cfg.shots and cfg.shots < order and not cfg.plug_in:
-        raise EstimationError(
-            f"unbiased order-{order} estimation needs at least {order} shots"
-        )
     if cfg.plug_in and cfg.shots:
         warnings.warn(
             "plug-in estimator is biased at finite shots (O(1/shots))",

@@ -371,10 +371,11 @@ def born_kron(rho: DensityMatrix, locals_: list[np.ndarray]) -> np.ndarray:
     return np.einsum("bij,ik,bkj->bj", u.conj(), rho.entries, u).real
 
 
-def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig, order: int) -> np.ndarray:
-    """(n_unitaries, n_components) class averages at exact probabilities,
-    drawn from the same seeded substreams as the estimator's draw blocks."""
-    dims, n = rho.dims.dims, rho.dims.n_parties
+def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig) -> np.ndarray:
+    """(n_unitaries, n_components) order-``cfg.order`` class averages at exact
+    probabilities, drawn from the same seeded substreams as the estimator's
+    draw blocks."""
+    order, dims, n = cfg.order, rho.dims.dims, rho.dims.n_parties
     counts = _class_sums(np.ones((1,) + dims), order)[0]
     factor = _eigen_factor(rho)
     rows = []

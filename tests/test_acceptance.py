@@ -1,5 +1,6 @@
 """End-to-end acceptance checks. Each test prints one pass/fail line."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -108,8 +109,8 @@ def test_acceptance_3_second_order_pipeline():
 
 def _bell_purities(n_unitaries: int, seed: int):
     rho = make_state(max_entangled_projector(2), (2, 2))
-    cfg = EstimatorConfig(n_unitaries=n_unitaries, master_seed=seed)
-    est = estimate_y(rho, cfg, 2)
+    cfg = EstimatorConfig(n_unitaries=n_unitaries, order=2, master_seed=seed)
+    est = estimate_y(rho, cfg)
     return est.values, est.std_error
 
 
@@ -153,17 +154,17 @@ def test_acceptance_5_analytic_thresholds():
 
 def test_acceptance_6_end_to_end_werner_detection():
     rho = werner_state(3, 0.48)
-    cfg = EstimatorConfig(n_unitaries=20000, master_seed=20240917)
-    est3 = estimate_y(rho, cfg, 3)
+    cfg = EstimatorConfig(n_unitaries=20000, order=3, master_seed=20240917)
+    est3 = estimate_y(rho, cfg)
     rep3 = third_order_criterion(est3.values)
     # the margin 2 x8 - x9 - x10 is linear in x, so its standard error is
     # that of its per-unitary values, rebuilt from the same substreams
     g = np.zeros(11)
     g[8], g[9], g[10] = 2.0, -1.0, -1.0
-    se_margin = std_error_of_mean(invert(3, (3, 3), per_unitary_samples(rho, cfg, 3)) @ g)
+    se_margin = std_error_of_mean(invert(3, (3, 3), per_unitary_samples(rho, cfg)) @ g)
     sigma = -rep3.margin / se_margin
 
-    est2 = estimate_y(rho, cfg, 2)
+    est2 = estimate_y(rho, dataclasses.replace(cfg, order=2))
     rep2, _ = purity_criterion(est2.values)
     ok = rep3.detected and sigma >= 3.0 and not rep2.detected
     _report(6, "end-to-end detection", ok,

@@ -70,6 +70,6 @@ def test_the_tracer_sees_the_chunks_of_an_order3_estimate(monkeypatch, capsys):
 def test_the_config_still_reads_the_block_size_the_tracer_reads():
     # spans._run_estimate counts chunks from cfg.batch_size; it is the fixed
     # draw block, no longer a constructor argument
-    assert twirl.EstimatorConfig(10).batch_size == 512 == twirl.DRAW_BLOCK
+    assert twirl.EstimatorConfig(10, order=2).batch_size == 512 == twirl.DRAW_BLOCK
     with pytest.raises(TypeError):
-        twirl.EstimatorConfig(10, batch_size=256)
+        twirl.EstimatorConfig(10, order=2, batch_size=256)

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import per_unitary_samples
 import twirlkit
+from twirlkit import weingarten
 from twirlkit.cli import main
 from twirlkit.reconstruct import forward_matrix, invert
 from twirlkit.stateio import save_state
@@ -36,6 +37,7 @@ WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
         WERNER3 + ["--shots", "-1"],
         ["invariants", "--builtin", "werner", "--params", "d=2.5,p=0.5"],
         WERNER3 + ["--order", "3", "--shots", "2"],
+        WERNER3 + ["--shots", "10000000000000000000"],
         ["invariants", "--builtin", "random", "--dims", "2,2", "--params", "rnak=1,seed=4"],
         ["invariants", "--builtin", "werner", "--params", "d=3,p=0.5,q=1"],
         ["invariants", "--builtin", "bell-diagonal", "--params", "l1=1,l2=0,l3=0,l4=0,l5=0"],
@@ -49,7 +51,7 @@ WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
     ],
     ids=[
         "no-state", "unitaries-0", "workers-0", "shots-negative", "werner-d-not-integer",
-        "order3-shots-2", "random-unknown-key", "werner-unknown-key",
+        "order3-shots-2", "shots-above-int64", "random-unknown-key", "werner-unknown-key",
         "bell-diagonal-unknown-key", "maximally-mixed-unknown-key", "werner-unequal-dims",
         "werner-d-disagrees-with-dims", "bell-diagonal-not-two-qubits",
         "sweep-steps-huge", "sweep-steps-above-bound",
@@ -146,14 +148,32 @@ def test_malformed_matrix_is_a_one_line_state_error_in_a_fresh_process(tmp_path)
         assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("key", ["matrix", "dims"])
+def test_deeply_nested_state_file_is_a_one_line_state_error_in_a_fresh_process(key, tmp_path):
+    # arrays nested 100,000 deep exhaust the JSON parser's recursion limit
+    fields = {"dims": "[2]", "matrix": "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"}
+    fields[key] = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "nested.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+    src = os.path.dirname(os.path.dirname(twirlkit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "twirlkit.cli", "invariants", "--state", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("invalid state input: ")
+    assert len(done.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_workers_above_the_cap_are_a_usage_error_before_any_thread(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was built")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    assert EstimatorConfig(n_unitaries=1, workers=MAX_WORKERS).workers == MAX_WORKERS
+    assert EstimatorConfig(n_unitaries=1, order=2, workers=MAX_WORKERS).workers == MAX_WORKERS
     with pytest.raises(ValueError, match=f"between 1 and {MAX_WORKERS}"):
-        EstimatorConfig(n_unitaries=1, workers=MAX_WORKERS + 1)
+        EstimatorConfig(n_unitaries=1, order=2, workers=MAX_WORKERS + 1)
     code, out, err = run(WERNER3 + ["--unitaries", "2048", "--workers", str(MAX_WORKERS + 1)],
                          capsys)
     assert code == 1 and out == ""
@@ -327,8 +347,8 @@ def test_propagated_x_errors_match_inverted_samples(dims, order, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     se = np.array(_std_errors(out, "csv"))
-    cfg = EstimatorConfig(n_unitaries=600, master_seed=11)
-    x = invert(order, dims, per_unitary_samples(random_density(dims, 2, 4), cfg, order))
+    cfg = EstimatorConfig(n_unitaries=600, order=order, master_seed=11)
+    x = invert(order, dims, per_unitary_samples(random_density(dims, 2, 4), cfg))
     ref = np.std(x, axis=0, ddof=1) / np.sqrt(cfg.n_unitaries)
     # x0 = 1 on every unitary, so its error bar is rounding noise
     assert se[0] < 1e-10
@@ -374,22 +394,41 @@ def test_werner_sweep_invalid_grid(capsys):
     assert code == 1
 
 
-def test_selftest_passes_and_perturbation_fails(capsys):
+def _perturb_w(monkeypatch):
+    """Offset one Weingarten-matrix entry in the tables the selftest reads;
+    ``reconstruct`` holds its own reference to ``w_matrix``, so the forward
+    matrices keep the true tables."""
+    w_matrix = weingarten.w_matrix
+
+    def perturbed(n, d):
+        w = w_matrix(n, d).copy()
+        w[0, 0] += 1e-3
+        return w
+
+    monkeypatch.setattr(weingarten, "w_matrix", perturbed)
+
+
+def test_selftest_passes_and_perturbation_fails(monkeypatch, capsys):
     code, out, _ = run(["selftest"], capsys)
     assert code == 0
     assert "all checks passed" in out
     assert "x9 = Tr rho^3" in out  # identification is reported
 
-    code, out, _ = run(["selftest", "--debug-perturb-w", "1e-3"], capsys)
+    _perturb_w(monkeypatch)
+    code, out, _ = run(["selftest"], capsys)
     assert code != 0
     assert "FAIL" in out
 
 
 @pytest.mark.parametrize("perturb_first", [True, False])
-def test_selftest_perturbation_leaves_the_cached_tables_alone(perturb_first, capsys):
+def test_selftest_perturbation_leaves_the_cached_tables_alone(perturb_first, monkeypatch, capsys):
     before = forward_matrix(3, (3, 3)).copy()
-    runs = [["selftest", "--debug-perturb-w", "1e-3"], ["selftest"]]
-    codes = [run(argv, capsys)[0] for argv in (runs if perturb_first else runs[::-1])]
+    codes = []
+    for perturbed in ([True, False] if perturb_first else [False, True]):
+        with monkeypatch.context() as m:
+            if perturbed:
+                _perturb_w(m)
+            codes.append(run(["selftest"], capsys)[0])
     assert codes == ([3, 0] if perturb_first else [0, 3])
     assert np.array_equal(forward_matrix(3, (3, 3)), before)
 

@@ -45,8 +45,7 @@ INVARIANT_CASES = {
 LIBRARY_CASES = {
     "o3_random333_rank2_shots20": lambda: estimate_y(
         random_density((3, 3, 3), rank=2, seed=21),
-        EstimatorConfig(n_unitaries=1024, shots=20, master_seed=23),
-        3,
+        EstimatorConfig(n_unitaries=1024, order=3, shots=20, master_seed=23),
     ),
 }
 

@@ -409,7 +409,8 @@ def test_three_party_order3_estimate_is_near_the_minimum_norm_x(shots, n_unitari
     y = forward_matrix(3, dims) @ invariant_values(rho, 3)
     assert np.max(np.abs(y.imag)) < 1e-12
     want = invert(3, dims, y.real)
-    est = estimate_y(rho, EstimatorConfig(n_unitaries=n_unitaries, shots=shots, master_seed=22), 3)
+    cfg = EstimatorConfig(n_unitaries=n_unitaries, order=3, shots=shots, master_seed=22)
+    est = estimate_y(rho, cfg)
     # a state-constant invariant such as x0 has a rounding-level error bar
     sigma = np.maximum(est.std_error, 1e-12)
     assert np.max(np.abs(est.values - want) / sigma) < 5
@@ -441,11 +442,11 @@ def test_order4_werner_class_averages_match_the_diagram_contractions(p):
     x = np.bincount(ids, wired) / np.bincount(ids)
     assert np.allclose(wired, x[ids], rtol=1e-12, atol=1e-15)
     m = forward_matrix(4, (4, 4))
-    cfg = EstimatorConfig(n_unitaries=4096)
-    est = estimate_y(rho, cfg, 4)
+    cfg = EstimatorConfig(n_unitaries=4096, order=4)
+    est = estimate_y(rho, cfg)
     # A x_hat is the mean class average y_bar, so its error bars are those
     # of the per-unitary class averages
-    sigma = std_error_of_mean(per_unitary_samples(rho, cfg, 4))
+    sigma = std_error_of_mean(per_unitary_samples(rho, cfg))
     z = (m @ est.values - m @ x) / sigma
     assert np.max(np.abs(z)) < 5
 

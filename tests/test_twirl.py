@@ -30,7 +30,6 @@ from twirlkit.twirl import (
     BLOCKS_AHEAD_PER_WORKER,
     BORN_SLICE_BYTES,
     DRAW_BLOCK,
-    EstimationError,
     EstimatorConfig,
     _batched_probabilities,
     _class_counts,
@@ -45,13 +44,17 @@ from twirlkit.weingarten import SingularDimensionError, _partitions
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EstimatorConfig(n_unitaries=0)
+        EstimatorConfig(n_unitaries=0, order=2)
     with pytest.raises(ValueError):
-        EstimatorConfig(n_unitaries=1, shots=-1)
+        EstimatorConfig(n_unitaries=1, order=2, shots=-1)
     with pytest.raises(ValueError):
-        EstimatorConfig(n_unitaries=1, workers=0)
+        EstimatorConfig(n_unitaries=1, order=2, workers=0)
     with pytest.raises(ValueError):
-        EstimatorConfig(n_unitaries=1, master_seed=-1)
+        EstimatorConfig(n_unitaries=1, order=2, master_seed=-1)
+    # the shot count is an int64 for numpy's multinomial sampler
+    assert EstimatorConfig(n_unitaries=1, order=2, shots=2**63 - 1).shots == 2**63 - 1
+    with pytest.raises(ValueError, match="at most 2\\*\\*63 - 1"):
+        EstimatorConfig(n_unitaries=1, order=2, shots=2**63)
 
 
 def test_born_probabilities_are_a_probability_vector():
@@ -154,8 +157,8 @@ def test_kernel_plan_is_built_once_per_run():
     # every block after the first
     _kernel_plan.cache_clear()
     _class_counts.cache_clear()
-    cfg = EstimatorConfig(n_unitaries=5 * DRAW_BLOCK, shots=5, master_seed=4)
-    estimate_y(werner_state(3, 0.5), cfg, 3)
+    cfg = EstimatorConfig(n_unitaries=5 * DRAW_BLOCK, order=3, shots=5, master_seed=4)
+    estimate_y(werner_state(3, 0.5), cfg)
     info = _kernel_plan.cache_info()
     assert info.misses <= 2
     assert info.hits + info.misses == 1 + 5
@@ -209,34 +212,34 @@ def _assert_unbiased(est, x, constant=(0,)):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
 def test_analytic_estimate_y2_is_unbiased(dims):
     rho = random_density(dims, rank=2, seed=5)
-    cfg = EstimatorConfig(n_unitaries=4000, master_seed=101)
-    _assert_unbiased(estimate_y(rho, cfg, 2), measurable_x(rho, 2))
+    cfg = EstimatorConfig(n_unitaries=4000, order=2, master_seed=101)
+    _assert_unbiased(estimate_y(rho, cfg), measurable_x(rho, 2))
 
 
 def test_analytic_estimate_y3_is_unbiased():
     rho = random_density((3, 3), rank=2, seed=6)
-    cfg = EstimatorConfig(n_unitaries=4000, master_seed=102)
-    _assert_unbiased(estimate_y(rho, cfg, 3), measurable_x(rho, 3))
+    cfg = EstimatorConfig(n_unitaries=4000, order=3, master_seed=102)
+    _assert_unbiased(estimate_y(rho, cfg), measurable_x(rho, 3))
 
 
 def test_estimate_y3_rejects_qubits():
     rho = maximally_mixed((2, 2))
     with pytest.raises(SingularDimensionError):
-        estimate_y(rho, EstimatorConfig(n_unitaries=10), 3)
+        estimate_y(rho, EstimatorConfig(n_unitaries=10, order=3))
 
 
 def test_reproducible_and_worker_independent():
     rho = random_density((2, 2), rank=3, seed=7)
-    cfg1 = EstimatorConfig(n_unitaries=1500, shots=20, master_seed=9, workers=1)
-    cfg4 = EstimatorConfig(n_unitaries=1500, shots=20, master_seed=9, workers=4)
-    e1 = estimate_y(rho, cfg1, 2)
-    e4 = estimate_y(rho, cfg4, 2)
+    cfg1 = EstimatorConfig(n_unitaries=1500, order=2, shots=20, master_seed=9, workers=1)
+    cfg4 = EstimatorConfig(n_unitaries=1500, order=2, shots=20, master_seed=9, workers=4)
+    e1 = estimate_y(rho, cfg1)
+    e4 = estimate_y(rho, cfg4)
     # one error bar per invariant, and no covariance matrix
     assert [f.name for f in dataclasses.fields(e1)] == ["values", "std_error"]
     assert e1.std_error.shape == e1.values.shape
     assert np.array_equal(e1.values, e4.values)
     assert np.array_equal(e1.std_error, e4.std_error)
-    assert np.array_equal(e1.values, estimate_y(rho, cfg1, 2).values)
+    assert np.array_equal(e1.values, estimate_y(rho, cfg1).values)
 
 
 def test_a_pool_gets_a_bounded_number_of_blocks_ahead_of_the_merge(monkeypatch):
@@ -258,11 +261,11 @@ def test_a_pool_gets_a_bounded_number_of_blocks_ahead_of_the_merge(monkeypatch):
     monkeypatch.setattr("twirlkit.twirl._merge_moments", merge)
     monkeypatch.setattr("twirlkit.twirl.DRAW_BLOCK", 4)
     rho = random_density((2, 2), rank=3, seed=7)
-    cfg = EstimatorConfig(n_unitaries=160, shots=20, master_seed=9, workers=2)
-    got = estimate_y(rho, cfg, 2)
+    cfg = EstimatorConfig(n_unitaries=160, order=2, shots=20, master_seed=9, workers=2)
+    got = estimate_y(rho, cfg)
     assert at_first_merge == [BLOCKS_AHEAD_PER_WORKER * cfg.workers]
     assert submitted == [(b,) for b in range(40)]
-    want = estimate_y(rho, dataclasses.replace(cfg, workers=1), 2)
+    want = estimate_y(rho, dataclasses.replace(cfg, workers=1))
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.std_error, want.std_error)
 
@@ -284,9 +287,9 @@ def test_born_slices_leave_estimates_bit_identical(order, shots, monkeypatch):
         monkeypatch.setattr("twirlkit.twirl.BORN_SLICE_BYTES", rows * row_bytes)
         for workers in (1, 2):
             seen.clear()
-            cfg = EstimatorConfig(n_unitaries=DRAW_BLOCK + 90, shots=shots, master_seed=5,
-                                  workers=workers)
-            results.append(estimate_y(rho, cfg, order))
+            cfg = EstimatorConfig(n_unitaries=DRAW_BLOCK + 90, order=order, shots=shots,
+                                  master_seed=5, workers=workers)
+            results.append(estimate_y(rho, cfg))
             assert max(seen) == rows and sum(seen) == cfg.n_unitaries
     for est in results[1:]:
         assert np.array_equal(est.values, results[0].values)
@@ -299,10 +302,10 @@ def test_born_slices_bound_the_peak_of_a_full_rank_block():
     # everything else in the block (probabilities, kernel, inversion, merge)
     # fits in the slack
     rho = random_density((2,) * 7, rank=2**7, seed=3)
-    cfg = EstimatorConfig(n_unitaries=DRAW_BLOCK, master_seed=1)
+    cfg = EstimatorConfig(n_unitaries=DRAW_BLOCK, order=2, master_seed=1)
     tracemalloc.start()
     try:
-        estimate_y(rho, cfg, 2)
+        estimate_y(rho, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -335,23 +338,27 @@ def test_kernel_holds_each_marginal_only_until_its_last_use():
 
 def test_different_seeds_differ():
     rho = random_density((2, 2), rank=3, seed=7)
-    ya = estimate_y(rho, EstimatorConfig(n_unitaries=200, master_seed=1), 2)
-    yb = estimate_y(rho, EstimatorConfig(n_unitaries=200, master_seed=2), 2)
+    ya = estimate_y(rho, EstimatorConfig(n_unitaries=200, order=2, master_seed=1))
+    yb = estimate_y(rho, EstimatorConfig(n_unitaries=200, order=2, master_seed=2))
     assert not np.array_equal(ya.values, yb.values)
 
 
 def test_unbiased_shot_estimator_needs_enough_shots():
-    rho = maximally_mixed((2, 2))
-    with pytest.raises(EstimationError):
-        estimate_y(rho, EstimatorConfig(n_unitaries=10, shots=1), 2)
-    with pytest.raises(EstimationError):
-        estimate_y(maximally_mixed((3, 3)), EstimatorConfig(n_unitaries=10, shots=2), 3)
+    # the U-statistics need order distinct shots; the rule is the config's,
+    # so it fails before any state is read
+    for order in (2, 3):
+        with pytest.raises(ValueError, match=f"order-{order} estimation needs shots >= {order}"):
+            EstimatorConfig(n_unitaries=10, order=order, shots=order - 1)
+        assert EstimatorConfig(n_unitaries=10, order=order, shots=order).shots == order
+        # the biased plug-in products and exact probabilities have no such bound
+        assert EstimatorConfig(n_unitaries=10, order=order, shots=order - 1, plug_in=True).plug_in
+        assert EstimatorConfig(n_unitaries=10, order=order).shots == 0
 
 
 def test_plug_in_estimator_warns():
     rho = maximally_mixed((2, 2))
     with pytest.warns(UserWarning):
-        estimate_y(rho, EstimatorConfig(n_unitaries=10, shots=5, plug_in=True), 2)
+        estimate_y(rho, EstimatorConfig(n_unitaries=10, order=2, shots=5, plug_in=True))
 
 
 def _exhaustive_expectation(p, shots, func):
@@ -533,8 +540,8 @@ def test_three_party_order3_kernel_matches_explicit_loop(dims, shots):
 
 def test_shot_estimates_converge_to_analytic():
     rho = make_state(max_entangled_projector(2), (2, 2))
-    cfg = EstimatorConfig(n_unitaries=3000, shots=200, master_seed=55)
-    est = estimate_y(rho, cfg, 2)
+    cfg = EstimatorConfig(n_unitaries=3000, order=2, shots=200, master_seed=55)
+    est = estimate_y(rho, cfg)
     _assert_unbiased(est, measurable_x(rho, 2))
     # and the reconstruction recovers purity 1 within a loose band
     assert est.values[-1] == pytest.approx(1.0, abs=0.05)
@@ -543,14 +550,14 @@ def test_shot_estimates_converge_to_analytic():
 def test_maximally_mixed_y2_components_are_exact():
     # p is uniform for every unitary, so every unitary gives the exact purities
     rho = maximally_mixed((2, 2))
-    est = estimate_y(rho, EstimatorConfig(n_unitaries=50, master_seed=3), 2)
+    est = estimate_y(rho, EstimatorConfig(n_unitaries=50, order=2, master_seed=3))
     assert np.allclose(est.values, measurable_x(rho, 2), atol=1e-14)
 
 
 def test_maximally_mixed_y3_components_are_exact():
     for dims in [(3, 3), (8, 8)]:
         rho = maximally_mixed(dims)
-        est = estimate_y(rho, EstimatorConfig(n_unitaries=50, master_seed=3), 3)
+        est = estimate_y(rho, EstimatorConfig(n_unitaries=50, order=3, master_seed=3))
         assert np.allclose(est.values, measurable_x(rho, 3), atol=1e-14)
 
 
@@ -558,7 +565,7 @@ def test_product_state_delta_statistic_vanishes():
     a = random_density((3,), rank=2, seed=1)
     b = random_density((3,), rank=2, seed=2)
     rho = make_state(np.kron(a.entries, b.entries), (3, 3))
-    est = estimate_y(rho, EstimatorConfig(n_unitaries=3000, master_seed=21), 3)
+    est = estimate_y(rho, EstimatorConfig(n_unitaries=3000, order=3, master_seed=21))
     # x4 - x5 = (y4 - y5) d_A(d_A^2-1) d_B(d_B^2-1), and the outcome
     # probabilities factorise on every product unitary, so the delta is 0 on
     # each unitary up to rounding
@@ -569,12 +576,12 @@ def test_entangled_state_delta_statistic_matches_exact():
     # on Werner (3, 3) the delta varies per unitary; its exact value is
     # x4 - x5 = -(8/9) p^2
     p = 0.9
-    rho, cfg = werner_state(3, p), EstimatorConfig(n_unitaries=2000, master_seed=21)
-    est = estimate_y(rho, cfg, 3)
+    rho, cfg = werner_state(3, p), EstimatorConfig(n_unitaries=2000, order=3, master_seed=21)
+    est = estimate_y(rho, cfg)
     g = np.zeros(len(est.values))
     g[4], g[5] = 1.0, -1.0
     # the delta's own per-unitary spread, from the same substreams
-    sigma = std_error_of_mean(invert(3, (3, 3), per_unitary_samples(rho, cfg, 3)) @ g)
+    sigma = std_error_of_mean(invert(3, (3, 3), per_unitary_samples(rho, cfg)) @ g)
     assert sigma > 0
     assert abs(g @ est.values + 8 / 9 * p**2) < 5 * sigma
 
@@ -586,8 +593,8 @@ def test_basis_permutation_leaves_y_expectation_unchanged():
     perm = np.eye(3)[[2, 0, 1]]
     u = np.kron(np.eye(2), perm)
     rho_p = make_state(u @ rho.entries @ u.T, (2, 3))
-    ea = estimate_y(rho, EstimatorConfig(n_unitaries=5000, master_seed=31), 2)
-    eb = estimate_y(rho_p, EstimatorConfig(n_unitaries=5000, master_seed=32), 2)
+    ea = estimate_y(rho, EstimatorConfig(n_unitaries=5000, order=2, master_seed=31))
+    eb = estimate_y(rho_p, EstimatorConfig(n_unitaries=5000, order=2, master_seed=32))
     # x0 = 1 on every unitary; the purities x1..x3 vary
     assert abs(ea.values[0] - eb.values[0]) <= 1e-12
     z = np.abs(ea.values[1:] - eb.values[1:]) / np.sqrt(ea.std_error[1:]**2 + eb.std_error[1:]**2)
@@ -597,9 +604,9 @@ def test_basis_permutation_leaves_y_expectation_unchanged():
 def test_std_error_matches_two_pass_reference():
     # two draw blocks of 512, rebuilt one unitary at a time from the same substreams
     rho = werner_state(5, 0.002)
-    cfg = EstimatorConfig(n_unitaries=1024, master_seed=3)
-    est = estimate_y(rho, cfg, 3)
-    samples = invert(3, (5, 5), per_unitary_samples(rho, cfg, order=3))
+    cfg = EstimatorConfig(n_unitaries=1024, order=3, master_seed=3)
+    est = estimate_y(rho, cfg)
+    samples = invert(3, (5, 5), per_unitary_samples(rho, cfg))
     ref = std_error_of_mean(samples)
     # the samples spread over ~1e-7 of their value, so ~9 digits of each
     # deviation are significant; the one-pass formula was off by up to 1%.
@@ -614,7 +621,7 @@ def test_std_error_matches_two_pass_reference():
 
 @pytest.fixture(scope="module")
 def werner3_exact_estimate():
-    return estimate_y(werner_state(3, 0.5), EstimatorConfig(n_unitaries=700), 3)
+    return estimate_y(werner_state(3, 0.5), EstimatorConfig(n_unitaries=700, order=3))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7])

@@ -134,7 +134,7 @@ def test_w_matrix_matches_the_closed_form_oracle(n, d):
     [
         lambda: w_matrix(3, 2),
         lambda: forward_matrix(3, (2, 3)),
-        lambda: estimate_y(maximally_mixed((2, 2)), EstimatorConfig(n_unitaries=10), 3),
+        lambda: estimate_y(maximally_mixed((2, 2)), EstimatorConfig(n_unitaries=10, order=3)),
     ],
     ids=["w_matrix", "forward_matrix", "estimate_y"],
 )

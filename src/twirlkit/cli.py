@@ -81,38 +81,48 @@ def _emit(lines: Iterable[str], out_path: str | None) -> None:
 # state resolution
 # ---------------------------------------------------------------------------
 
-# read exactly when written as integers: a float rounds a seed above 2**53
-_INT_PARAMS = {"d", "rank", "seed"}
+# each builtin's --params keys and the type its value is read by: an int
+# written as an integer is read exactly (a float rounds a seed above 2**53),
+# and a whole float such as 1e3 is accepted
+_BUILTIN_PARAMS = {
+    "werner": {"d": int, "p": float},
+    "bell-diagonal": {"l1": float, "l2": float, "l3": float, "l4": float},
+    "maximally-mixed": {},
+    "random": {"rank": int, "seed": int},
+}
 
 
-def _number(text: str) -> int | float:
+def _read_param(kind: type, key: str, text: str) -> int | float:
     try:
-        return int(text)
-    except ValueError:
-        return float(text)
+        try:
+            return kind(text)
+        except ValueError:
+            # an int may be written as a whole float such as 1e3
+            value = float(text)
+    except ValueError as exc:
+        raise UsageError(f"--params value {text!r} is not a number") from exc
+    if not value.is_integer():
+        raise UsageError(f"--params {key}={value!r} is not an integer")
+    return int(value)
 
 
-def _parse_params(text: str | None) -> dict[str, int | float]:
-    if not text:
-        return {}
-    params = {}
-    for item in text.split(","):
+def _parse_params(name: str, text: str | None) -> dict[str, int | float]:
+    """The builtin's --params, keys checked before any value is read."""
+    items = []
+    for item in text.split(",") if text else ():
         if "=" not in item:
             raise UsageError(f"malformed --params item {item!r}, expected key=value")
         k, v = item.split("=", 1)
-        k = k.strip()
-        try:
-            params[k] = _number(v) if k in _INT_PARAMS else float(v)
-        except ValueError as exc:
-            raise UsageError(f"--params value {v!r} is not a number") from exc
-    return params
-
-
-def _int_param(params: dict[str, int | float], key: str, default: int) -> int:
-    value = params.get(key, default)
-    if isinstance(value, float) and not value.is_integer():
-        raise UsageError(f"--params {key}={value!r} is not an integer")
-    return int(value)
+        items.append((k.strip(), v))
+    kinds = _BUILTIN_PARAMS[name]
+    keys = [k for k, _ in items]
+    unknown = sorted(set(keys) - set(kinds))
+    if unknown:
+        raise UsageError(f"{name} does not take --params {', '.join(unknown)}")
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise UsageError(f"--params {', '.join(repeated)} given more than once")
+    return {k: _read_param(kinds[k], k, v) for k, v in items}
 
 
 def _parse_dims(text: str | None) -> DimsProfile | None:
@@ -124,14 +134,6 @@ def _parse_dims(text: str | None) -> DimsProfile | None:
         raise UsageError(f"bad --dims {text!r}: {exc}") from exc
 
 
-_BUILTIN_PARAMS = {
-    "werner": {"d", "p"},
-    "bell-diagonal": {"l1", "l2", "l3", "l4"},
-    "maximally-mixed": set(),
-    "random": {"rank", "seed"},
-}
-
-
 def resolve_state(args) -> DensityMatrix:
     if args.state and any(a is not None for a in (args.builtin, args.dims, args.params)):
         raise UsageError("--state gives the whole state: it takes no --builtin, --dims or --params")
@@ -139,16 +141,13 @@ def resolve_state(args) -> DensityMatrix:
         return stateio.load_state(args.state)
     if not args.builtin:
         raise UsageError("one of --state or --builtin is required")
-    params = _parse_params(args.params)
-    dims = _parse_dims(args.dims)
     name = args.builtin
     if name not in _BUILTIN_PARAMS:
         raise UsageError(f"unknown builtin {name!r} ({', '.join(_BUILTIN_PARAMS)})")
-    unknown = sorted(set(params) - _BUILTIN_PARAMS[name])
-    if unknown:
-        raise UsageError(f"{name} does not take --params {', '.join(unknown)}")
+    params = _parse_params(name, args.params)
+    dims = _parse_dims(args.dims)
     if name == "werner":
-        d = _int_param(params, "d", dims[0] if dims else 0)
+        d = params.get("d", dims[0] if dims else 0)
         if d < 2:
             raise UsageError("werner needs d (via --params d=... or --dims)")
         if dims is not None and dims.dims != (d, d):
@@ -168,8 +167,8 @@ def resolve_state(args) -> DensityMatrix:
         raise UsageError(f"{name} needs --dims")
     if name == "maximally-mixed":
         return maximally_mixed(dims)
-    rank = _int_param(params, "rank", dims.total)
-    seed = _int_param(params, "seed", DEFAULT_SEED)
+    rank = params.get("rank", dims.total)
+    seed = params.get("seed", DEFAULT_SEED)
     if seed < 0:
         raise UsageError(f"random needs --params seed >= 0, got {seed}")
     return random_density(dims, rank, seed)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reconstruct import _in_mask
-
 
 # Ties must not count as detections; exact ties (pure product states saturate
 # the purity bound) come out of floating-point arithmetic as margins of a few
@@ -35,6 +33,10 @@ class CriterionReport:
     @property
     def detected(self) -> bool:
         return self.margin < -TIE_TOL
+
+
+def _in_mask(mask: int, party: int, n_parties: int) -> bool:
+    return bool(mask >> (n_parties - 1 - party) & 1)
 
 
 def purity_criterion(x) -> tuple[CriterionReport, list[tuple[int, ...]]]:

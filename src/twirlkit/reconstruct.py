@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import DensityMatrix, DimsProfile
+from .states import DensityMatrix
 from .weingarten import (
     _group_tables,
     _partitions,
@@ -77,12 +77,7 @@ class XVector2:
     """The result of :func:`exact_x2`: marginal purities Tr rho_P^2, indexed
     by the subset bitmask P."""
 
-    dims: DimsProfile
     purities: np.ndarray = field(repr=False)
-
-
-def _in_mask(mask: int, party: int, n_parties: int) -> bool:
-    return bool(mask >> (n_parties - 1 - party) & 1)
 
 
 def exact_x2(rho: DensityMatrix) -> XVector2:
@@ -108,7 +103,7 @@ def exact_x2(rho: DensityMatrix) -> XVector2:
                   mask & ~(1 << (n - 1 - parties[i])), i)
 
     visit(rho.entries.reshape(rho.dims.dims * 2), tuple(range(n)), 2**n - 1, 0)
-    return XVector2(dims=rho.dims, purities=purities)
+    return XVector2(purities=purities)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +259,17 @@ def forward_matrix(order: int, dims: tuple[int, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _inverse(order: int, dims: tuple[int, ...]) -> np.ndarray:
-    # (A A^T)^-1 A, so that x = y @ it is A^T (A A^T)^-1 y
+    """M = (A A^T)^-1 A, so that x = y @ M is A^T (A A^T)^-1 y.
+
+    Checked once per (order, dims): the largest row sum of |A M^T - I| bounds
+    |A x - y| for every y in [0, 1], where every y of the estimator lies, and
+    above ``RESIDUAL_TOL`` raises ReconstructionError.
+    """
     a = forward_matrix(order, dims)
     m = np.linalg.solve(a @ a.T, a)
+    residual = np.max(np.abs(a @ m.T - np.eye(len(a))).sum(axis=1))
+    if not residual <= RESIDUAL_TOL:
+        raise ReconstructionError(f"inversion residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
     m.setflags(write=False)
     return m
 
@@ -277,16 +280,10 @@ def invert(order: int, dims: Sequence[int], y) -> np.ndarray:
     Returns the minimum-norm solution of A x = y, one value per invariant of
     :func:`_invariants` (the 2^N purities at order 2); invariants that share
     a column get one value, such as x_S in the two-party x9 and x10 slots.
-    Raises unless y is finite and x reproduces it within ``RESIDUAL_TOL``.
+    One matmul with the :func:`_inverse` of the shape, whose residual is
+    checked there once.  Raises unless y is finite.
     """
-    dims = tuple(dims)
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ReconstructionError("cannot invert a non-finite y")
-    x = y @ _inverse(order, dims)
-    residual = np.max(np.abs(x @ forward_matrix(order, dims).T - y))
-    if residual > RESIDUAL_TOL:
-        raise ReconstructionError(
-            f"inversion residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
-        )
-    return x
+    return y @ _inverse(order, tuple(dims))

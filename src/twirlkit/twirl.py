@@ -45,7 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from .haar import DEFAULT_SEED, RngStream, sample_haar_batch
-from .reconstruct import _pooling, forward_matrix, invert
+from .reconstruct import _inverse, _pooling, invert
 from .states import DensityMatrix
 from .weingarten import _partitions
 
@@ -356,12 +356,12 @@ def _map_ahead(pool, fn, n_items: int, ahead: int):
 
 def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig) -> Estimate:
     """Estimate the order-``cfg.order`` invariants of a run, at any number of
-    parties, in the layout of ``invert``.  The forward matrix of (order, dims)
-    is built before any unitary is drawn, so dimensions it cannot invert raise
-    first.
+    parties, in the layout of ``invert``.  The inverse of (order, dims) is
+    built and checked before any unitary is drawn, so dimensions it cannot
+    invert raise first.
     """
     order, dims = cfg.order, rho.dims.dims
-    forward_matrix(order, dims)
+    _inverse(order, dims)
     n_parties = rho.dims.n_parties
     n_blocks = -(-cfg.n_unitaries // DRAW_BLOCK)
     if cfg.plug_in and cfg.shots:
@@ -386,8 +386,8 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig) -> Estimate:
             for s in range(0, size, rows)
         ]), 0.0)
         if cfg.shots:
-            # shot noise reuses the last party's block stream, offset so it
-            # never collides with a unitary substream of any block
+            # shot noise has its own substream, past every unitary substream
+            # of every block
             shot_rng = RngStream(
                 cfg.master_seed, (n_blocks + b) * n_parties
             ).generator()

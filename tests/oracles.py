@@ -61,14 +61,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from twirlkit.criteria import _in_mask
 from twirlkit.haar import RngStream, sample_haar_batch
-from twirlkit.reconstruct import (
-    _in_mask,
-    _invariants,
-    exact_x2,
-    exact_x3,
-    forward_matrix,
-)
+from twirlkit.reconstruct import _invariants, exact_x2, exact_x3, forward_matrix
 from twirlkit.states import DensityMatrix, DimensionMismatchError, DimsProfile, make_state
 from twirlkit.twirl import (
     DRAW_BLOCK,

@@ -596,6 +596,22 @@ def test_builtin_random_is_seeded(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--builtin", "werner", "--params", "d=3,d=4,p=0.5"],
+         "--params d given more than once"),
+        (["--builtin", "random", "--dims", "2,2", "--params", "rnak=x"],
+         "random does not take --params rnak"),
+    ],
+    ids=["repeated-key", "unknown-key-before-its-value"],
+)
+def test_params_keys_are_checked_before_any_value(argv, message, capsys):
+    code, out, err = run(["invariants"] + argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_builtin_random_reads_integer_params_exactly(tmp_path, capsys):
     # 2**53 + 1 is the first integer a float cannot hold
     outs = []

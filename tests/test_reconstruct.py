@@ -30,6 +30,7 @@ from twirlkit.reconstruct import (
     ReconstructionError,
     XVector3,
     _invariants,
+    _inverse,
     _pooling,
     exact_x2,
     exact_x3,
@@ -233,6 +234,40 @@ def test_invert_rejects_non_finite_y(order, dims, bad):
         invert(order, dims, y)
     with pytest.raises(ReconstructionError, match="non-finite"):
         invert(order, dims, np.stack([y, y]))
+
+
+def test_warm_invert_reads_no_forward_matrix(monkeypatch):
+    # the inverse's residual is checked once per shape, so a block of 512
+    # unitaries is one matmul
+    dims = (3, 3)
+    y = np.tile(exact_y(random_density(dims, rank=2, seed=4), 3), (512, 1))
+    invert(3, dims, y)
+    reads = []
+
+    def spy(*args):
+        reads.append(args)
+        return forward_matrix(*args)
+
+    monkeypatch.setattr("twirlkit.reconstruct.forward_matrix", spy)
+    assert invert(3, dims, y).shape == (512, 11)
+    assert reads == []
+
+
+def test_an_inverse_failing_its_residual_check_raises_before_any_unitary_is_drawn(monkeypatch):
+    # nearly equal last rows: A A^T has condition ~4e14, so the solve
+    # succeeds but A M^T misses the identity by far more than RESIDUAL_TOL
+    a = np.eye(4)
+    a[3] = a[2] + 1e-7 * np.array([0.3, 0.7, 0.1, 1.0])
+    drawn = []
+    monkeypatch.setattr("twirlkit.reconstruct.forward_matrix", lambda order, dims: a)
+    monkeypatch.setattr("twirlkit.twirl.sample_haar_batch", lambda *args: drawn.append(args))
+    _inverse.cache_clear()
+    try:
+        with pytest.raises(ReconstructionError, match="inversion residual"):
+            estimate_y(maximally_mixed((2, 2)), EstimatorConfig(n_unitaries=10, order=2))
+    finally:
+        _inverse.cache_clear()
+    assert drawn == []
 
 
 def test_reconstruction_error_exists_for_numerical_failures():

@@ -6,8 +6,8 @@ Subcommands: ``invariants`` (exact invariants plus oracle residuals),
 
 Exit codes: 0 success, 1 usage error (also an input too large for memory),
 2 invalid state input, 3 numerical failure, 141 stdout closed by its reader
-(as a shell reports SIGPIPE).  Each failure prints one line to stderr, and so
-does the plug-in estimator's bias warning; a closed stdout prints nothing.
+(as a shell reports SIGPIPE).  Each failure prints one line to stderr; a
+closed stdout prints nothing.
 CSV output is byte-identical for identical (command, config, seed) and uses
 repr round-trip precision; schemas are documented in the README.
 """
@@ -18,7 +18,6 @@ import argparse
 import functools
 import os
 import sys
-import warnings
 from collections.abc import Iterable
 
 import numpy as np
@@ -209,17 +208,11 @@ def _estimate_rows(rho: DensityMatrix, args):
             order=args.order,
             shots=args.shots,
             master_seed=args.seed,
-            plug_in=args.plug_in,
             workers=args.workers,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # the library's warnings become one stderr line each, without a source line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        est = twirl.estimate_y(rho, cfg)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    est = twirl.estimate_y(rho, cfg)
     names = ["x%d" % k for k in range(len(est.values))]
     if args.order == 2:
         crit, _ = criteria.purity_criterion(est.values)
@@ -345,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shots per unitary (0 = exact Born probabilities)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--plug-in", action="store_true",
-                   help="use the biased plug-in shot estimator")
     _add_common_out(p)
     p.set_defaults(func=cmd_estimate)
 

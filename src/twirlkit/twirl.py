@@ -10,7 +10,7 @@ every probability, and each local unitary acts on its own tensor axis of W by
 one batched matmul.  B unitaries cost O(B r D sum_l d_l) time and two (B, r, D)
 complex arrays, with r = 1 for a Werner state and r = 0 for I/D.
 
-``_class_sums`` is the one moment kernel for both orders and every shot mode:
+``_class_sums`` is the one moment kernel for every order and both shot modes:
 one contraction per tuple of per-party set partitions pi of the rounds ("at
 least this equal"), Moebius inversion on each party's partition lattice, and
 pooling of the exact patterns into the y components.  For shot counts, the
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -69,11 +68,10 @@ class EstimatorConfig:
     it estimates and how they are sampled.
 
     shots = 0 means ideal statistics: exact Born probabilities per unitary,
-    no multinomial sampling.  With finite shots the default estimators are
-    the unbiased U-statistics over ordered distinct shots, which need
-    shots >= order; ``plug_in`` swaps in the biased empirical-frequency
-    products (O(1/shots) bias), which need no such bound.  Shots are at most
-    2**63 - 1, the largest count numpy's multinomial sampler takes.
+    no multinomial sampling.  With finite shots the estimators are the
+    unbiased U-statistics over ordered distinct shots, which need
+    shots >= order.  Shots are at most 2**63 - 1, the largest count numpy's
+    multinomial sampler takes.
     ``batch_size`` is not settable: it reads the draw block, ``DRAW_BLOCK``.
     """
 
@@ -81,7 +79,6 @@ class EstimatorConfig:
     order: int
     shots: int = 0
     master_seed: int = DEFAULT_SEED
-    plug_in: bool = False
     workers: int = 1
     batch_size: ClassVar[int] = DRAW_BLOCK
 
@@ -92,10 +89,8 @@ class EstimatorConfig:
             raise ValueError("shots must be >= 0")
         if self.shots > 2**63 - 1:
             raise ValueError("shots must be at most 2**63 - 1")
-        if 0 < self.shots < self.order and not self.plug_in:
-            raise ValueError(
-                f"unbiased order-{self.order} estimation needs shots >= {self.order} (or plug_in)"
-            )
+        if 0 < self.shots < self.order:
+            raise ValueError(f"unbiased order-{self.order} estimation needs shots >= {self.order}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         if not 1 <= self.workers <= MAX_WORKERS:
@@ -293,11 +288,13 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
 def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
     """(B, n_components) sums of order-fold products of q over each class.
 
-    ``q`` has shape (B, d_1, ..., d_N).  With ``shots = 0`` the products are
-    of the entries of q (probabilities or frequencies).  With ``shots = M``,
+    ``q`` has shape (B, d_1, ..., d_N) and is read as float64.  With
+    ``shots = 0`` the products are of the entries of q.  With ``shots = M``,
     q holds the outcome counts of M shots and each product p_{I_1} ... p_{I_n}
     is replaced by its unbiased U-statistic over ordered distinct shots.
     """
+    # float64 counts are exact below 2**53, and einsum runs faster on them
+    q = np.asarray(q, dtype=float)
     schedule, moments, fold = _kernel_plan(order, q.shape[1:], shots > 0)
     # each moment runs once its last marginal exists, and each marginal is
     # held only until its last use
@@ -364,16 +361,10 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig) -> Estimate:
     _inverse(order, dims)
     n_parties = rho.dims.n_parties
     n_blocks = -(-cfg.n_unitaries // DRAW_BLOCK)
-    if cfg.plug_in and cfg.shots:
-        warnings.warn(
-            "plug-in estimator is biased at finite shots (O(1/shots))",
-            stacklevel=2,
-        )
     class_counts = _class_counts(order, dims)
     factor = _eigen_factor(rho)
     # Born rows per slice: a row has r D complex entries in each of the two arrays
     rows = max(1, BORN_SLICE_BYTES // max(1, 2 * 16 * len(factor[2]) * rho.total))
-    kernel_shots = 0 if cfg.plug_in else cfg.shots
 
     def one_block(b: int) -> tuple[int, np.ndarray, np.ndarray]:
         size = min(DRAW_BLOCK, cfg.n_unitaries - b * DRAW_BLOCK)
@@ -391,9 +382,8 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig) -> Estimate:
             shot_rng = RngStream(
                 cfg.master_seed, (n_blocks + b) * n_parties
             ).generator()
-            # plug-in: the exact-probability kernel on frequencies
-            q = shot_rng.multinomial(cfg.shots, q) / (cfg.shots if cfg.plug_in else 1)
-        y = _class_sums(q.reshape((size,) + dims), order, kernel_shots) / class_counts
+            q = shot_rng.multinomial(cfg.shots, q)
+        y = _class_sums(q.reshape((size,) + dims), order, cfg.shots) / class_counts
         samples = invert(order, dims, y)
         mean = samples.mean(axis=0)
         dev = samples - mean

@@ -38,6 +38,7 @@ WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
         ["invariants", "--builtin", "werner", "--params", "d=2.5,p=0.5"],
         WERNER3 + ["--order", "3", "--shots", "2"],
         WERNER3 + ["--shots", "10000000000000000000"],
+        WERNER3 + ["--shots", "5", "--plug-in"],
         ["invariants", "--builtin", "random", "--dims", "2,2", "--params", "rnak=1,seed=4"],
         ["invariants", "--builtin", "werner", "--params", "d=3,p=0.5,q=1"],
         ["invariants", "--builtin", "bell-diagonal", "--params", "l1=1,l2=0,l3=0,l4=0,l5=0"],
@@ -51,9 +52,9 @@ WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
     ],
     ids=[
         "no-state", "unitaries-0", "workers-0", "shots-negative", "werner-d-not-integer",
-        "order3-shots-2", "shots-above-int64", "random-unknown-key", "werner-unknown-key",
-        "bell-diagonal-unknown-key", "maximally-mixed-unknown-key", "werner-unequal-dims",
-        "werner-d-disagrees-with-dims", "bell-diagonal-not-two-qubits",
+        "order3-shots-2", "shots-above-int64", "plug-in-removed", "random-unknown-key",
+        "werner-unknown-key", "bell-diagonal-unknown-key", "maximally-mixed-unknown-key",
+        "werner-unequal-dims", "werner-d-disagrees-with-dims", "bell-diagonal-not-two-qubits",
         "sweep-steps-huge", "sweep-steps-above-bound",
     ],
 )
@@ -564,13 +565,12 @@ def test_closed_replaced_stdout_leaves_the_descriptors_alone(monkeypatch, capsys
     assert capsys.readouterr().err == ""
 
 
-def test_plug_in_warning_is_one_stderr_line_in_a_fresh_process(capsys):
-    argv = WERNER3 + ["--order", "3", "--shots", "2", "--plug-in", "--unitaries", "50"]
-    done = subprocess.run([sys.executable, "-m", "twirlkit.cli", *argv],
-                          capture_output=True, text=True, env=_fresh_env())
-    line = "warning: plug-in estimator is biased at finite shots (O(1/shots))\n"
-    assert done.returncode == 0 and done.stderr == line
-    assert run(argv, capsys) == (0, done.stdout, line)
+@pytest.mark.parametrize("order", [2, 3])
+def test_the_shot_rule_names_only_the_order(order, capsys):
+    # finite shots always mean the U-statistics, with no estimator to switch to
+    argv = WERNER3 + ["--order", str(order), "--shots", str(order - 1)]
+    line = f"usage error: unbiased order-{order} estimation needs shots >= {order}\n"
+    assert run(argv, capsys) == (1, "", line)
 
 
 def test_builtin_bell_diagonal(capsys):

@@ -350,15 +350,17 @@ def test_unbiased_shot_estimator_needs_enough_shots():
         with pytest.raises(ValueError, match=f"order-{order} estimation needs shots >= {order}"):
             EstimatorConfig(n_unitaries=10, order=order, shots=order - 1)
         assert EstimatorConfig(n_unitaries=10, order=order, shots=order).shots == order
-        # the biased plug-in products and exact probabilities have no such bound
-        assert EstimatorConfig(n_unitaries=10, order=order, shots=order - 1, plug_in=True).plug_in
+        # exact probabilities have no such bound
         assert EstimatorConfig(n_unitaries=10, order=order).shots == 0
 
 
-def test_plug_in_estimator_warns():
-    rho = maximally_mixed((2, 2))
-    with pytest.warns(UserWarning):
-        estimate_y(rho, EstimatorConfig(n_unitaries=10, order=2, shots=5, plug_in=True))
+def test_the_config_has_two_shot_modes_and_five_settable_fields():
+    # finite shots always mean the U-statistics: there is no plug-in field
+    with pytest.raises(TypeError):
+        EstimatorConfig(n_unitaries=10, order=2, shots=1, plug_in=True)
+    assert [f.name for f in dataclasses.fields(EstimatorConfig)] == [
+        "n_unitaries", "order", "shots", "master_seed", "workers"
+    ]
 
 
 def _exhaustive_expectation(p, shots, func):
@@ -479,6 +481,18 @@ def test_kernel_matches_explicit_loop_oracle(dims, order, shots):
         got = got[:, ::-1]  # the oracle's hand layout
     want = np.array([_oracle_class_sums(qi, order, shots) for qi in q])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dims,order", [((3, 4), 2), ((2, 2, 3), 2), ((3, 4), 3)])
+def test_kernel_reads_integer_counts_as_float64(dims, order):
+    # the estimator passes the multinomial counts as they come, int64
+    rng = np.random.default_rng(29)
+    counts = rng.multinomial(100, rng.dirichlet(np.ones(math.prod(dims)), size=4))
+    counts = counts.reshape((4,) + dims)
+    assert counts.dtype == np.int64
+    got = _class_sums(counts, order, 100)
+    want = _class_sums(counts.astype(float), order, 100)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("order,n_parties", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])

@@ -38,10 +38,10 @@ def sample_haar_batch(
 ) -> np.ndarray:
     """``count`` independent Haar unitaries as a stacked (count, d, d) array.
 
-    Z is drawn as ``normal(size=(count, d, d))`` for the real part, then the
-    same for the imaginary part.  Column k of Q is column k of Z after two
-    classical Gram-Schmidt passes (CGS2) against columns 0..k-1, divided by
-    its real norm; the second pass restores the orthogonality that
+    Z is drawn as ``standard_normal(size=(count, d, d))`` for the real part,
+    then the same for the imaginary part.  Column k of Q is column k of Z
+    after two classical Gram-Schmidt passes (CGS2) against columns 0..k-1,
+    divided by its real norm; the second pass restores the orthogonality that
     cancellation costs the first.  Q does not depend on the scale of Z, so
     the draws are used unscaled.
     """
@@ -50,14 +50,13 @@ def sample_haar_batch(
     rng = stream.generator() if isinstance(stream, RngStream) else stream
     # w[k, :, b] is column k of matrix b: each column is contiguous over the batch
     w = np.empty((d, d, count), dtype=complex)
-    w.real = rng.normal(size=(count, d, d)).T
-    w.imag = rng.normal(size=(count, d, d)).T
-    w_conj = np.empty_like(w)
+    w.real = rng.standard_normal(size=(count, d, d)).T
+    w.imag = rng.standard_normal(size=(count, d, d)).T
     for k in range(d):
         v = w[k]
         for _ in range(2 if k else 0):
-            coeff = (w_conj[:k] * v).sum(axis=1)
+            # <w_j, v> = conj(sum_i w_ij conj(v_i)), bit for bit
+            coeff = (w[:k] * v.conj()).sum(axis=1).conj()
             v -= (w[:k] * coeff[:, None, :]).sum(axis=0)
         v /= np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
-        np.conjugate(v, out=w_conj[k])
     return np.ascontiguousarray(w.transpose(2, 1, 0))

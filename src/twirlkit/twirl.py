@@ -16,10 +16,10 @@ least this equal"), Moebius inversion on each party's partition lattice, and
 pooling of the exact patterns into the y components.  For shot counts, the
 U-statistic over ordered distinct shots sums the contractions on pi v rho
 with weight mu(0, rho) over the partitions rho of coinciding shots.  Which
-contractions to run, and the one matrix taking them to the components, are
-planned once per (order, dims, shots > 0) by ``_kernel_plan``.  The order
-and the shots are one ``EstimatorConfig``, so the rule that ties them (the
-U-statistics need shots >= order) is checked once, when the config is built.
+contractions to run, the one matrix taking them to the components and the
+class sizes are planned once per (order, dims, shots > 0) by ``_kernel_plan``.
+The order and the shots are one ``EstimatorConfig``, so the rule that ties
+them (the U-statistics need shots >= order) is checked once, when it is built.
 
 Reproducibility: unitaries are drawn in blocks of ``DRAW_BLOCK``; block b for
 party l uses the substream ``b * n_parties + l`` of the master seed, and its
@@ -183,7 +183,7 @@ def _mobius_matrix(n: int) -> np.ndarray:
 def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
     """What ``_class_sums`` computes from the shape of q alone.
 
-    Returns ``(schedule, moments, fold)``:
+    Returns ``(schedule, moments, fold, counts)``:
     - ``schedule``: ``(keep, step, run, drop)`` depth first over the marginal
       tree.  The marginal of q on the parties ``keep`` is q itself for every
       party, else the one on ``wider`` summed over ``axis`` with
@@ -195,8 +195,9 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
     - ``fold``: the (n_moments, n_components) integer matrix taking the
       moments to class sums.  It holds the coincidence weights
       mu(all-distinct, rho), the Moebius inversion on each party axis, the
-      exact zeros of patterns with more blocks than their party has outcomes,
-      and the pooling of exact patterns into components.
+      exact zeros of patterns with no index tuples, and the pooling of exact
+      patterns into components;
+    - ``counts``: the read-only number of index tuples in each component.
     """
     n_parties = len(dims)
     full = tuple(range(n_parties))
@@ -258,11 +259,16 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
         weights[(k,) + idx] += w
     for axis in range(1, n_parties + 1):
         weights = np.moveaxis(np.tensordot(weights, mu, axes=([axis], [1])), -1, axis)
-    # a pattern with more blocks than its party has outcomes has no index
-    # tuples, so its sum is exactly 0, not the rounding the inversion leaves
-    for l, d in enumerate(dims):
-        weights[(slice(None),) * (1 + l) + ([i for i, s in enumerate(parts) if max(s) >= d],)] = 0.0
+    # index tuples of each exact pattern, the product of (d_l)_k over parties
+    # for its k blocks: none where a party has fewer outcomes than blocks, so
+    # that sum is exactly 0, not the rounding the inversion leaves
+    tuples = np.ones(())
+    for d in dims:
+        tuples = np.multiply.outer(tuples, [math.perm(d, max(s) + 1) for s in parts])
+    weights[:, tuples == 0] = 0.0
     fold = weights.reshape(len(moments), -1) @ _pooling(order, n_parties)
+    counts = tuples.reshape(-1) @ _pooling(order, n_parties)
+    counts.setflags(write=False)
     # a marginal's parent has its least missing party back, so preorder sorts
     # by the missing parties in descending order
     tree = sorted([full, *steps], key=lambda k: sorted(set(full) - set(k), reverse=True))
@@ -282,7 +288,7 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
     schedule = tuple(
         (keep, steps.get(keep), tuple(runs[i]), tuple(drops[i])) for i, keep in enumerate(tree)
     )
-    return schedule, tuple(moments), fold
+    return schedule, tuple(moments), fold, counts
 
 
 def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
@@ -295,7 +301,7 @@ def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
     """
     # float64 counts are exact below 2**53, and einsum runs faster on them
     q = np.asarray(q, dtype=float)
-    schedule, moments, fold = _kernel_plan(order, q.shape[1:], shots > 0)
+    schedule, moments, fold, _ = _kernel_plan(order, q.shape[1:], shots > 0)
     # each moment runs once its last marginal exists, and each marginal is
     # held only until its last use
     marginals = {}
@@ -311,14 +317,6 @@ def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
     # is the only rounding
     sums = m.T @ fold
     return sums / math.perm(shots, order) if shots else sums
-
-
-@lru_cache(maxsize=None)
-def _class_counts(order: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Read-only number of index tuples in each class: the kernel on ones."""
-    counts = _class_sums(np.ones((1,) + dims), order)[0]
-    counts.setflags(write=False)
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +359,7 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig) -> Estimate:
     _inverse(order, dims)
     n_parties = rho.dims.n_parties
     n_blocks = -(-cfg.n_unitaries // DRAW_BLOCK)
-    class_counts = _class_counts(order, dims)
+    class_counts = _kernel_plan(order, dims, cfg.shots > 0)[3]
     factor = _eigen_factor(rho)
     # Born rows per slice: a row has r D complex entries in each of the two arrays
     rows = max(1, BORN_SLICE_BYTES // max(1, 2 * 16 * len(factor[2]) * rho.total))
@@ -390,7 +388,7 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig) -> Estimate:
         return size, mean, np.square(dev).sum(axis=0)
 
     # merged as the blocks arrive; one worker runs in this thread, because a
-    # pool thread raised the peak RSS of order 3 at (5,5) by ~20%
+    # pool thread raised the peak RSS of 400 order-3 shot runs at (5,5) by 2 MiB
     if cfg.workers == 1:
         n, mean, m2 = _merge_moments(map(one_block, range(n_blocks)))
     else:

@@ -507,10 +507,12 @@ def _fresh_env() -> dict[str, str]:
 
 
 def _limit_address_space():
-    # runs in the child only, between fork and exec
+    # runs in the child only, between fork and exec.  At 1 GiB the 14-qubit
+    # state's first large allocation (2 GiB) fails before it is touched;
+    # with no limit an overcommitting OS may kill that process instead
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
 @pytest.mark.parametrize(
@@ -518,8 +520,9 @@ def _limit_address_space():
     [
         ["invariants", "--builtin", "maximally-mixed", "--dims", "1000,1000"],
         ["estimate", "--builtin", "werner", "--params", "d=100000,p=0.5"],
+        ["estimate", "--builtin", "random", "--dims", ",".join(["2"] * 14)],
     ],
-    ids=["invariants", "estimate"],
+    ids=["invariants", "estimate", "estimate-14-qubits"],
 )
 def test_out_of_memory_is_a_one_line_usage_error_in_a_fresh_process(argv):
     done = subprocess.run([sys.executable, "-m", "twirlkit.cli", *argv],

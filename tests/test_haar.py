@@ -6,12 +6,12 @@ from twirlkit.haar import RngStream, sample_haar_batch
 
 
 class _PreparedDraws:
-    """Stands in for a Generator: hands out the given normal draws in order."""
+    """Stands in for a Generator: hands out the given standard normal draws in order."""
 
     def __init__(self, *draws):
         self._draws = list(draws)
 
-    def normal(self, size):
+    def standard_normal(self, size):
         draw = self._draws.pop(0)
         assert draw.shape == size
         return draw

@@ -17,7 +17,7 @@ from oracles import (
     std_error_of_mean,
 )
 from twirlkit.haar import RngStream, sample_haar_batch
-from twirlkit.reconstruct import _pooling, invert
+from twirlkit.reconstruct import _pooling, exact_x2, exact_x3, invert
 from twirlkit.states import (
     DimsProfile,
     make_state,
@@ -32,7 +32,6 @@ from twirlkit.twirl import (
     DRAW_BLOCK,
     EstimatorConfig,
     _batched_probabilities,
-    _class_counts,
     _class_sums,
     _eigen_factor,
     _kernel_plan,
@@ -142,8 +141,8 @@ def test_born_memory_stays_far_below_the_product_unitary():
 
 def test_class_matrix_2_columns_average_over_classes():
     for dims in [(2, 2), (2, 3), (2, 2, 3)]:
-        # the kernel on ones counts the index pairs of each class
-        counts = _class_counts(2, dims)
+        # the plan counts the index pairs of each class
+        counts = _kernel_plan(2, dims, False)[3]
         assert np.array_equal(counts, pair_class_counts(DimsProfile(dims)))
         # a uniform p has the same product on every pair, so every class
         # average is that product
@@ -153,15 +152,32 @@ def test_class_matrix_2_columns_average_over_classes():
 
 
 def test_kernel_plan_is_built_once_per_run():
-    # one plan for the class counts and one for the shot blocks, reused by
-    # every block after the first
+    # one shot plan gives the class counts and is reused by every block
     _kernel_plan.cache_clear()
-    _class_counts.cache_clear()
     cfg = EstimatorConfig(n_unitaries=5 * DRAW_BLOCK, order=3, shots=5, master_seed=4)
     estimate_y(werner_state(3, 0.5), cfg)
     info = _kernel_plan.cache_info()
-    assert info.misses <= 2
+    assert info.misses == 1
     assert info.hits + info.misses == 1 + 5
+
+
+@pytest.mark.parametrize(
+    "order, dims, zero_classes",
+    [
+        (2, (2, 2), 0), (2, (2, 3, 2), 0), (2, (2,) * 6, 0),
+        (3, (3, 3), 0), (3, (5, 5), 0), (3, (3, 3, 3), 0), (3, (2, 3), 3),
+        (4, (4, 4), 0), (4, (2, 3), 17), (4, (3, 3, 3), 85),
+    ],
+)
+def test_kernel_plan_counts_are_the_kernel_on_ones(order, dims, zero_classes):
+    # on all-ones input every product is 1, so each class sum counts its
+    # index tuples; both are exact integers, so they agree bit for bit
+    ones = _class_sums(np.ones((1,) + dims), order)[0]
+    for shots in (False, True):
+        counts = _kernel_plan(order, dims, shots)[3]
+        assert counts.tobytes() == ones.tobytes()
+        assert not counts.flags.writeable
+    assert np.count_nonzero(ones == 0) == zero_classes
 
 
 def _same_contraction(a, b):
@@ -180,7 +196,7 @@ def _same_contraction(a, b):
 def test_kernel_plan_runs_each_distinct_contraction_once():
     # 38 shot and 25 exact moments at order 3 are 15 and 10 distinct einsums
     for shots, count in ((True, 15), (False, 10)):
-        _, moments, fold = _kernel_plan(3, (5, 5), shots)
+        _, moments, fold, _ = _kernel_plan(3, (5, 5), shots)
         assert len(moments) == count
         assert not any(_same_contraction(a, b) for a, b in itertools.combinations(moments, 2))
         assert np.array_equal(fold, np.round(fold))
@@ -317,7 +333,7 @@ def test_kernel_holds_each_marginal_only_until_its_last_use():
     # once would be about 26 MiB; a depth-first chain of them is about 2 MiB
     dims = (2,) * 8
     q = np.random.default_rng(8).dirichlet(np.ones(2**8), size=DRAW_BLOCK).reshape((-1,) + dims)
-    schedule, moments, fold = _kernel_plan(2, dims, False)  # planned once per run
+    schedule, moments, fold, _ = _kernel_plan(2, dims, False)  # planned once per run
     tracemalloc.start()
     try:
         sums = _class_sums(q, 2)
@@ -631,6 +647,39 @@ def test_std_error_matches_two_pass_reference():
     np.testing.assert_allclose(
         est.std_error**2, ref**2, rtol=0, atol=1e-8 * np.max(ref**2)
     )
+
+
+_COVERAGE_CASES = {
+    "order3-werner-exact": (3, lambda: werner_state(3, 0.4), 0),
+    "order3-werner-20-shots": (3, lambda: werner_state(3, 0.4), 20),
+    "order2-random-3x4-exact": (2, lambda: random_density((3, 4), rank=2, seed=0), 0),
+    "order2-random-2x2x3-10-shots": (2, lambda: random_density((2, 2, 3), rank=3, seed=0), 10),
+}
+
+
+@pytest.mark.parametrize("case", list(_COVERAGE_CASES))
+def test_standard_errors_cover_the_exact_invariants(case):
+    # 300 seeds of 200 unitaries.  Bands fixed from the binomial law at 4 sd
+    # before any run: |x - exact| <= 2 sigma holds with p = 0.9545, so on
+    # 286.4 +- 3.6 seeds, and <= 1 sigma with p = 0.6827, on 204.8 +- 8.1
+    order, state, shots = _COVERAGE_CASES[case]
+    rho = state()
+    exact = exact_x3(rho).measurable if order == 3 else exact_x2(rho).purities
+    runs = [
+        estimate_y(rho, EstimatorConfig(n_unitaries=200, order=order, shots=shots, master_seed=s))
+        for s in range(1000, 1300)
+    ]
+    values = np.array([e.values for e in runs])
+    sigma = np.array([e.std_error for e in runs])
+    # a state-constant invariant has a rounding-level sigma, which no band
+    # describes
+    live = (sigma > 1e-12).all(axis=0)
+    assert live.any()
+    z = np.abs(values[:, live] - exact[live]) / sigma[:, live]
+    within_2 = np.count_nonzero(z <= 2, axis=0)
+    within_1 = np.count_nonzero(z <= 1, axis=0)
+    assert np.all(within_2 >= 272), within_2
+    assert np.all((within_1 >= 172) & (within_1 <= 238)), within_1
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,7 @@
 
 from .criteria import (
     CriterionReport,
-    purity_criterion,
-    third_order_criterion,
+    criterion,
     werner_poly_2,
     werner_poly_3,
     werner_threshold_2,

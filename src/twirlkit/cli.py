@@ -214,28 +214,24 @@ def _estimate_rows(rho: DensityMatrix, args):
         raise UsageError(str(exc)) from exc
     est = twirl.estimate_y(rho, cfg)
     names = ["x%d" % k for k in range(len(est.values))]
-    if args.order == 2:
-        crit, _ = criteria.purity_criterion(est.values)
-    else:
-        crit = criteria.third_order_criterion(est.values)
-    return names, est.values, est.std_error, [crit]
+    crit, _ = criteria.criterion(args.order, rho.dims.n_parties, est.values)
+    return names, est.values, est.std_error, crit
 
 
 def cmd_estimate(args) -> int:
     rho = _state_for_order(args)
     if rho.dims.n_parties < 2:
         raise StateError("estimate requires at least two parties: one party has no cut")
-    names, x_hat, se_x, crits = _estimate_rows(rho, args)
+    names, x_hat, se_x, c = _estimate_rows(rho, args)
     lines = []
     if args.format == "csv":
         lines.append("row_type,name,value,std_error,lhs,rhs,margin,detected")
         for nm, v, se in zip(names, x_hat, se_x):
             lines.append(f"x,{nm},{_fmt(v)},{_fmt(se)},,,,")
-        for c in crits:
-            lines.append(
-                f"criterion,{c.name},,,{_fmt(c.lhs)},{_fmt(c.rhs)},"
-                f"{_fmt(c.margin)},{_fmt(c.detected)}"
-            )
+        lines.append(
+            f"criterion,{c.name},,,{_fmt(c.lhs)},{_fmt(c.rhs)},"
+            f"{_fmt(c.margin)},{_fmt(c.detected)}"
+        )
     else:
         lines.append(
             f"estimated invariants, order={args.order}, unitaries={args.unitaries},"
@@ -248,12 +244,11 @@ def cmd_estimate(args) -> int:
             exact = reconstruct.exact_x3(rho).measurable
         for nm, v, se, ex in zip(names, x_hat, se_x, exact):
             lines.append(f"  {nm:>4} = {_fmt(v)} +/- {_fmt(se)}  (exact {_fmt(ex)})")
-        for c in crits:
-            verdict = "DETECTED" if c.detected else "not detected"
-            lines.append(
-                f"  criterion {c.name}: lhs={_fmt(c.lhs)} rhs={_fmt(c.rhs)}"
-                f" margin={_fmt(c.margin)} -> {verdict}"
-            )
+        verdict = "DETECTED" if c.detected else "not detected"
+        lines.append(
+            f"  criterion {c.name}: lhs={_fmt(c.lhs)} rhs={_fmt(c.rhs)}"
+            f" margin={_fmt(c.margin)} -> {verdict}"
+        )
     _emit(lines, args.out)
     return 0
 

@@ -1,17 +1,21 @@
 """Separability criteria evaluated on invariant vectors, exact or
 reconstructed, given as plain arrays in the layout of ``reconstruct.invert``.
 
-Every criterion is reported as (lhs, rhs, margin) with margin = rhs - lhs;
-separable states satisfy lhs <= rhs, so a negative margin flags entanglement.
-Ties (margin == 0) are never flagged.
+A criterion is rows of terms, each a coefficient times one wiring per party.
+Separable states satisfy lhs <= rhs on every row (its negative and positive
+terms), so a negative margin = rhs - lhs flags entanglement; ties never do.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from . import reconstruct, weingarten
 
 
 # Ties must not count as detections; exact ties (pure product states saturate
@@ -35,47 +39,51 @@ class CriterionReport:
         return self.margin < -TIE_TOL
 
 
-def _in_mask(mask: int, party: int, n_parties: int) -> bool:
-    return bool(mask >> (n_parties - 1 - party) & 1)
+# wirings as image tuples: identity and swap; 3-cycle, its inverse and a swap
+E2, SWAP2 = (0, 1), (1, 0)
+C3, C3_INV, SWAP3 = (2, 0, 1), (1, 2, 0), (1, 0, 2)
 
 
-def purity_criterion(x) -> tuple[CriterionReport, list[tuple[int, ...]]]:
-    """Global purity vs the smallest marginal purity, plus every violated cut.
+@lru_cache(maxsize=None)
+def _table(order: int, n_parties: int) -> tuple[str, int, np.ndarray, np.ndarray]:
+    """Read-only ``(name, n_invariants, ids, coefs)``: row r is the sum
+    over terms t of ``coefs[t]`` times x at ``ids[r, t]``, the id that
+    ``reconstruct._invariants`` gives the term's tuple of wirings."""
+    if order == 2 and n_parties >= 2:
+        # Tr rho_P^2 - Tr rho^2, where product tuple P swaps the parties of bitmask P
+        cuts = list(itertools.product((E2, SWAP2), repeat=n_parties))
+        name, coefs = "purity", (1.0, -1.0)
+        wirings = [[cut, cuts[-1]] for cut in cuts[1:-1]]
+    elif order == 3 and n_parties == 2:
+        # 2 Tr((Tr_B rho^2) rho_A) - Tr rho^3 - Tr (rho^Gamma)^3
+        name, coefs = "third-order", (2.0, -1.0, -1.0)
+        wirings = [[(C3, SWAP3), (C3, C3), (C3, C3_INV)]]
+    else:
+        raise ValueError(f"no criterion at order {order} on {n_parties} parties")
+    perms = weingarten.permutations_of_order(order)
+    digits = np.moveaxis(weingarten._row_index(perms, np.array(wirings)), -1, 0)
+    invariants = reconstruct._invariants(order, n_parties)
+    ids = invariants[np.ravel_multi_index(tuple(digits), (len(perms),) * n_parties)]
+    ids.setflags(write=False)
+    return name, int(invariants.max()) + 1, ids, np.broadcast_to(coefs, ids.shape[1])
 
-    ``x`` holds the 2^N purities Tr rho_P^2 indexed by subset bitmask.  A
-    state separable across every cut has Tr rho^2 <= Tr rho_P^2 for every
-    nonempty proper subset P (one party has no cut, so N >= 2).  Returns the
-    aggregate report (rhs = minimal marginal purity) and the flagged subsets.
-    """
+
+def criterion(order: int, n_parties: int, x) -> tuple[CriterionReport, np.ndarray]:
+    """The report of the row of least margin (then least rhs), and every row's
+    margin, of the criterion at ``order`` on ``n_parties`` parties evaluated on
+    the invariants ``x``.  Order 2 (N >= 2) has a row per subset bitmask
+    P = 1 .. 2^N - 2, order 3 one row on two parties; any other (order, N), or
+    an x without one value per invariant, raises ValueError."""
+    name, n_x, ids, coefs = _table(order, n_parties)
     x = np.asarray(x, dtype=float)
-    n = len(x).bit_length() - 1
-    if n < 2 or len(x) != 2**n:
-        raise ValueError(f"a purity vector has 2^N entries with N >= 2, got {len(x)}")
-    full = float(x[-1])
-    violated = [
-        tuple(l for l in range(n) if _in_mask(mask, l, n))
-        for mask in range(1, 2**n - 1)
-        if x[mask] - full < -TIE_TOL
-    ]
-    rhs = float(np.min(x[1:-1]))
-    return CriterionReport(name="purity", lhs=full, rhs=rhs), violated
-
-
-def third_order_criterion(x) -> CriterionReport:
-    """Tr rho^3 + Tr (rho^Gamma)^3 <= 2 Tr((Tr_B rho^2) rho_A) for separable states.
-
-    ``x`` holds the eleven invariants x0..x10.  The left side is the
-    measurable combination 2 x_S, so the criterion is fully accessible from
-    randomized measurements.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (11,):
-        raise ValueError(f"an order-3 invariant vector has 11 components, got shape {x.shape}")
-    return CriterionReport(
-        name="third-order",
-        lhs=float(x[9] + x[10]),
-        rhs=float(2.0 * x[8]),
-    )
+    if x.shape != (n_x,):
+        raise ValueError(f"{name} needs {n_x} invariants, got shape {x.shape}")
+    pos = coefs > 0
+    rhs = x[ids[:, pos]] @ coefs[pos]
+    lhs = x[ids[:, ~pos]] @ -coefs[~pos]
+    margins = rhs - lhs
+    k = np.lexsort((rhs, margins))[0]
+    return CriterionReport(name=name, lhs=float(lhs[k]), rhs=float(rhs[k])), margins
 
 
 # ---------------------------------------------------------------------------

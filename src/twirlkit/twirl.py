@@ -172,11 +172,13 @@ def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _mobius_matrix(n: int) -> np.ndarray:
-    """mu(sigma, pi) on the partition lattice of n rounds: the inverse of the
-    integer unitriangular zeta matrix [sigma <= pi]."""
+    """Read-only mu(sigma, pi) on the partition lattice of n rounds: the
+    inverse of the integer unitriangular zeta matrix [sigma <= pi]."""
     parts = _partitions(n)
     zeta = np.array([[_join(s, p) == p for p in parts] for s in parts], dtype=float)
-    return np.round(np.linalg.inv(zeta))
+    mu = np.round(np.linalg.inv(zeta))
+    mu.setflags(write=False)
+    return mu
 
 
 @lru_cache(maxsize=None)
@@ -192,8 +194,8 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
     - ``moments``: one einsum per distinct contraction, as the
       ``(keep, labels)`` pairs of its operands; (rho, pi-tuple) moments
       equal up to operand order and per-party label renaming share one;
-    - ``fold``: the (n_moments, n_components) integer matrix taking the
-      moments to class sums.  It holds the coincidence weights
+    - ``fold``: the read-only (n_moments, n_components) integer matrix
+      taking the moments to class sums.  It holds the coincidence weights
       mu(all-distinct, rho), the Moebius inversion on each party axis, the
       exact zeros of patterns with no index tuples, and the pooling of exact
       patterns into components;
@@ -268,6 +270,7 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
     weights[:, tuples == 0] = 0.0
     fold = weights.reshape(len(moments), -1) @ _pooling(order, n_parties)
     counts = tuples.reshape(-1) @ _pooling(order, n_parties)
+    fold.setflags(write=False)
     counts.setflags(write=False)
     # a marginal's parent has its least missing party back, so preorder sorts
     # by the missing parties in descending order

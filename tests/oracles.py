@@ -48,6 +48,11 @@ bitmask (subsystem 0 the most significant bit).  The package reads marginal
 purities off one depth-first walk and order-3 invariants off tensor views
 instead, so these check it from outside.
 
+``purity_criterion`` and ``third_order_criterion`` are the criteria as
+first transcribed, by bitmask walk and by reading the slots x8, x9 and x10,
+against which the wiring rows of ``twirlkit.criteria.criterion`` are
+checked bit for bit.
+
 ``per_unitary_samples`` rebuilds the estimator's per-unitary class averages
 one unitary at a time, so two-pass statistics on them
 (``std_error_of_mean``) check the streamed moment merge and give the
@@ -61,7 +66,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from twirlkit.criteria import _in_mask
+from twirlkit.criteria import TIE_TOL, CriterionReport
 from twirlkit.haar import RngStream, sample_haar_batch
 from twirlkit.reconstruct import _invariants, exact_x2, exact_x3, forward_matrix
 from twirlkit.states import DensityMatrix, DimensionMismatchError, DimsProfile, make_state
@@ -389,6 +394,49 @@ def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig) -> np.ndarray:
 def std_error_of_mean(samples: np.ndarray) -> np.ndarray:
     """Two-pass standard error of the mean of each column of ``samples``."""
     return np.std(samples, axis=0, ddof=1) / np.sqrt(len(samples))
+
+
+def _in_mask(mask: int, party: int, n_parties: int) -> bool:
+    return bool(mask >> (n_parties - 1 - party) & 1)
+
+
+def purity_criterion(x) -> tuple[CriterionReport, list[tuple[int, ...]]]:
+    """Global purity vs the smallest marginal purity, plus every violated cut.
+
+    ``x`` holds the 2^N purities Tr rho_P^2 indexed by subset bitmask.  A
+    state separable across every cut has Tr rho^2 <= Tr rho_P^2 for every
+    nonempty proper subset P (one party has no cut, so N >= 2).  Returns the
+    aggregate report (rhs = minimal marginal purity) and the flagged subsets.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x).bit_length() - 1
+    if n < 2 or len(x) != 2**n:
+        raise ValueError(f"a purity vector has 2^N entries with N >= 2, got {len(x)}")
+    full = float(x[-1])
+    violated = [
+        tuple(l for l in range(n) if _in_mask(mask, l, n))
+        for mask in range(1, 2**n - 1)
+        if x[mask] - full < -TIE_TOL
+    ]
+    rhs = float(np.min(x[1:-1]))
+    return CriterionReport(name="purity", lhs=full, rhs=rhs), violated
+
+
+def third_order_criterion(x) -> CriterionReport:
+    """Tr rho^3 + Tr (rho^Gamma)^3 <= 2 Tr((Tr_B rho^2) rho_A) for separable states.
+
+    ``x`` holds the eleven invariants x0..x10.  The left side is the
+    measurable combination 2 x_S, so the criterion is fully accessible from
+    randomized measurements.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (11,):
+        raise ValueError(f"an order-3 invariant vector has 11 components, got shape {x.shape}")
+    return CriterionReport(
+        name="third-order",
+        lhs=float(x[9] + x[10]),
+        rhs=float(2.0 * x[8]),
+    )
 
 
 def pair_class_counts(dims) -> np.ndarray:

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from twirlkit.criteria import (
-    purity_criterion,
-    third_order_criterion,
+    criterion,
     werner_poly_2,
     werner_poly_3,
     werner_threshold_2,
@@ -156,7 +155,7 @@ def test_acceptance_6_end_to_end_werner_detection():
     rho = werner_state(3, 0.48)
     cfg = EstimatorConfig(n_unitaries=20000, order=3, master_seed=20240917)
     est3 = estimate_y(rho, cfg)
-    rep3 = third_order_criterion(est3.values)
+    rep3, _ = criterion(3, 2, est3.values)
     # the margin 2 x8 - x9 - x10 is linear in x, so its standard error is
     # that of its per-unitary values, rebuilt from the same substreams
     g = np.zeros(11)
@@ -165,7 +164,7 @@ def test_acceptance_6_end_to_end_werner_detection():
     sigma = -rep3.margin / se_margin
 
     est2 = estimate_y(rho, dataclasses.replace(cfg, order=2))
-    rep2, _ = purity_criterion(est2.values)
+    rep2, _ = criterion(2, 2, est2.values)
     ok = rep3.detected and sigma >= 3.0 and not rep2.detected
     _report(6, "end-to-end detection", ok,
             f"third-order margin {rep3.margin:.4e} ({sigma:.1f} sigma), "
@@ -188,8 +187,8 @@ def test_acceptance_7_no_false_positives_on_separable_states():
     false_pos = 0
     for _ in range(1000):
         rho = make_state(_random_separable(rng), (3, 3))
-        rep2, _ = purity_criterion(exact_x2(rho).purities)
-        rep3 = third_order_criterion(exact_x3(rho).values)
+        rep2, _ = criterion(2, 2, exact_x2(rho).purities)
+        rep3, _ = criterion(3, 2, exact_x3(rho).values)
         if rep2.detected or rep3.detected:
             false_pos += 1
     _report(7, "no false positives", false_pos == 0,
@@ -210,13 +209,13 @@ def test_acceptance_8_bell_diagonal_geometry():
         ball = sum(v * v for v in lam) > 0.5
         npt = max(lam) > 0.5
 
-        rep2, _ = purity_criterion(exact_x2(rho).purities)
+        rep2, _ = criterion(2, 2, exact_x2(rho).purities)
         if rep2.detected != ball:
             mismatch_purity += 1
         pt_negative = bool(np.linalg.eigvalsh(partial_transpose(rho, 1))[0] < 0.0)
         if pt_negative != npt:
             mismatch_npt += 1
-        rep3 = third_order_criterion(exact_x3(rho).values)
+        rep3, _ = criterion(3, 2, exact_x3(rho).values)
         if rep3.detected != rep2.detected:
             mismatch_third += 1
     ok = mismatch_purity == 0 and mismatch_npt == 0 and mismatch_third == 0

@@ -49,13 +49,26 @@ WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
          "--params", "l1=1,l2=0,l3=0,l4=0"],
         ["werner-sweep", "--d", "3", "--steps", "10000000000000"],
         ["werner-sweep", "--d", "3", "--steps", "1000001"],
+        ["invariants", "--builtin", "werner", "--params", "d=x,p=0.5"],
+        ["invariants", "--builtin", "werner", "--params", "d3"],
+        ["invariants", "--builtin", "random", "--dims", "2,x"],
+        ["invariants", "--builtin", "nope"],
+        ["invariants", "--builtin", "werner", "--params", "p=0.5"],
+        ["invariants", "--builtin", "werner", "--params", "d=3"],
+        ["invariants", "--builtin", "bell-diagonal", "--params", "l1=0.5,l2=0.25,l3=0.25"],
+        ["invariants", "--builtin", "random"],
+        ["invariants", "--builtin", "maximally-mixed"],
+        ["werner-sweep", "--d", "1"],
     ],
     ids=[
         "no-state", "unitaries-0", "workers-0", "shots-negative", "werner-d-not-integer",
         "order3-shots-2", "shots-above-int64", "plug-in-removed", "random-unknown-key",
         "werner-unknown-key", "bell-diagonal-unknown-key", "maximally-mixed-unknown-key",
         "werner-unequal-dims", "werner-d-disagrees-with-dims", "bell-diagonal-not-two-qubits",
-        "sweep-steps-huge", "sweep-steps-above-bound",
+        "sweep-steps-huge", "sweep-steps-above-bound", "param-not-a-number",
+        "param-malformed-item", "dims-not-a-number", "unknown-builtin", "werner-without-d",
+        "werner-without-p", "bell-diagonal-without-l4", "random-without-dims",
+        "maximally-mixed-without-dims", "sweep-d-below-2",
     ],
 )
 def test_usage_error_exit_code(argv, capsys):
@@ -216,6 +229,22 @@ def test_order3_with_qubits_exit_code(capsys):
     assert code == 3
     assert err.startswith("numerical failure:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("order,n_invariants", [(2, 4), (3, 11)])
+def test_invariants_report(order, n_invariants, capsys):
+    code, out, err = run(
+        ["invariants", "--builtin", "werner", "--params", "d=3,p=0.5", "--order", str(order),
+         "--format", "report"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == f"exact order-{order} invariants, dims=[3, 3]"
+    assert [line.split("=")[0].strip() for line in lines[1:]] == [
+        f"x{k}" for k in range(n_invariants)
+    ]
+    assert all("(oracle " in line and ", residual " in line for line in lines[1:])
 
 
 def test_invariants_builtin_werner_order2(capsys):

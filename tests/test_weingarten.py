@@ -17,6 +17,7 @@ from oracles import (
     wg,
     wiring_einsum,
 )
+from twirlkit.criteria import _table
 from twirlkit.reconstruct import _pooling, forward_matrix
 from twirlkit.states import (
     DensityMatrix,
@@ -26,7 +27,7 @@ from twirlkit.states import (
     maximally_mixed,
     random_density,
 )
-from twirlkit.twirl import EstimatorConfig, _kernel_plan, estimate_y
+from twirlkit.twirl import EstimatorConfig, _kernel_plan, _mobius_matrix, estimate_y
 from twirlkit.weingarten import (
     SingularDimensionError,
     diagram_contract,
@@ -286,7 +287,11 @@ def test_cached_permutation_tables_are_read_only():
     assert not w_matrix(3, 4).flags.writeable
     assert not gram_matrix(3, 4).flags.writeable
     assert not _pooling(3, 2).flags.writeable
+    assert not _kernel_plan(3, (3, 3), False)[2].flags.writeable
     assert not _kernel_plan(3, (3, 3), False)[3].flags.writeable
+    assert not _mobius_matrix(3).flags.writeable
+    for table in _table(2, 3)[2:] + _table(3, 2)[2:]:
+        assert not table.flags.writeable
     for n in (1, 3, 4):
         assert not permutations_of_order(n).flags.writeable
         for table in _group_tables(n):

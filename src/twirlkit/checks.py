@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from . import criteria, reconstruct, weingarten
-from .states import DensityMatrix, DimsProfile, make_state, max_entangled_projector, random_density
+from .states import DensityMatrix, make_state, max_entangled_projector, random_density
 
 # the largest oracle residual ``invariant_table`` accepts
 RESIDUAL_LIMIT = 1e-8
@@ -141,7 +141,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     # x9/x10 identification on the maximally entangled state:
     # matching 3-cycles give Tr rho^3 = 1, opposite 3-cycles give
     # Tr (rho^Gamma)^3 = 1/d^2 (= 1/4 at d=2)
-    bell = make_state(max_entangled_projector(2), DimsProfile((2, 2)))
+    bell = make_state(max_entangled_projector(2), (2, 2))
     same = weingarten.diagram_contract(bell, *_X3_WIRINGS[9])
     opp = weingarten.diagram_contract(bell, *_X3_WIRINGS[10])
     ident_ok = abs(same - 1.0) < 1e-12 and abs(opp - 0.25) < 1e-12

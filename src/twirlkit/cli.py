@@ -146,9 +146,11 @@ def resolve_state(args) -> DensityMatrix:
     params = _parse_params(name, args.params)
     dims = _parse_dims(args.dims)
     if name == "werner":
-        d = params.get("d", dims[0] if dims else 0)
-        if d < 2:
+        d = params.get("d", dims[0] if dims else None)
+        if d is None:
             raise UsageError("werner needs d (via --params d=... or --dims)")
+        if d < 2:
+            raise UsageError(f"werner needs d >= 2, got d={d}")
         if dims is not None and dims.dims != (d, d):
             raise UsageError(f"werner with d={d} needs --dims {d},{d}, got {args.dims}")
         if "p" not in params:

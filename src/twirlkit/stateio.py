@@ -2,14 +2,13 @@
 
 Grammar: a UTF-8 JSON object with two keys.
 ``dims`` is a non-empty array of integer local dimensions (each >= 2).
-``matrix`` is the row-major density matrix, one ``[re, im]`` pair of numbers
-(not booleans) per entry, so its shape is D x D x 2 with D the product of
-``dims``.
+``matrix`` is the row-major density matrix: D rows of D ``[re, im]`` pairs,
+with D the product of ``dims``.  Each number is a JSON integer or float (not
+a boolean) that fits in a float.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -33,23 +32,26 @@ def _parse_payload(payload) -> DensityMatrix:
     if not isinstance(dims_raw, list) or not dims_raw or not all(type(d) is int for d in dims_raw):
         raise StateFileError("dims must be an array of integers, one per party, at least one")
     dims = DimsProfile(dims_raw)
-    try:
-        arr = np.array(payload["matrix"])
-    except ValueError as exc:  # numpy refuses ragged nesting
-        raise StateFileError("matrix is not a regular array of [re, im] pairs") from exc
-    # strings and nulls leave numpy a non-numeric dtype
-    if arr.dtype.kind not in "iuf":
+    n = dims.total
+    # one walk by exact type, so a JSON boolean is no number: a row or pair
+    # of the wrong type or length is skipped and leaves fewer than 2 n^2 values
+    rows = payload["matrix"]
+    values = [
+        v
+        for row in (rows if type(rows) is list and len(rows) == n else [])
+        if type(row) is list and len(row) == n
+        for pair in row if type(pair) is list and len(pair) == 2
+        for v in pair
+    ]
+    if len(values) != 2 * n * n:
+        raise StateFileError(f"matrix must be {n} rows of {n} [re, im] pairs")
+    if not set(map(type, values)) <= {int, float}:
         raise StateFileError("matrix entries must be numbers")
-    if arr.shape != (dims.total, dims.total, 2):
-        raise StateFileError(
-            f"matrix must have shape ({dims.total}, {dims.total}, 2) of [re, im]"
-            f" pairs, got {arr.shape}"
-        )
-    # numpy reads a boolean among numbers as 0 or 1
-    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(payload["matrix"]))
-    if bool in set(map(type, entries)):
-        raise StateFileError("matrix entries must be numbers, not booleans")
-    return make_state(arr[..., 0] + 1j * arr[..., 1], dims)
+    try:
+        flat = np.array(values, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise StateFileError("matrix entries must be numbers") from exc
+    return make_state(flat.view(complex).reshape(n, n), dims)
 
 
 def load_state(path: str | Path) -> DensityMatrix:

@@ -80,17 +80,16 @@ class DensityMatrix:
         return self.dims.total
 
 
-def make_state(entries, dims: DimsProfile | Iterable[int]) -> DensityMatrix:
-    """Validate a raw matrix as a density matrix on the given dimension profile.
+def make_state(entries, dims: Iterable[int]) -> DensityMatrix:
+    """Validate a read-only copy of a raw matrix as a density matrix on ``dims``.
 
     Raises a distinct error per violated invariant: dimension mismatch,
     Hermiticity (1e-12), unit trace (1e-9), positivity (smallest eigenvalue
     >= -1e-9).  Non-finite entries raise a plain ``StateError`` first, since
     no tolerance comparison can reject a NaN.
     """
-    if not isinstance(dims, DimsProfile):
-        dims = DimsProfile(dims)
-    m = np.asarray(entries, dtype=complex)
+    dims = DimsProfile(dims)
+    m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] != dims.total:
@@ -108,14 +107,12 @@ def make_state(entries, dims: DimsProfile | Iterable[int]) -> DensityMatrix:
     lo = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]
     if lo < -PSD_TOL:
         raise PositivityError(f"smallest eigenvalue {lo:.3e} < -{PSD_TOL}")
-    m = m.copy()
     m.flags.writeable = False
     return DensityMatrix(dims=dims, entries=m)
 
 
-def maximally_mixed(dims: DimsProfile | Iterable[int]) -> DensityMatrix:
-    if not isinstance(dims, DimsProfile):
-        dims = DimsProfile(dims)
+def maximally_mixed(dims: Iterable[int]) -> DensityMatrix:
+    dims = DimsProfile(dims)
     return make_state(np.eye(dims.total) / dims.total, dims)
 
 
@@ -133,12 +130,11 @@ def werner_state(d: int, p: float) -> DensityMatrix:
     This is the family the source material calls "Werner"; much literature
     calls it the isotropic state (see README).
     """
-    if d < 2:
-        raise DimensionMismatchError("d must be >= 2")
+    dims = DimsProfile((d, d))
     if not 0.0 <= p <= 1.0:
         raise StateError(f"mixing parameter p={p} outside [0, 1]")
     m = p * max_entangled_projector(d) + (1.0 - p) / d**2 * np.eye(d * d)
-    return make_state(m, DimsProfile((d, d)))
+    return make_state(m, dims)
 
 
 @dataclass(frozen=True)
@@ -170,15 +166,14 @@ def bell_diagonal(spectrum: BellDiagonalSpectrum) -> DensityMatrix:
         ],
         dtype=complex,
     )
-    return make_state(m, DimsProfile((2, 2)))
+    return make_state(m, (2, 2))
 
 
 def random_density(
-    dims: DimsProfile | Iterable[int], rank: int, seed: int | np.random.Generator
+    dims: Iterable[int], rank: int, seed: int | np.random.Generator
 ) -> DensityMatrix:
     """Seeded Ginibre state GG^dag / Tr(GG^dag) of the requested rank."""
-    if not isinstance(dims, DimsProfile):
-        dims = DimsProfile(dims)
+    dims = DimsProfile(dims)
     total = dims.total
     if not 1 <= rank <= total:
         raise StateError(f"rank {rank} out of range 1..{total}")

@@ -206,7 +206,7 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
     parts = _partitions(order)
     steps: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     columns: dict[tuple, int] = {}
-    moments: list[tuple[tuple[tuple[int, ...], list[int]], ...]] = []
+    moments: list[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = []
 
     def need(keep: tuple[int, ...]) -> None:
         # q summed over the parties not in keep, one party at a time
@@ -237,7 +237,7 @@ def _kernel_plan(order: int, dims: tuple[int, ...], shots: bool):
             keep = tuple(
                 l for l, pi in enumerate(pis) if sum(pi[s] == pi[r] for s in reps) > 1
             )
-            operands.append((keep, [0] + [1 + l * order + pis[l][r] for l in keep]))
+            operands.append((keep, (0, *(1 + l * order + pis[l][r] for l in keep))))
         # einsums equal up to operand order and per-party label renaming
         # have one value, so the least renaming over operand orders keys it
         key = min(map(renamed, itertools.permutations(operands)))

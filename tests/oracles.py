@@ -53,6 +53,10 @@ first transcribed, by bitmask walk and by reading the slots x8, x9 and x10,
 against which the wiring rows of ``twirlkit.criteria.criterion`` are
 checked bit for bit.
 
+``matrix_from_pairs`` is the complex matrix of a state file's ``matrix``
+by numpy's own nesting inference and two slices, against which the one walk
+of ``twirlkit.stateio`` is checked bit for bit.
+
 ``per_unitary_samples`` rebuilds the estimator's per-unitary class averages
 one unitary at a time, so two-pass statistics on them
 (``std_error_of_mean``) check the streamed moment merge and give the
@@ -369,6 +373,12 @@ def born_kron(rho: DensityMatrix, locals_: list[np.ndarray]) -> np.ndarray:
         d = ul.shape[-1]
         u = np.einsum("bij,bkl->bikjl", u, ul).reshape(b, m * d, m * d)
     return np.einsum("bij,ik,bkj->bj", u.conj(), rho.entries, u).real
+
+
+def matrix_from_pairs(matrix) -> np.ndarray:
+    """(D, D) complex matrix of nested ``[re, im]`` pairs, re + 1j * im."""
+    arr = np.array(matrix)
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def per_unitary_samples(rho: DensityMatrix, cfg: EstimatorConfig) -> np.ndarray:

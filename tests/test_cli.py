@@ -59,6 +59,8 @@ WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
         ["invariants", "--builtin", "random"],
         ["invariants", "--builtin", "maximally-mixed"],
         ["werner-sweep", "--d", "1"],
+        ["invariants", "--builtin", "werner", "--params", "d=1,p=0.5"],
+        ["invariants", "--builtin", "werner", "--params", "d=-3,p=0.5"],
     ],
     ids=[
         "no-state", "unitaries-0", "workers-0", "shots-negative", "werner-d-not-integer",
@@ -68,7 +70,7 @@ WERNER3 = ["estimate", "--builtin", "werner", "--params", "d=3,p=0.5"]
         "sweep-steps-huge", "sweep-steps-above-bound", "param-not-a-number",
         "param-malformed-item", "dims-not-a-number", "unknown-builtin", "werner-without-d",
         "werner-without-p", "bell-diagonal-without-l4", "random-without-dims",
-        "maximally-mixed-without-dims", "sweep-d-below-2",
+        "maximally-mixed-without-dims", "sweep-d-below-2", "werner-d-1", "werner-d-negative",
     ],
 )
 def test_usage_error_exit_code(argv, capsys):
@@ -150,6 +152,10 @@ def test_malformed_matrix_is_a_one_line_state_error_in_a_fresh_process(tmp_path)
     for matrix in [
         [[[1, 0], [0, 0]], [[0, 0]]],  # ragged
         [[[True, 0], [0, 0]], [[0, 0], [0, 0]]],  # a boolean among numbers
+        [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]],  # an integer beyond any float
+        {"0": [[1, 0], [0, 0]], "1": [[0, 0], [0, 0]]},  # an object, not an array
+        1.0,  # a scalar
+        [[[[1, 0], [0, 0]], [0, 0]], [[0, 0], [0, 0]]],  # pairs one level deeper
     ]:
         path.write_text(json.dumps({"dims": [2], "matrix": matrix}))
         done = subprocess.run(
@@ -661,9 +667,34 @@ def test_builtin_random_reads_integer_params_exactly(tmp_path, capsys):
     assert code == 1 and "--params d=3.5 is not an integer" in err
 
 
+def test_werner_names_a_given_d_below_two(capsys):
+    for params, message in [
+        ("d=1,p=0.5", "werner needs d >= 2, got d=1"),
+        ("d=-3,p=0.5", "werner needs d >= 2, got d=-3"),
+        ("p=0.5", "werner needs d (via --params d=... or --dims)"),
+    ]:
+        code, _, err = run(["invariants", "--builtin", "werner", "--params", params], capsys)
+        assert code == 1 and err == f"usage error: {message}\n"
+
+
 def test_importing_the_cli_loads_no_thread_pool():
     # a one-worker run never builds a pool, so it pays no import for one
     code = "import sys, twirlkit.cli; print('concurrent.futures' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_fresh_env())
     assert done.returncode == 0 and done.stdout == "False\n"
+
+
+def test_reading_a_state_file_loads_no_sampling_module(tmp_path):
+    # invariants of a state file draw nothing, so a cold start pays for no
+    # random generator and no thread pool
+    save_state(random_density((2, 3), 2, seed=0), tmp_path / "state.json")
+    code = (
+        "import sys; from twirlkit.cli import main; "
+        "code = main(['invariants', '--state', sys.argv[1], '--order', '2']); "
+        "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules], code,"
+        " file=sys.stderr)"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "state.json")],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert done.stdout and done.stderr == "[] 0\n"

@@ -46,6 +46,21 @@ def test_make_state_rejects_negative_eigenvalue():
         make_state(np.diag([1.5, -0.5]), (2,))
 
 
+def test_make_state_keeps_its_own_read_only_copy():
+    # a later write to the caller's array (complex, so no dtype conversion
+    # copies it) or nested list leaves the state as it was
+    for raw in (np.eye(2, dtype=complex) / 2, [[0.5, 0.0], [0.0, 0.5]]):
+        rho = make_state(raw, (2,))
+        assert not rho.entries.flags.writeable
+        raw[0][0] = 9.0
+        assert np.array_equal(rho.entries, np.eye(2) / 2)
+
+
+def test_make_state_takes_a_dims_profile_or_any_iterable_of_ints():
+    for dims in [DimsProfile((2, 3)), (2, 3), [2, 3], iter((2, 3))]:
+        assert make_state(np.eye(6) / 6, dims).dims == DimsProfile((2, 3))
+
+
 def test_dims_profile_rejects_dimension_one():
     with pytest.raises(DimensionMismatchError):
         DimsProfile((2, 1))
@@ -110,6 +125,12 @@ def test_werner_state_purity(d, p):
     # Tr rho^2 = p^2 + 2p(1-p)/d^2 + (1-p)^2/d^2
     expect = p * p + 2 * p * (1 - p) / d**2 + (1 - p) ** 2 / d**2
     assert trace_power(rho.entries, 2) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_werner_rejects_d_below_two(d):
+    with pytest.raises(DimensionMismatchError, match=f"local dimension {d} < 2"):
+        werner_state(d, 0.5)
 
 
 def test_werner_rejects_out_of_range_p():

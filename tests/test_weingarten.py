@@ -289,6 +289,14 @@ def test_cached_permutation_tables_are_read_only():
     assert not _pooling(3, 2).flags.writeable
     assert not _kernel_plan(3, (3, 3), False)[2].flags.writeable
     assert not _kernel_plan(3, (3, 3), False)[3].flags.writeable
+    # the schedule and einsum labels are nested tuples, ints and None
+    nested = [_kernel_plan(order, dims, shots)[:2] for order, dims, shots in
+              [(2, (2, 2, 3), False), (3, (3, 3), True), (3, (2, 3, 4), False)]]
+    while nested:
+        part = nested.pop()
+        assert part is None or type(part) in (int, tuple)
+        if type(part) is tuple:
+            nested.extend(part)
     assert not _mobius_matrix(3).flags.writeable
     for table in _table(2, 3)[2:] + _table(3, 2)[2:]:
         assert not table.flags.writeable

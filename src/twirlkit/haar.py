@@ -34,7 +34,7 @@ class RngStream:
 
 
 def sample_haar_batch(
-    d: int, count: int, stream: RngStream | np.random.Generator
+    d: int, count: int, stream: RngStream | np.random.Generator, *, out=None, work=None
 ) -> np.ndarray:
     """``count`` independent Haar unitaries as a stacked (count, d, d) array.
 
@@ -44,19 +44,39 @@ def sample_haar_batch(
     divided by its real norm; the second pass restores the orthogonality that
     cancellation costs the first.  Q does not depend on the scale of Z, so
     the draws are used unscaled.
+
+    By default the batch is a fresh C-contiguous array.  A caller that draws
+    many batches passes ``out``, a (count, d, d) array of any strides that
+    receives it, and ``work``, two flat complex arrays of at least
+    ``d * d * count`` entries each, which hold the draws and every
+    Gram-Schmidt temporary; the values are the same.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     rng = stream.generator() if isinstance(stream, RngStream) else stream
-    # w[k, :, b] is column k of matrix b: each column is contiguous over the batch
-    w = np.empty((d, d, count), dtype=complex)
-    w.real = rng.standard_normal(size=(count, d, d)).T
-    w.imag = rng.standard_normal(size=(count, d, d)).T
+    n = d * d * count
+    a, b = (np.empty(n, dtype=complex) for _ in range(2)) if work is None else work
+    # w[k, :, c] is column k of matrix c: each column is contiguous over the batch
+    w = a[:n].reshape(d, d, count)
+    z = b.view(float)[:n].reshape(count, d, d)
+    w.real = rng.standard_normal(out=z).T
+    w.imag = rng.standard_normal(out=z).T
+    # one product and the projection, each (d, count), once the draws are in w
+    t, proj = b[: 2 * d * count].reshape(2, d, count)
     for k in range(d):
         v = w[k]
         for _ in range(2 if k else 0):
-            # <w_j, v> = conj(sum_i w_ij conj(v_i)), bit for bit
-            coeff = (w[:k] * v.conj()).sum(axis=1).conj()
-            v -= (w[:k] * coeff[:, None, :]).sum(axis=0)
+            # classical: every <w_j, v> is taken before v changes, and the
+            # projections are summed in order of j
+            for j in range(k):
+                # <w_j, v> = sum_i conj(w_ij) v_i
+                coeff = np.multiply(np.conjugate(w[j], out=t), v, out=t).sum(axis=0)
+                np.multiply(w[j], coeff, out=t if j else proj)
+                if j:
+                    proj += t
+            v -= proj
         v /= np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
-    return np.ascontiguousarray(w.transpose(2, 1, 0))
+    if out is None:
+        return np.ascontiguousarray(w.transpose(2, 1, 0))
+    out[...] = w.transpose(2, 1, 0)
+    return out

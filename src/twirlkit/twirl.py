@@ -6,9 +6,11 @@ Born probabilities never form the product unitary.  rho is factored once per
 run as rho = c I + W^dag diag(s) W from its eigendecomposition: c is its most
 degenerate eigenvalue, W = sqrt|lambda - c| V^dag runs over the eigenvalues
 that differ from c, and s holds their signs.  U^dag I U = I, so c adds to
-every probability, and each local unitary acts on its own tensor axis of W by
-one batched matmul.  B unitaries cost O(B r D sum_l d_l) time and two (B, r, D)
-complex arrays, with r = 1 for a Werner state and r = 0 for I/D.
+every probability, and each local unitary acts on its own tensor axis of W:
+the last party's by one GEMM, since W is the same for the whole batch, and
+each other party's by one batched matmul.  B unitaries cost
+O(B r D sum_l d_l) time and two (B, r, D) complex arrays, which the steps
+alternate between, with r = 1 for a Werner state and r = 0 for I/D.
 
 ``_class_sums`` is the one moment kernel for every order and both shot modes:
 one contraction per tuple of per-party set partitions pi of the rounds ("at
@@ -30,12 +32,20 @@ M2 the per-invariant sum of squared deviations, is merged in block order
 a given (state, config) at any worker count.  Only Born runs in row slices of
 a block, sized by ``BORN_SLICE_BYTES``; it computes each row on its own, so
 the slicing bounds memory without changing a bit.
+
+Memory: each thread that runs blocks keeps one block's working set
+(``_block_arrays``) for its later blocks and runs, so Haar and Born
+allocate no array of a block's size; fresh ones took new pages, and page
+faults, every block.  A run at another shape replaces the set, a pool
+thread's goes when the pool shuts down, and nothing a block returns is a
+view of it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -124,33 +134,57 @@ def _eigen_factor(rho: DensityMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     return c, np.sqrt(np.abs(shift[keep]))[:, None] * v[:, keep].conj().T, np.sign(shift[keep])
 
 
+def _copy_to(buf: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``a`` copied to the front of the flat array ``buf``, C-contiguous."""
+    dst = buf[: a.size].reshape(a.shape)
+    dst[...] = a
+    return dst
+
+
 def _batched_probabilities(
-    factor: tuple[float, np.ndarray, np.ndarray], locals_: list[np.ndarray]
+    factor: tuple[float, np.ndarray, np.ndarray], locals_: list[np.ndarray], out=None, work=None
 ) -> np.ndarray:
     """(B, total) Born probabilities for a batch of product unitaries, unclipped.
 
     U^dag I U = I, so p_j = c + sum_r s_r |(W (U_1 x ... x U_N))_{rj}|^2
     with (c, W, s) from :func:`_eigen_factor`.  Each U_l is applied on its
     own axis: parties are contracted last to first and each contracted axis
-    is rotated to the front.  |.|^2 is summed over r before the last
+    is rotated to the front.  W is the same for the whole batch, so the last
+    party's step is one GEMM.  |.|^2 is summed over r before the last
     rotation, which restores the party order on the (B, D) result alone.
+
+    The probabilities go to ``out`` if given, else to a fresh array.  The
+    steps alternate between two complex arrays of B r D entries, the two
+    flat arrays ``work`` if given.
     """
     c, w, sign = factor
-    b = locals_[0].shape[0]
+    b, r = locals_[0].shape[0], len(sign)
     dims = [u.shape[-1] for u in locals_]
-    if not len(sign):
-        return np.full((b, math.prod(dims)), c)
-    x = w.reshape(1, -1, dims[-1])
-    for l in reversed(range(len(dims))):
-        x = np.matmul(x, locals_[l])
+    p = np.empty((b, math.prod(dims))) if out is None else out
+    if not r:
+        p.fill(c)
+        return p
+    n = b * r * p.shape[1]
+    # the matmuls write x and the rotations y
+    x, y = (np.empty(n, dtype=complex) for _ in range(2)) if work is None else work
+    d = dims[-1]
+    # (r D / d_N, d_N) times the batch laid out as (d_N, B d_N)
+    z = np.matmul(w.reshape(-1, d), locals_[-1].transpose(1, 0, 2).reshape(d, -1),
+                  out=x[:n].reshape(-1, b * d)).reshape(-1, b, d)
+    # (rest, B, d_N) -> (B, d_N, rest), or (B, r, d_1) for one party
+    z = _copy_to(y, z.transpose((1, 2, 0) if len(dims) > 1 else (1, 0, 2)))
+    for l in reversed(range(len(dims) - 1)):
+        z = np.matmul(z.reshape(b, -1, dims[l]), locals_[l], out=x[:n].reshape(b, -1, dims[l]))
         if l:
-            # one contiguous copy: (B, rest, d_l) -> (B, d_l, rest)
-            x = x.transpose(0, 2, 1).reshape(b, -1, dims[l - 1])
-    # |.|^2 in place on the (re, im) pairs of the last matmul's own output
-    x = x.view(float).reshape(b, -1, len(sign), 2 * dims[0])
-    np.square(x, out=x)
-    q = sign @ x
-    p = (q[..., 0::2] + q[..., 1::2]).transpose(0, 2, 1).reshape(b, -1)
+            # (B, rest, d_l) -> (B, d_l, rest)
+            z = _copy_to(y, z.transpose(0, 2, 1))
+    # z is the last matmul's output in x, or with one party the rotation in y
+    free = y if len(dims) > 1 else x
+    # |.|^2 in place on the (re, im) pairs of z
+    z = z.view(float).reshape(b, -1, r, 2 * dims[0])
+    np.square(z, out=z)
+    q = np.matmul(sign, z, out=free.view(float)[: 2 * p.size].reshape(b, -1, 2 * dims[0]))
+    np.add(q[..., 0::2], q[..., 1::2], out=p.reshape(b, dims[0], -1).transpose(0, 2, 1))
     p += c
     return p
 
@@ -326,6 +360,35 @@ def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
 # the estimation loop
 # ---------------------------------------------------------------------------
 
+# each thread's block arrays, kept for its later blocks and runs
+_thread_arrays = threading.local()
+
+
+def _block_arrays(dims: tuple[int, ...], size: int, rows: int, rank: int):
+    """The calling thread's arrays for blocks of up to ``size`` unitaries.
+
+    Returns ``(work, unitaries, probabilities)``: two flat complex arrays that
+    Haar's draws and Gram-Schmidt and then Born's slices of ``rows`` rows use
+    in turn, one (d_l, size, d_l) unitary batch per party, laid out so that
+    Born's GEMM reads the last party's without a copy, and the (size, D)
+    probabilities.  A run at another shape replaces them, so a thread holds
+    one block's working set at most.
+    """
+    total = math.prod(dims)
+    n = max(max(dims) ** 2 * size, min(rows, size) * rank * total)
+    key = (dims, size, n)
+    if getattr(_thread_arrays, "key", None) != key:
+        # the old set is released before the new one is allocated
+        vars(_thread_arrays).clear()
+        _thread_arrays.arrays = (
+            (np.empty(n, dtype=complex), np.empty(n, dtype=complex)),
+            [np.empty((d, size, d), dtype=complex) for d in dims],
+            np.empty((size, total)),
+        )
+        _thread_arrays.key = key
+    return _thread_arrays.arrays
+
+
 def _merge_moments(parts):
     """Merge an in-order iterable of (n, mean, M2) triples, M2 the per-column
     sum of squared deviations (Chan, Golub and LeVeque)."""
@@ -366,24 +429,32 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig) -> Estimate:
     factor = _eigen_factor(rho)
     # Born rows per slice: a row has r D complex entries in each of the two arrays
     rows = max(1, BORN_SLICE_BYTES // max(1, 2 * 16 * len(factor[2]) * rho.total))
+    cap = min(DRAW_BLOCK, cfg.n_unitaries)
 
     def one_block(b: int) -> tuple[int, np.ndarray, np.ndarray]:
         size = min(DRAW_BLOCK, cfg.n_unitaries - b * DRAW_BLOCK)
-        locals_ = []
-        for l in range(n_parties):
-            stream = RngStream(cfg.master_seed, b * n_parties + l)
-            locals_.append(sample_haar_batch(rho.dims[l], size, stream))
-        q = np.maximum(np.concatenate([
-            _batched_probabilities(factor, [u[s : s + rows] for u in locals_])
-            for s in range(0, size, rows)
-        ]), 0.0)
+        # generators first: a process's first one imports numpy.random, and
+        # its transients then come and go before the block arrays exist
+        rngs = [RngStream(cfg.master_seed, b * n_parties + l).generator() for l in range(n_parties)]
+        work, unitaries, probabilities = _block_arrays(dims, cap, rows, len(factor[2]))
+        locals_ = [
+            sample_haar_batch(d, size, rng, out=u[:, :size].transpose(1, 0, 2), work=work)
+            for d, rng, u in zip(dims, rngs, unitaries)
+        ]
+        q = probabilities[:size]
+        for s in range(0, size, rows):
+            _batched_probabilities(factor, [u[s : s + rows] for u in locals_],
+                                   out=q[s : s + rows], work=work)
+        np.maximum(q, 0.0, out=q)
         if cfg.shots:
             # shot noise has its own substream, past every unitary substream
             # of every block
             shot_rng = RngStream(
                 cfg.master_seed, (n_blocks + b) * n_parties
             ).generator()
-            q = shot_rng.multinomial(cfg.shots, q)
+            # the counts as floats, which the kernel reads, replace the
+            # probabilities they were drawn from
+            q[...] = shot_rng.multinomial(cfg.shots, q)
         y = _class_sums(q.reshape((size,) + dims), order, cfg.shots) / class_counts
         samples = invert(order, dims, y)
         mean = samples.mean(axis=0)

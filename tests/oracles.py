@@ -27,6 +27,12 @@ factorisation per matrix, against which the batch Gram-Schmidt of
 ``born_kron`` is the Born rule on the full Kronecker product of the local
 unitaries, an independent check of the per-party route.
 
+``mub_unitaries`` gives the d + 1 mutually unbiased bases of a qubit or of a
+prime d, one unitary per basis with the basis vectors as its columns.  A
+complete set of MUBs is a unitary 2-design (Klappenecker and Roetteler,
+arXiv:quant-ph/0502031), so averaging over every tuple of one basis per
+party gives the order-2 twirl exactly, with no Weingarten matrix.
+
 ``wiring_einsum`` contracts one wiring per party with a freshly planned
 einsum, complex values included, and ``invariant_values`` gives every
 N-party invariant from it, so the N-party estimates are checked against
@@ -373,6 +379,21 @@ def born_kron(rho: DensityMatrix, locals_: list[np.ndarray]) -> np.ndarray:
         d = ul.shape[-1]
         u = np.einsum("bij,bkl->bikjl", u, ul).reshape(b, m * d, m * d)
     return np.einsum("bij,ik,bkj->bj", u.conj(), rho.entries, u).real
+
+
+def mub_unitaries(d: int) -> np.ndarray:
+    """(d + 1, d, d): the Z, X and Y bases for d = 2; for prime d >= 3 the
+    computational basis and, for a = 0..d-1, the basis whose vector b has
+    amplitudes omega^(a j^2 + b j) / sqrt(d), omega = exp(2 pi i / d)."""
+    if d == 2:
+        h = np.array([[1, 1], [1, -1]]) / 2**0.5
+        return np.array([np.eye(2), h, np.diag([1, 1j]) @ h])
+    if d < 2 or any(d % k == 0 for k in range(2, d)):
+        raise ValueError("the quadratic-phase construction needs d = 2 or a prime d")
+    j = np.arange(d)
+    phases = [np.exp(2j * np.pi * (a * j[:, None] ** 2 + j[:, None] * j[None, :]) / d) / d**0.5
+              for a in range(d)]
+    return np.array([np.eye(d, dtype=complex), *phases])
 
 
 def matrix_from_pairs(matrix) -> np.ndarray:

@@ -11,10 +11,11 @@ class _PreparedDraws:
     def __init__(self, *draws):
         self._draws = list(draws)
 
-    def standard_normal(self, size):
+    def standard_normal(self, out):
         draw = self._draws.pop(0)
-        assert draw.shape == size
-        return draw
+        assert draw.shape == out.shape
+        out[...] = draw
+        return out
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
@@ -52,6 +53,18 @@ def test_streams_are_reproducible_and_independent():
     c = sample_haar_batch(3, 1, RngStream(master_seed=5, stream_index=1))[0]
     assert np.array_equal(a, b)
     assert not np.allclose(a, c)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_batch_into_given_arrays_equals_the_fresh_batch(d):
+    # the estimator's route: a strided out and two work arrays, reused
+    n = 300
+    work = tuple(np.full(d * d * n + 7, np.nan, dtype=complex) for _ in range(2))
+    out = np.empty((d, n, d), dtype=complex).transpose(1, 0, 2)
+    for seed in (4, 5):
+        got = sample_haar_batch(d, n, RngStream(seed), out=out, work=work)
+        assert got is out
+        assert np.array_equal(got, sample_haar_batch(d, n, RngStream(seed)))
 
 
 def test_batch_from_stream_equals_its_generator_and_consecutive_batches_differ():

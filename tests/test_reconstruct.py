@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from oracles import (
     INVARIANT_ID,
+    born_kron,
     exact_y,
     invariant_values,
     invariants_loops,
     inverse,
     invert_3_closed_form,
     measurable_x,
+    mub_unitaries,
     pair_class_counts,
     partial_trace,
     partial_transpose,
@@ -45,11 +47,12 @@ from twirlkit.states import (
     random_density,
     werner_state,
 )
-from twirlkit.twirl import EstimatorConfig, estimate_y
+from twirlkit.twirl import EstimatorConfig, _class_sums, _kernel_plan, estimate_y
 from twirlkit.weingarten import (
     SingularDimensionError,
     diagram_contract,
     permutations_of_order,
+    w_matrix,
 )
 
 
@@ -98,6 +101,40 @@ def test_order2_round_trip(dims, seed):
     x = exact_x2(rho).purities
     xr = invert(2, dims, forward_matrix(2, dims) @ x)
     assert np.max(np.abs(xr - x)) < 1e-12
+
+
+def _mub_residual(rho, a: np.ndarray) -> float:
+    """Max |mean class average - A x| at order 2 when every tuple of one
+    mutually unbiased basis per party is measured once, exactly."""
+    dims = rho.dims.dims
+    settings = itertools.product(*(mub_unitaries(d) for d in dims))
+    p = born_kron(rho, [np.array(u) for u in zip(*settings)])
+    y = _class_sums(p.reshape((-1,) + dims), 2) / _kernel_plan(2, dims, False)[3]
+    return float(np.max(np.abs(y.mean(axis=0) - a @ exact_x2(rho).purities)))
+
+
+MUB_DIMS = [(2, 3), (3, 5), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("dims", MUB_DIMS)
+def test_mutually_unbiased_bases_give_the_order2_forward_model_exactly(dims):
+    # a complete set of MUBs is a 2-design: a deterministic check of A,
+    # with no Haar sampling and no statistical band
+    rho = random_density(dims, rank=3, seed=len(dims))
+    assert _mub_residual(rho, forward_matrix(2, dims)) <= 1e-14
+
+
+@pytest.mark.parametrize("dims", MUB_DIMS)
+def test_mutually_unbiased_bases_see_one_weingarten_entry_off_by_1e_3(dims, monkeypatch):
+    def perturbed(n, d):
+        w = w_matrix(n, d).copy()
+        w[0, 0] += 1e-3
+        return w
+
+    rho = random_density(dims, rank=3, seed=len(dims))
+    monkeypatch.setattr("twirlkit.reconstruct.w_matrix", perturbed)
+    # the uncached builder, so the cached forward matrices keep the true tables
+    assert _mub_residual(rho, forward_matrix.__wrapped__(2, dims)) > 1e-6
 
 
 def test_pair_class_counts_sum_to_all_pairs():

@@ -1,8 +1,11 @@
 import concurrent.futures
 import dataclasses
+import gc
 import itertools
 import math
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -32,10 +35,12 @@ from twirlkit.twirl import (
     DRAW_BLOCK,
     EstimatorConfig,
     _batched_probabilities,
+    _block_arrays,
     _class_sums,
     _eigen_factor,
     _kernel_plan,
     _merge_moments,
+    _thread_arrays,
     estimate_y,
 )
 from twirlkit.weingarten import SingularDimensionError, _partitions
@@ -69,6 +74,11 @@ def test_born_identity_unitaries_give_the_diagonal():
     rho = random_density((2, 2), rank=3, seed=1)
     p = _batched_probabilities(_eigen_factor(rho), [np.eye(2)[None], np.eye(2)[None]])
     assert np.allclose(p[0], np.diag(rho.entries).real, atol=1e-14)
+
+
+def _drop_block_arrays():
+    """Release this thread's block arrays, so a traced run allocates its own."""
+    vars(_thread_arrays).clear()
 
 
 def _haar_locals(dims, batch, seed):
@@ -128,6 +138,7 @@ def test_born_memory_stays_far_below_the_product_unitary():
     dims = (2,) * 10
     factor = _eigen_factor(random_density(dims, rank=2, seed=0))
     locals_ = _haar_locals(dims, 512, seed=3)
+    _drop_block_arrays()
     tracemalloc.start()
     try:
         p = _batched_probabilities(factor, locals_)
@@ -293,12 +304,13 @@ def test_born_slices_leave_estimates_bit_identical(order, shots, monkeypatch):
     row_bytes = 2 * 16 * len(_eigen_factor(rho)[2]) * rho.total
     seen = []
 
-    def spy(factor, locals_):
+    def spy(factor, locals_, *args, **kwargs):
         seen.append(locals_[0].shape[0])
-        return _batched_probabilities(factor, locals_)
+        return _batched_probabilities(factor, locals_, *args, **kwargs)
 
     monkeypatch.setattr("twirlkit.twirl._batched_probabilities", spy)
     results = []
+    _drop_block_arrays()
     for rows in (DRAW_BLOCK, 1, 7):
         monkeypatch.setattr("twirlkit.twirl.BORN_SLICE_BYTES", rows * row_bytes)
         for workers in (1, 2):
@@ -319,6 +331,7 @@ def test_born_slices_bound_the_peak_of_a_full_rank_block():
     # fits in the slack
     rho = random_density((2,) * 7, rank=2**7, seed=3)
     cfg = EstimatorConfig(n_unitaries=DRAW_BLOCK, order=2, master_seed=1)
+    _drop_block_arrays()
     tracemalloc.start()
     try:
         estimate_y(rho, cfg)
@@ -326,6 +339,61 @@ def test_born_slices_bound_the_peak_of_a_full_rank_block():
     finally:
         tracemalloc.stop()
     assert peak <= BORN_SLICE_BYTES + 8 * 2**20
+
+
+def test_block_arrays_carry_nothing_from_one_run_to_the_next():
+    # runs at three shapes, interleaved in one thread, each equal to its own
+    # first run; then the same sequence at two workers, one pool per run
+    runs = {
+        "A": (werner_state(5, 0.3),
+              EstimatorConfig(n_unitaries=600, order=3, shots=100, master_seed=3)),
+        "B": (random_density((3, 4), rank=5, seed=4),
+              EstimatorConfig(n_unitaries=600, order=3, master_seed=4)),
+        "C": (random_density((2, 2, 3), rank=2, seed=5),
+              EstimatorConfig(n_unitaries=600, order=2, shots=7, master_seed=5)),
+    }
+    _drop_block_arrays()
+    first = {}
+    for workers in (1, 2):
+        for name in "ABCAB":
+            rho, cfg = runs[name]
+            est = estimate_y(rho, dataclasses.replace(cfg, workers=workers))
+            want = first.setdefault(name, est)
+            assert np.array_equal(est.values, want.values), (name, workers)
+            assert np.array_equal(est.std_error, want.std_error), (name, workers)
+
+
+def test_pool_threads_release_their_block_arrays_when_the_pool_shuts_down(monkeypatch):
+    pool_arrays = []
+
+    def spy(*args):
+        arrays = _block_arrays(*args)
+        if threading.current_thread() is not threading.main_thread():
+            pool_arrays.append(weakref.ref(arrays[2]))
+        return arrays
+
+    monkeypatch.setattr("twirlkit.twirl._block_arrays", spy)
+    rho = random_density((2, 3), rank=2, seed=6)
+    estimate_y(rho, EstimatorConfig(n_unitaries=4 * DRAW_BLOCK, order=2, workers=2))
+    gc.collect()
+    assert len(pool_arrays) == 4 and all(ref() is None for ref in pool_arrays)
+
+
+def test_a_warm_sampling_loop_allocates_no_block_arrays():
+    # every block array of a warm run is the thread's own, reused: what the
+    # run still allocates is the multinomial counts and the kernel's and the
+    # inversion's small arrays, well under half of the 1007 KiB that a warm
+    # run traced when each block allocated its arrays afresh
+    rho = werner_state(5, 0.3)
+    cfg = EstimatorConfig(n_unitaries=2048, order=3, shots=100, master_seed=1)
+    estimate_y(rho, cfg)
+    tracemalloc.start()
+    try:
+        estimate_y(rho, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1007 * 2**10 / 2
 
 
 def test_kernel_holds_each_marginal_only_until_its_last_use():

@@ -6,8 +6,8 @@ Subcommands: ``invariants`` (exact invariants plus oracle residuals),
 
 Exit codes: 0 success, 1 usage error (also an input too large for memory),
 2 invalid state input, 3 numerical failure, 141 stdout closed by its reader
-(as a shell reports SIGPIPE).  Each failure prints one line to stderr; a
-closed stdout prints nothing.
+(as a shell reports SIGPIPE).  Each failure prints one line to stderr, a
+failed write to stdout too; a closed stdout prints nothing.
 CSV output is byte-identical for identical (command, config, seed) and uses
 repr round-trip precision; schemas are documented in the README.
 """
@@ -71,9 +71,22 @@ def _emit(lines: Iterable[str], out_path: str | None) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.writelines(line + "\n" for line in lines)
-        # a reader that closed the pipe fails this flush, inside main
-        sys.stdout.flush()
+        try:
+            sys.stdout.writelines(line + "\n" for line in lines)
+            # a closed pipe fails this flush with BrokenPipeError, which main handles
+            sys.stdout.flush()
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            _silence_stdout()
+            raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at devnull, so the interpreter's final flush is
+    silent (Python's documented recipe); a replaced sys.stdout is left alone."""
+    if sys.stdout is sys.__stdout__:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +158,14 @@ def resolve_state(args) -> DensityMatrix:
         raise UsageError(f"unknown builtin {name!r} ({', '.join(_BUILTIN_PARAMS)})")
     params = _parse_params(name, args.params)
     dims = _parse_dims(args.dims)
+    if name == "bell-diagonal":
+        try:
+            lam = [params[f"l{i}"] for i in range(1, 5)]
+        except KeyError as exc:
+            raise UsageError("bell-diagonal needs --params l1=..,l2=..,l3=..,l4=..") from exc
+        if dims is not None and dims.dims != (2, 2):
+            raise UsageError(f"bell-diagonal is a two-qubit state, got --dims {args.dims}")
+        return bell_diagonal(BellDiagonalSpectrum(lam))
     if name == "werner":
         d = params.get("d", dims[0] if dims else None)
         if d is None:
@@ -155,17 +176,14 @@ def resolve_state(args) -> DensityMatrix:
             raise UsageError(f"werner with d={d} needs --dims {d},{d}, got {args.dims}")
         if "p" not in params:
             raise UsageError("werner needs --params p=...")
-        return werner_state(d, params["p"])
-    if name == "bell-diagonal":
-        try:
-            lam = [params[f"l{i}"] for i in range(1, 5)]
-        except KeyError as exc:
-            raise UsageError("bell-diagonal needs --params l1=..,l2=..,l3=..,l4=..") from exc
-        if dims is not None and dims.dims != (2, 2):
-            raise UsageError(f"bell-diagonal is a two-qubit state, got --dims {args.dims}")
-        return bell_diagonal(BellDiagonalSpectrum(lam))
-    if dims is None:
+        dims = DimsProfile((d, d))
+    elif dims is None:
         raise UsageError(f"{name} needs --dims")
+    # numpy would raise ValueError, not MemoryError, for a matrix past its index range
+    if 16 * dims.total**2 > np.iinfo(np.intp).max:
+        raise MemoryError(f"D = {dims.total}: a D x D complex matrix is past numpy's index range")
+    if name == "werner":
+        return werner_state(d, params["p"])
     if name == "maximally-mixed":
         return maximally_mixed(dims)
     rank = params.get("rank", dims.total)
@@ -374,11 +392,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
-        # the reader is gone: point stdout's descriptor at devnull so the
-        # interpreter's final flush is silent (Python's documented recipe);
-        # a replaced sys.stdout, such as a StringIO, is left alone
-        if sys.stdout is sys.__stdout__:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _silence_stdout()
         return EXIT_BROKEN_PIPE
 
 

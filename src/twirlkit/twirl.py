@@ -6,11 +6,12 @@ Born probabilities never form the product unitary.  rho is factored once per
 run as rho = c I + W^dag diag(s) W from its eigendecomposition: c is its most
 degenerate eigenvalue, W = sqrt|lambda - c| V^dag runs over the eigenvalues
 that differ from c, and s holds their signs.  U^dag I U = I, so c adds to
-every probability, and each local unitary acts on its own tensor axis of W:
-the last party's by one GEMM, since W is the same for the whole batch, and
-each other party's by one batched matmul.  B unitaries cost
-O(B r D sum_l d_l) time and two (B, r, D) complex arrays, which the steps
-alternate between, with r = 1 for a Werner state and r = 0 for I/D.
+every probability, and each local unitary acts on its own tensor axis of W,
+by one matmul that writes that party's axis first, so no step copies: the
+last party's is one GEMM, since W is the same for the whole batch, and each
+other party's one batched matmul.  B unitaries cost O(B r D sum_l d_l) time
+and two complex arrays of B r D entries, which the steps alternate between,
+with r = 1 for a Werner state and r = 0 for I/D.
 
 ``_class_sums`` is the one moment kernel for every order and both shot modes:
 one contraction per tuple of per-party set partitions pi of the rounds ("at
@@ -62,7 +63,7 @@ from .weingarten import _partitions
 # unitaries per draw block: the unit that keys the seeded substreams and the
 # moment merge
 DRAW_BLOCK = 512
-# bytes allowed for the two (rows, r D / d, d) complex arrays of one Born slice
+# bytes allowed for the two complex arrays of rows r D entries of one Born slice
 BORN_SLICE_BYTES = 8 * 2**20
 # the most worker threads a run may ask for: min(workers, blocks) threads
 # start, each holding one block's arrays
@@ -134,57 +135,49 @@ def _eigen_factor(rho: DensityMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     return c, np.sqrt(np.abs(shift[keep]))[:, None] * v[:, keep].conj().T, np.sign(shift[keep])
 
 
-def _copy_to(buf: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``a`` copied to the front of the flat array ``buf``, C-contiguous."""
-    dst = buf[: a.size].reshape(a.shape)
-    dst[...] = a
-    return dst
-
-
 def _batched_probabilities(
     factor: tuple[float, np.ndarray, np.ndarray], locals_: list[np.ndarray], out=None, work=None
 ) -> np.ndarray:
     """(B, total) Born probabilities for a batch of product unitaries, unclipped.
 
     U^dag I U = I, so p_j = c + sum_r s_r |(W (U_1 x ... x U_N))_{rj}|^2
-    with (c, W, s) from :func:`_eigen_factor`.  Each U_l is applied on its
-    own axis: parties are contracted last to first and each contracted axis
-    is rotated to the front.  W is the same for the whole batch, so the last
-    party's step is one GEMM.  |.|^2 is summed over r before the last
-    rotation, which restores the party order on the (B, D) result alone.
+    with (c, W, s) from :func:`_eigen_factor`.  Parties are contracted last
+    to first, each by one matmul that sums over the trailing axis and writes
+    the party's output axis first, after the batch axis; no step copies.  W
+    is the same for the whole batch, so the last party's step is one GEMM.
+    After N steps the axes are in party order with r last, and one matvec
+    sums |.|^2 over r.
 
-    The probabilities go to ``out`` if given, else to a fresh array.  The
-    steps alternate between two complex arrays of B r D entries, the two
-    flat arrays ``work`` if given.
+    The probabilities go to ``out`` if given, a C-contiguous (B, total)
+    array, else to a fresh array.  The steps alternate between two complex
+    arrays of B r D entries, the two flat arrays ``work`` if given.
     """
     c, w, sign = factor
     b, r = locals_[0].shape[0], len(sign)
     dims = [u.shape[-1] for u in locals_]
     p = np.empty((b, math.prod(dims))) if out is None else out
+    if not p.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     if not r:
         p.fill(c)
         return p
     n = b * r * p.shape[1]
-    # the matmuls write x and the rotations y
     x, y = (np.empty(n, dtype=complex) for _ in range(2)) if work is None else work
     d = dims[-1]
-    # (r D / d_N, d_N) times the batch laid out as (d_N, B d_N)
-    z = np.matmul(w.reshape(-1, d), locals_[-1].transpose(1, 0, 2).reshape(d, -1),
-                  out=x[:n].reshape(-1, b * d)).reshape(-1, b, d)
-    # (rest, B, d_N) -> (B, d_N, rest), or (B, r, d_1) for one party
-    z = _copy_to(y, z.transpose((1, 2, 0) if len(dims) > 1 else (1, 0, 2)))
+    # (B d_N, d_N) times (d_N, r D / d_N) into (B, d_N, r, d_1, ..., d_{N-1});
+    # both are transposed views, the batch's when stored as (d_N, B, d_N)
+    z = np.matmul(locals_[-1].transpose(0, 2, 1).reshape(-1, d), w.reshape(-1, d).T,
+                  out=x[:n].reshape(b * d, -1))
     for l in reversed(range(len(dims) - 1)):
-        z = np.matmul(z.reshape(b, -1, dims[l]), locals_[l], out=x[:n].reshape(b, -1, dims[l]))
-        if l:
-            # (B, rest, d_l) -> (B, d_l, rest)
-            z = _copy_to(y, z.transpose(0, 2, 1))
-    # z is the last matmul's output in x, or with one party the rotation in y
-    free = y if len(dims) > 1 else x
-    # |.|^2 in place on the (re, im) pairs of z
-    z = z.view(float).reshape(b, -1, r, 2 * dims[0])
+        x, y = y, x
+        # U_l^T (B, d_l, d_l) times z^T (B, d_l, rest) into (B, d_l, rest)
+        z = np.matmul(locals_[l].transpose(0, 2, 1),
+                      z.reshape(b, -1, dims[l]).transpose(0, 2, 1),
+                      out=x[:n].reshape(b, dims[l], -1))
+    # z is (B, D, r): |.|^2 in place on its (re, im) pairs, then the signs
+    z = z.view(float).reshape(b, p.shape[1], 2 * r)
     np.square(z, out=z)
-    q = np.matmul(sign, z, out=free.view(float)[: 2 * p.size].reshape(b, -1, 2 * dims[0]))
-    np.add(q[..., 0::2], q[..., 1::2], out=p.reshape(b, dims[0], -1).transpose(0, 2, 1))
+    np.matmul(z, np.repeat(sign, 2), out=p)
     p += c
     return p
 
@@ -336,7 +329,8 @@ def _class_sums(q: np.ndarray, order: int, shots: int = 0) -> np.ndarray:
     q holds the outcome counts of M shots and each product p_{I_1} ... p_{I_n}
     is replaced by its unbiased U-statistic over ordered distinct shots.
     """
-    # float64 counts are exact below 2**53, and einsum runs faster on them
+    # the estimator passes its counts as floats; integer counts are read as
+    # float64, exact below 2**53, since einsum runs faster on them
     q = np.asarray(q, dtype=float)
     schedule, moments, fold, _ = _kernel_plan(order, q.shape[1:], shots > 0)
     # each moment runs once its last marginal exists, and each marginal is

@@ -1,4 +1,6 @@
 import concurrent.futures
+import errno
+import io
 import json
 import math
 import os
@@ -144,28 +146,6 @@ def test_bad_state_file_exit_code(argv, tmp_path, capsys):
     assert code == 2
     assert "invalid state" in err
     assert len(err.strip().splitlines()) == 1
-
-
-def test_malformed_matrix_is_a_one_line_state_error_in_a_fresh_process(tmp_path):
-    path = tmp_path / "malformed.json"
-    src = os.path.dirname(os.path.dirname(twirlkit.__file__))
-    for matrix in [
-        [[[1, 0], [0, 0]], [[0, 0]]],  # ragged
-        [[[True, 0], [0, 0]], [[0, 0], [0, 0]]],  # a boolean among numbers
-        [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]],  # an integer beyond any float
-        {"0": [[1, 0], [0, 0]], "1": [[0, 0], [0, 0]]},  # an object, not an array
-        1.0,  # a scalar
-        [[[[1, 0], [0, 0]], [0, 0]], [[0, 0], [0, 0]]],  # pairs one level deeper
-    ]:
-        path.write_text(json.dumps({"dims": [2], "matrix": matrix}))
-        done = subprocess.run(
-            [sys.executable, "-m", "twirlkit.cli", "invariants", "--state", str(path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.returncode == 2
-        assert done.stderr.startswith("invalid state input: ")
-        assert len(done.stderr.strip().splitlines()) == 1
-        assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("key", ["matrix", "dims"])
@@ -565,6 +545,78 @@ def test_out_of_memory_is_a_one_line_usage_error_in_a_fresh_process(argv):
                           preexec_fn=_limit_address_space)
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("usage error: input too large for memory: ")
+    assert len(done.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
+# one per command and builtin, each with the D it names
+IMPOSSIBLE_SIZES = [
+    (["estimate", "--builtin", "werner", "--params", "d=1e30,p=0.5"], int(1e30) ** 2),
+    (["invariants", "--builtin", "maximally-mixed", "--dims", "99999999999,2"], 199999999998),
+    (["estimate", "--builtin", "random", "--dims", "99999999999,2"], 199999999998),
+]
+
+
+@pytest.mark.parametrize("argv,total", IMPOSSIBLE_SIZES,
+                         ids=["werner", "maximally-mixed", "random"])
+def test_a_size_past_numpys_index_range_is_out_of_memory(argv, total, capsys):
+    # numpy would raise a ValueError for it, not a MemoryError
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: input too large for memory: D = {total}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["werner-sweep", "--d", "3"], ["selftest"], WERNER3 + ["--unitaries", "8"]],
+    ids=["werner-sweep", "selftest", "estimate"],
+)
+def test_a_failed_stdout_write_is_a_one_line_usage_error(argv, monkeypatch, capsys):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+STATE_ERROR = "invalid state input: "
+
+
+@pytest.mark.parametrize(
+    "case,code,prefix",
+    [
+        ({"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, 2, STATE_ERROR),
+        ({"matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}, 2, STATE_ERROR),
+        ({"matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]}, 2, STATE_ERROR),
+        ({"matrix": {"0": [[1, 0], [0, 0]], "1": [[0, 0], [0, 0]]}}, 2, STATE_ERROR),
+        ({"matrix": 1.0}, 2, STATE_ERROR),
+        ({"matrix": [[[[1, 0], [0, 0]], [0, 0]], [[0, 0], [0, 0]]]}, 2, STATE_ERROR),
+        ({"argv": IMPOSSIBLE_SIZES[0][0]}, 1, "usage error: input too large for memory: "),
+        ({"argv": ["werner-sweep", "--d", "3"], "stdout": "/dev/full"}, 1,
+         "usage error: cannot write stdout: "),
+        ({"argv": ["selftest"], "stdout": "/dev/full"}, 1, "usage error: cannot write stdout: "),
+    ],
+    ids=["ragged", "boolean", "integer-beyond-float", "object", "scalar", "pairs-too-deep",
+         "impossible-size", "werner-sweep-to-full-disk", "selftest-to-full-disk"],
+)
+def test_a_failure_is_one_stderr_line_in_a_fresh_process(case, code, prefix, tmp_path):
+    where = case.get("stdout", os.devnull)
+    if not os.path.exists(where):
+        pytest.skip(f"no {where} here")
+    argv = case.get("argv")
+    if argv is None:
+        # a malformed matrix in a state file
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"dims": [2], "matrix": case["matrix"]}))
+        argv = ["invariants", "--state", str(path)]
+    with open(where, "w") as stdout:
+        done = subprocess.run([sys.executable, "-m", "twirlkit.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=_fresh_env())
+    assert done.returncode == code
+    assert done.stderr.startswith(prefix)
     assert len(done.stderr.strip().splitlines()) == 1
     assert "Traceback" not in done.stderr
 

@@ -133,6 +133,44 @@ def test_born_keeps_negative_probabilities_within_psd_tolerance():
     assert np.min(p[:4], axis=1) == pytest.approx(-eps, rel=1e-4)
 
 
+@pytest.mark.parametrize("out", [np.empty((9, 4)).T, np.empty((8, 9))[::2]], ids=["F", "strided"])
+def test_born_refuses_an_out_that_is_not_c_contiguous(out):
+    # a flat view of such an out would be a copy, and the call would write
+    # its probabilities there
+    locals_ = _haar_locals((3, 3), 4, seed=7)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _batched_probabilities(_eigen_factor(werner_state(3, 0.5)), locals_, out=out)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [werner_state(5, 0.3), random_density((2, 2, 3), rank=3, seed=2),
+     random_density((2,) * 6, rank=64, seed=3)],
+    ids=["werner-5", "2-2-3-rank-3", "6-qubits-rank-64"],
+)
+def test_a_warm_born_call_with_its_arrays_allocates_under_8_kib(rho):
+    # every step writes into out or work, so what is left is numpy's small
+    # per-call objects; rotation copies through iterator buffers took 50-67 KB
+    dims, factor = rho.dims.dims, _eigen_factor(rho)
+    # the rows of one Born slice of a block
+    batch = min(DRAW_BLOCK, BORN_SLICE_BYTES // (2 * 16 * len(factor[2]) * rho.total))
+    # each party's batch stored as (d, B, d), as the block arrays hold it
+    locals_ = [np.ascontiguousarray(u.transpose(1, 0, 2)).transpose(1, 0, 2)
+               for u in _haar_locals(dims, batch, seed=4)]
+    n = batch * len(factor[2]) * rho.total
+    work = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
+    out = np.empty((batch, rho.total))
+    _batched_probabilities(factor, locals_, out=out, work=work)
+    tracemalloc.start()
+    try:
+        _batched_probabilities(factor, locals_, out=out, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**10
+    assert np.max(np.abs(out - born_kron(rho, locals_))) <= 1e-14
+
+
 def test_born_memory_stays_far_below_the_product_unitary():
     # the (512, 1024, 1024) product unitary alone would take 8 GiB
     dims = (2,) * 10

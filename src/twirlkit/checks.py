@@ -67,8 +67,8 @@ def x2_oracle(rho: DensityMatrix) -> np.ndarray:
 # wiring of one invariant is the same contraction with the copies relabelled,
 # so one wiring per invariant gives all eleven values
 _X3_WIRINGS = tuple(
-    tuple(tuple(weingarten.permutations_of_order(3)[k].tolist()) for k in divmod(ids.index(c), 6))
-    for ids in [reconstruct._invariants(3, 2).tolist()] for c in range(max(ids) + 1)
+    tuple(map(tuple, weingarten.permutations_of_order(3)[list(divmod(k, 6))].tolist()))
+    for k in np.unique(reconstruct._invariants(3, 2), return_index=True)[1]
 )
 
 
@@ -79,17 +79,15 @@ def x3_oracle(rho: DensityMatrix) -> np.ndarray:
 
 def invariant_table(
     rho: DensityMatrix, order: int
-) -> tuple[list[float], list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact values, oracle values and residuals of the order-2 or order-3
     invariants x0, x1, ...; raises ReconstructionError when a residual exceeds
     ``RESIDUAL_LIMIT`` or is NaN."""
     if order == 2:
-        exact = reconstruct.exact_x2(rho).purities.tolist()
-        oracle = x2_oracle(rho).tolist()
+        exact, oracle = reconstruct.exact_x2(rho).purities, x2_oracle(rho)
     else:
-        exact = list(reconstruct.exact_x3(rho).values)
-        oracle = x3_oracle(rho).tolist()
-    residuals = [abs(a - b) for a, b in zip(exact, oracle)]
+        exact, oracle = reconstruct.exact_x3(rho).values, x3_oracle(rho)
+    residuals = np.abs(exact - oracle)
     # np.max keeps a NaN, and the negated test fails on it
     worst = np.max(residuals)
     if not worst <= RESIDUAL_LIMIT:
@@ -132,9 +130,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
                    f"max error {worst3:.3e}"))
 
     rho = random_density((3, 3), rank=2, seed=rng)
-    ox = x3_oracle(rho)
-    ex = np.array(reconstruct.exact_x3(rho).values)
-    worst_o = float(np.max(np.abs(ox - ex)))
+    worst_o = float(np.max(np.abs(x3_oracle(rho) - reconstruct.exact_x3(rho).values)))
     checks.append(("diagram oracle vs closed-form traces", worst_o < 1e-10,
                    f"max residual {worst_o:.3e}"))
 
@@ -142,8 +138,8 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     # matching 3-cycles give Tr rho^3 = 1, opposite 3-cycles give
     # Tr (rho^Gamma)^3 = 1/d^2 (= 1/4 at d=2)
     bell = make_state(max_entangled_projector(2), (2, 2))
-    same = weingarten.diagram_contract(bell, *_X3_WIRINGS[9])
-    opp = weingarten.diagram_contract(bell, *_X3_WIRINGS[10])
+    same = weingarten.diagram_contract(bell, criteria.C3, criteria.C3)
+    opp = weingarten.diagram_contract(bell, criteria.C3, criteria.C3_INV)
     ident_ok = abs(same - 1.0) < 1e-12 and abs(opp - 0.25) < 1e-12
     checks.append((
         "x9 = Tr rho^3 (matching cycles), x10 = Tr (rho^Gamma)^3 (opposite cycles)",

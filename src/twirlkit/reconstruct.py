@@ -113,25 +113,26 @@ def exact_x2(rho: DensityMatrix) -> XVector2:
 @dataclass(frozen=True)
 class XVector3:
     """The result of :func:`exact_x3`: the eleven third-order invariants
-    x0..x10, with x9 = Tr rho^3 and x10 = Tr (rho^Gamma)^3.
+    x0..x10 as a read-only array, x9 = Tr rho^3 and x10 = Tr (rho^Gamma)^3.
 
     Only x9 + x10 is accessible from randomized measurements, so
     :func:`invert` and ``measurable`` carry x_S = (x9 + x10) / 2 in both slots.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray = field(repr=False)
 
     def __init__(self, values):
-        values = tuple(float(v) for v in values)
-        if len(values) != 11:
+        values = np.array(values, dtype=float)
+        if values.shape != (11,):
             raise ValueError("an order-3 invariant vector has 11 components")
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
     def measurable(self) -> np.ndarray:
         """x0..x8, x_S, x_S: the layout of :func:`invert`."""
         x_s = 0.5 * (self.values[9] + self.values[10])
-        return np.array(self.values[:9] + (x_s, x_s))
+        return np.r_[self.values[:9], x_s, x_s]
 
 
 def exact_x3(rho: DensityMatrix) -> XVector3:

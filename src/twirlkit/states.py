@@ -8,6 +8,7 @@ so the flattened basis index is ``sum(i_l * stride_l)`` with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -40,15 +41,21 @@ class PositivityError(StateError):
 
 @dataclass(frozen=True)
 class DimsProfile:
-    """Ordered local dimensions of a multipartite system."""
+    """Ordered local dimensions of a multipartite system: Python or numpy
+    integers, each at least 2."""
 
     dims: tuple[int, ...]
 
     def __init__(self, dims: Iterable[int]):
-        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
-        for d in self.dims:
-            if d < 2:
+        checked = []
+        for d in dims:
+            try:
+                checked.append(operator.index(d))
+            except TypeError:
+                raise DimensionMismatchError(f"local dimension {d!r} is not an integer") from None
+            if checked[-1] < 2:
                 raise DimensionMismatchError(f"local dimension {d} < 2")
+        object.__setattr__(self, "dims", tuple(checked))
 
     @property
     def total(self) -> int:

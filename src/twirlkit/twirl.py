@@ -46,16 +46,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
 from .haar import DEFAULT_SEED, RngStream, sample_haar_batch
-from .reconstruct import _inverse, _pooling, invert
+from .reconstruct import _inverse, _pooling
 from .states import DensityMatrix
 from .weingarten import _partitions
 
@@ -82,7 +83,7 @@ class EstimatorConfig:
     no multinomial sampling.  With finite shots the estimators are the
     unbiased U-statistics over ordered distinct shots, which need
     shots >= order.  Shots are at most 2**63 - 1, the largest count numpy's
-    multinomial sampler takes.
+    multinomial sampler takes.  Every setting is a Python or numpy integer.
     ``batch_size`` is not settable: it reads the draw block, ``DRAW_BLOCK``.
     """
 
@@ -94,6 +95,11 @@ class EstimatorConfig:
     batch_size: ClassVar[int] = DRAW_BLOCK
 
     def __post_init__(self):
+        for f in fields(self):
+            try:
+                operator.index(getattr(self, f.name))
+            except TypeError:
+                raise ValueError(f"{f.name} must be an integer") from None
         if self.n_unitaries < 1:
             raise ValueError("n_unitaries must be >= 1")
         if self.shots < 0:
@@ -413,10 +419,10 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig) -> Estimate:
     """Estimate the order-``cfg.order`` invariants of a run, at any number of
     parties, in the layout of ``invert``.  The inverse of (order, dims) is
     built and checked before any unitary is drawn, so dimensions it cannot
-    invert raise first.
+    invert raise first, and each block applies it to its y as ``invert`` does.
     """
     order, dims = cfg.order, rho.dims.dims
-    _inverse(order, dims)
+    inverse = _inverse(order, dims)
     n_parties = rho.dims.n_parties
     n_blocks = -(-cfg.n_unitaries // DRAW_BLOCK)
     class_counts = _kernel_plan(order, dims, cfg.shots > 0)[3]
@@ -450,7 +456,7 @@ def estimate_y(rho: DensityMatrix, cfg: EstimatorConfig) -> Estimate:
             # probabilities they were drawn from
             q[...] = shot_rng.multinomial(cfg.shots, q)
         y = _class_sums(q.reshape((size,) + dims), order, cfg.shots) / class_counts
-        samples = invert(order, dims, y)
+        samples = y @ inverse
         mean = samples.mean(axis=0)
         dev = samples - mean
         return size, mean, np.square(dev).sum(axis=0)

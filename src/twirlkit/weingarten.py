@@ -3,11 +3,10 @@ oracle, compiled once per wiring and shape into traces and a chain of matmuls.
 
 A permutation is its index in :func:`permutations_of_order`, a read-only
 (n!, n) array of images; :func:`_group_tables` holds the products, inverses
-and cycle counts of those indices.  The fixed order for all S3-indexed
-matrices is ``{e, (12), (23), (13), (312), (231)}`` where the cycles are
-written in one-line notation on {1,2,3} (0-based internally).  Every other
-S_n is in lexicographic order of its images, identity first: ``{e, (12)}``
-for S2.
+and cycle counts of those indices.  Every S_n is in lexicographic order of
+its images, identity first: ``{e, (12)}`` for S2 and
+``{e, (23), (12), (123), (132), (13)}`` for S3, in cycle notation on {1,2,3}
+(0-based internally).
 """
 
 from __future__ import annotations
@@ -28,13 +27,11 @@ class SingularDimensionError(ValueError):
 
 @lru_cache(maxsize=None)
 def permutations_of_order(n: int) -> np.ndarray:
-    """Read-only (n!, n) images of S_n, one row per permutation, in the fixed
-    order of the module docstring."""
+    """Read-only (n!, n) images of S_n, one row per permutation, in
+    lexicographic order."""
     if n < 1:
         raise ValueError(f"unsupported order n={n}")
     perms = np.array(list(itertools.permutations(range(n))))
-    if n == 3:
-        perms = perms[[0, 2, 1, 5, 4, 3]]
     perms.setflags(write=False)
     return perms
 

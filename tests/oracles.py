@@ -10,8 +10,9 @@ two is evidence for both.
 (the inverse of the Gram matrix) is checked.
 
 ``INVARIANT_ID`` is the hand table of which bipartite order-3 invariant each
-(tau_A, tau_B) wiring contracts to, against which the orbit numbering of
-``twirlkit.reconstruct._invariants`` is checked.  ``invariants_loops`` and
+(tau_A, tau_B) wiring contracts to, in the paper's order of S3, against which
+the orbit numbering of ``twirlkit.reconstruct._invariants`` is checked;
+``invariant_id`` looks a wiring up in it by its images.  ``invariants_loops`` and
 ``pooling_loops`` number the invariant and y-component orbits by loops over
 tuples, against which the array numberings of ``_invariants`` and
 ``_pooling`` are checked at every order and party count.
@@ -220,9 +221,11 @@ def wg(ct, d: int, n: int | None = None) -> float:
 
 
 # Which invariant each (tau_A, tau_B) pair of S3 x S3 contracts to, indexed in
-# the fixed order {e,(12),(23),(13),(312),(231)} on both axes.  Ids 0..8 are
-# the mixed-marginal traces; 9 is Tr rho^3 (matching cycles) and 10 is
+# the paper's order PAPER_S3 = {e,(12),(23),(13),(312),(231)} on both axes,
+# the 3-cycles in one-line notation on {1,2,3}.  Ids 0..8 are the
+# mixed-marginal traces; 9 is Tr rho^3 (matching cycles) and 10 is
 # Tr (rho^Gamma)^3 (opposite cycles), which the diagram contraction resolves.
+PAPER_S3 = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (2, 0, 1), (1, 2, 0))
 INVARIANT_ID = (
     (0, 1, 1, 1, 2, 2),
     (3, 5, 4, 4, 6, 6),
@@ -231,6 +234,13 @@ INVARIANT_ID = (
     (7, 8, 8, 8, 9, 10),
     (7, 8, 8, 8, 10, 9),
 )
+
+
+def invariant_id(tau_a, tau_b) -> int:
+    """The ``INVARIANT_ID`` entry of the (tau_A, tau_B) wiring, each given by
+    its images."""
+    a, b = (PAPER_S3.index(tuple(map(int, tau))) for tau in (tau_a, tau_b))
+    return INVARIANT_ID[a][b]
 
 
 def invariants_loops(order: int, n_parties: int) -> np.ndarray:

@@ -14,8 +14,8 @@ from twirlkit.criteria import (
     werner_threshold_3,
 )
 from oracles import (
-    INVARIANT_ID,
     gram_entry,
+    invariant_id,
     measurable_x,
     partial_transpose,
     per_unitary_samples,
@@ -67,9 +67,9 @@ def test_acceptance_2_oracle_equivalence_and_round_trip():
         x = exact_x3(rho)
         sums = np.zeros(11)
         counts = np.zeros(11)
-        for i, ta in enumerate(permutations_of_order(3)):
-            for j, tb in enumerate(permutations_of_order(3)):
-                idx = INVARIANT_ID[i][j]
+        for ta in permutations_of_order(3):
+            for tb in permutations_of_order(3):
+                idx = invariant_id(ta, tb)
                 sums[idx] += diagram_contract(rho, ta, tb)
                 counts[idx] += 1
         worst_oracle = max(

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import INVARIANT_ID, purity_loops, subset_mask
+from oracles import invariant_id, purity_loops, subset_mask
 from twirlkit import weingarten
 from twirlkit.checks import _X3_WIRINGS, invariant_table, x2_oracle, x3_oracle
 from twirlkit.reconstruct import ReconstructionError, exact_x2, exact_x3
@@ -57,12 +57,11 @@ def test_purity_oracle_agrees_with_exact_x2_in_bounded_memory_at_ten_qubits():
 
 @pytest.mark.parametrize("dims", [(3, 3), (3, 4), (4, 4)])
 def test_every_wiring_contracts_to_its_class_representative(dims):
-    s3 = [tuple(p) for p in weingarten.permutations_of_order(3).tolist()]
-    ids = [INVARIANT_ID[s3.index(ta)][s3.index(tb)] for ta, tb in _X3_WIRINGS]
+    ids = [invariant_id(ta, tb) for ta, tb in _X3_WIRINGS]
     assert ids == list(range(11))
     rho = random_density(dims, rank=3, seed=17)
-    for (a, ta), (b, tb) in itertools.product(enumerate(s3), repeat=2):
-        rep_a, rep_b = _X3_WIRINGS[INVARIANT_ID[a][b]]
+    for ta, tb in itertools.product(weingarten.permutations_of_order(3), repeat=2):
+        rep_a, rep_b = _X3_WIRINGS[invariant_id(ta, tb)]
         assert weingarten.diagram_contract(rho, ta, tb) == pytest.approx(
             weingarten.diagram_contract(rho, rep_a, rep_b), rel=1e-12
         )

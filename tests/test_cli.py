@@ -122,16 +122,25 @@ def _unvalidated_identity(dims, entries) -> DensityMatrix:
         ["invariants", "--state", "INF_OFF_DIAGONAL"],
         ["invariants", "--builtin", "bell-diagonal", "--params", "l1=nan,l2=0.5,l3=0.25,l4=0.25"],
         ["invariants", "--state", "NO_PARTIES"],
+        ["invariants", "--state", "TOP_ARRAY"],
+        ["invariants", "--state", "TOP_NUMBER"],
+        ["invariants", "--state", "TOP_STRING"],
+        ["invariants", "--state", "TOP_NULL"],
     ],
     ids=["missing-file", "werner-p-out-of-range", "bell-weights-not-normalised", "rank-too-large",
          "not-utf8", "estimate-one-party", "nan-diagonal", "nan-off-diagonal",
-         "infinity-off-diagonal", "bell-diagonal-nan-weight", "no-parties"],
+         "infinity-off-diagonal", "bell-diagonal-nan-weight", "no-parties", "top-level-array",
+         "top-level-number", "top-level-string", "top-level-null"],
 )
 def test_bad_state_file_exit_code(argv, tmp_path, capsys):
     # NOT_UTF8 stands for a file that starts with a UTF-16 byte-order mark,
-    # NO_PARTIES for a 1 x 1 state with empty dims, and the other names for
-    # state files whose JSON holds NaN or Infinity
+    # the TOP_ names for files whose JSON is no object, NO_PARTIES for a 1 x 1
+    # state with empty dims, and the other names for state files whose JSON
+    # holds NaN or Infinity
     (tmp_path / "NOT_UTF8").write_bytes(b"\xff\xfe")
+    texts = {"TOP_ARRAY": "[]", "TOP_NUMBER": "3", "TOP_STRING": '"x"', "TOP_NULL": "null"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
     nan, inf = float("nan"), float("inf")
     states = {
         "NAN_DIAGONAL": _unvalidated_identity([2], {(0, 0): nan}),
@@ -141,7 +150,8 @@ def test_bad_state_file_exit_code(argv, tmp_path, capsys):
     }
     for name, rho in states.items():
         save_state(rho, tmp_path / name)
-    argv = [str(tmp_path / a) if a == "NOT_UTF8" or a in states else a for a in argv]
+    files = {"NOT_UTF8", *states, *texts}
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "invalid state" in err

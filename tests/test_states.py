@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import partial_trace, partial_transpose, trace_power
+from twirlkit.criteria import werner_threshold_2, werner_threshold_3
+from twirlkit.reconstruct import exact_x3
 from twirlkit.states import (
     BellDiagonalSpectrum,
     DimensionMismatchError,
@@ -16,6 +18,7 @@ from twirlkit.states import (
     random_density,
     werner_state,
 )
+from twirlkit.weingarten import permutations_of_order
 
 
 def test_make_state_rejects_non_square():
@@ -64,6 +67,46 @@ def test_make_state_takes_a_dims_profile_or_any_iterable_of_ints():
 def test_dims_profile_rejects_dimension_one():
     with pytest.raises(DimensionMismatchError):
         DimsProfile((2, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DimsProfile((2.5, 3)),
+        lambda: DimsProfile((3.0, 2)),
+        lambda: DimsProfile((np.float64(3), 2)),
+        lambda: DimsProfile(("3", "4")),
+        lambda: maximally_mixed((2.5, 3)),
+        lambda: random_density((2.7, 2), rank=2, seed=0),
+    ],
+    ids=["float", "integral-float", "numpy-float", "strings", "maximally-mixed", "random"],
+)
+def test_a_dimension_that_is_not_an_integer_is_refused(build):
+    with pytest.raises(DimensionMismatchError, match="is not an integer"):
+        build()
+
+
+def test_dims_profile_takes_numpy_integers_as_ints():
+    dims = DimsProfile((np.int64(3), np.int32(2), np.uint8(4))).dims
+    assert dims == (3, 2, 4) and all(type(d) is int for d in dims)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: exact_x3(random_density((2, 2, 2), rank=2, seed=0)), "bipartite"),
+        (lambda: werner_threshold_2(1), "d must be >= 2"),
+        (lambda: werner_threshold_3(2), "needs d >= 3"),
+        (lambda: BellDiagonalSpectrum((0.5, 0.25, 0.25)), "exactly 4 entries"),
+        (lambda: BellDiagonalSpectrum((0.2,) * 5), "exactly 4 entries"),
+        (lambda: permutations_of_order(0), "unsupported order n=0"),
+    ],
+    ids=["exact-x3-three-parties", "werner-threshold-2-d1", "werner-threshold-3-d2",
+         "bell-three-weights", "bell-five-weights", "permutations-of-order-0"],
+)
+def test_a_library_guard_refuses_input_outside_its_domain(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("seed", range(5))

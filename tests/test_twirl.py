@@ -59,6 +59,15 @@ def test_config_validation():
     assert EstimatorConfig(n_unitaries=1, order=2, shots=2**63 - 1).shots == 2**63 - 1
     with pytest.raises(ValueError, match="at most 2\\*\\*63 - 1"):
         EstimatorConfig(n_unitaries=1, order=2, shots=2**63)
+    # every setting is an integer; a float refused here would fail later in
+    # the run, or (workers) start a pool
+    for name, value in [("n_unitaries", 2.5), ("order", 2.5), ("shots", 2.5),
+                        ("master_seed", 1.5), ("workers", 1.5), ("shots", 4.0)]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EstimatorConfig(**{"n_unitaries": 1, "order": 2, name: value})
+    cfg = EstimatorConfig(n_unitaries=np.int64(3), order=np.int32(2), shots=np.uint8(4),
+                          master_seed=np.int64(5), workers=np.int16(2))
+    assert (cfg.n_unitaries, cfg.order, cfg.shots, cfg.master_seed, cfg.workers) == (3, 2, 4, 5, 2)
 
 
 def test_born_probabilities_are_a_probability_vector():

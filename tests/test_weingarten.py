@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from oracles import (
-    INVARIANT_ID,
     compose,
     cycle_type,
     diagram_contract_loops,
     gram_entry,
+    invariant_id,
     inverse,
     partial_trace,
     trace_power,
@@ -87,8 +87,8 @@ def test_permutations_beyond_s3_are_lexicographic_with_the_documented_s2_and_s3(
     assert perms.shape == (np.prod(range(1, n + 1)), n)
     assert list(map(tuple, perms.tolist())) == list(itertools.permutations(range(n)))
     assert permutations_of_order(2).tolist() == [[0, 1], [1, 0]]
-    # {e, (12), (23), (13), (312), (231)}; (312) maps 1->3, 2->1, 3->2
-    assert S3 == [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (2, 0, 1), (1, 2, 0)]
+    # S3 too: {e, (23), (12), (123), (132), (13)} in cycle notation
+    assert S3 == [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
 @pytest.mark.parametrize(
@@ -208,19 +208,17 @@ def test_invariant_table_resolves_x9_vs_x10_on_bell_state():
     # matching 3-cycles contract to Tr rho^3 (=1 on a pure state), opposite
     # 3-cycles to Tr (rho^Gamma)^3 (=1/d^2 on the maximally entangled state)
     rho = make_state(max_entangled_projector(2), (2, 2))
-    c3, c3i = S3[4], S3[5]
+    c3, c3i = (2, 0, 1), (1, 2, 0)
     assert diagram_contract(rho, c3, c3) == pytest.approx(1.0, abs=1e-12)
     assert diagram_contract(rho, c3, c3i) == pytest.approx(0.25, abs=1e-12)
-    assert INVARIANT_ID[4][4] == 9 and INVARIANT_ID[4][5] == 10
+    assert invariant_id(c3, c3) == 9 and invariant_id(c3, c3i) == 10
 
 
 def test_invariant_table_is_symmetric_under_simultaneous_inversion():
     # contracting with (tau_A^-1, tau_B^-1) gives the same invariant
-    for i, pa in enumerate(S3):
-        for j, pb in enumerate(S3):
-            ii = S3.index(inverse(pa))
-            jj = S3.index(inverse(pb))
-            assert INVARIANT_ID[i][j] == INVARIANT_ID[ii][jj]
+    for pa in S3:
+        for pb in S3:
+            assert invariant_id(pa, pb) == invariant_id(inverse(pa), inverse(pb))
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (3, 4), (2, 2), (2, 3)])

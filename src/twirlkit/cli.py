@@ -5,8 +5,10 @@ Subcommands: ``invariants`` (exact invariants plus oracle residuals),
 ``werner-sweep`` (detection polynomials over a p-grid), ``selftest``.
 
 Exit codes: 0 success, 1 usage error (also an input too large for memory),
-2 invalid state input, 3 numerical failure, 141 stdout closed by its reader
-(as a shell reports SIGPIPE).  Each failure prints one line to stderr, a
+2 invalid state input (also an (order, parties) pair that the library refuses:
+``criteria`` has no criterion for it, or ``reconstruct.exact_x3`` is not
+defined on it), 3 numerical failure, 141 stdout closed by its reader (as a
+shell reports SIGPIPE).  Each failure prints one line to stderr, a
 failed write to stdout too; a closed stdout prints nothing.
 CSV output is byte-identical for identical (command, config, seed) and uses
 repr round-trip precision; schemas are documented in the README.
@@ -197,31 +199,28 @@ def resolve_state(args) -> DensityMatrix:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _state_for_order(args) -> DensityMatrix:
-    rho = resolve_state(args)
-    if args.order == 3 and rho.dims.n_parties != 2:
-        raise StateError("order 3 requires a bipartite state")
-    return rho
+def _csv(header: str, rows: Iterable[Iterable]) -> list[str]:
+    return [header, *(",".join(_fmt(v) for v in row) for row in rows)]
 
 
 def cmd_invariants(args) -> int:
-    rho = _state_for_order(args)
+    rho = resolve_state(args)
     exact, oracle, residuals = checks.invariant_table(rho, args.order)
     names = ["x%d" % k for k in range(len(exact))]
-    lines = []
     if args.format == "csv":
-        lines.append("name,exact,oracle,residual")
-        for row in zip(names, exact, oracle, residuals):
-            lines.append(",".join(_fmt(v) for v in row))
+        lines = _csv("name,exact,oracle,residual", zip(names, exact, oracle, residuals))
     else:
-        lines.append(f"exact order-{args.order} invariants, dims={list(rho.dims.dims)}")
+        lines = [f"exact order-{args.order} invariants, dims={list(rho.dims.dims)}"]
         for nm, ex, orc, res in zip(names, exact, oracle, residuals):
             lines.append(f"  {nm:>4} = {_fmt(ex)}  (oracle {_fmt(orc)}, residual {res:.3e})")
     _emit(lines, args.out)
     return 0
 
 
-def _estimate_rows(rho: DensityMatrix, args):
+def cmd_estimate(args) -> int:
+    rho = resolve_state(args)
+    # refuse an (order, parties) with no criterion before any unitary is drawn
+    criteria._table(args.order, rho.dims.n_parties)
     try:
         cfg = twirl.EstimatorConfig(
             n_unitaries=args.unitaries,
@@ -234,35 +233,23 @@ def _estimate_rows(rho: DensityMatrix, args):
         raise UsageError(str(exc)) from exc
     est = twirl.estimate_y(rho, cfg)
     names = ["x%d" % k for k in range(len(est.values))]
-    crit, _ = criteria.criterion(args.order, rho.dims.n_parties, est.values)
-    return names, est.values, est.std_error, crit
-
-
-def cmd_estimate(args) -> int:
-    rho = _state_for_order(args)
-    if rho.dims.n_parties < 2:
-        raise StateError("estimate requires at least two parties: one party has no cut")
-    names, x_hat, se_x, c = _estimate_rows(rho, args)
-    lines = []
+    c, _ = criteria.criterion(args.order, rho.dims.n_parties, est.values)
     if args.format == "csv":
-        lines.append("row_type,name,value,std_error,lhs,rhs,margin,detected")
-        for nm, v, se in zip(names, x_hat, se_x):
-            lines.append(f"x,{nm},{_fmt(v)},{_fmt(se)},,,,")
-        lines.append(
-            f"criterion,{c.name},,,{_fmt(c.lhs)},{_fmt(c.rhs)},"
-            f"{_fmt(c.margin)},{_fmt(c.detected)}"
-        )
+        rows = [("x", nm, v, se, "", "", "", "")
+                for nm, v, se in zip(names, est.values, est.std_error)]
+        rows.append(("criterion", c.name, "", "", c.lhs, c.rhs, c.margin, c.detected))
+        lines = _csv("row_type,name,value,std_error,lhs,rhs,margin,detected", rows)
     else:
-        lines.append(
+        lines = [
             f"estimated invariants, order={args.order}, unitaries={args.unitaries},"
             f" shots={args.shots}, seed={args.seed}"
-        )
+        ]
         # the exact column is printed only here, so only the report pays for it
         if args.order == 2:
             exact = reconstruct.exact_x2(rho).purities
         else:
             exact = reconstruct.exact_x3(rho).measurable
-        for nm, v, se, ex in zip(names, x_hat, se_x, exact):
+        for nm, v, se, ex in zip(names, est.values, est.std_error, exact):
             lines.append(f"  {nm:>4} = {_fmt(v)} +/- {_fmt(se)}  (exact {_fmt(ex)})")
         verdict = "DETECTED" if c.detected else "not detected"
         lines.append(

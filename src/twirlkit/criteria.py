@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import reconstruct, weingarten
+from .states import DimensionMismatchError
 
 
 # Ties must not count as detections; exact ties (pure product states saturate
@@ -59,7 +60,7 @@ def _table(order: int, n_parties: int) -> tuple[str, int, np.ndarray, np.ndarray
         name, coefs = "third-order", (2.0, -1.0, -1.0)
         wirings = [[(C3, SWAP3), (C3, C3), (C3, C3_INV)]]
     else:
-        raise ValueError(f"no criterion at order {order} on {n_parties} parties")
+        raise DimensionMismatchError(f"no criterion at order {order} on a {n_parties}-party state")
     perms = weingarten.permutations_of_order(order)
     digits = np.moveaxis(weingarten._row_index(perms, np.array(wirings)), -1, 0)
     invariants = reconstruct._invariants(order, n_parties)
@@ -72,8 +73,8 @@ def criterion(order: int, n_parties: int, x) -> tuple[CriterionReport, np.ndarra
     """The report of the row of least margin (then least rhs), and every row's
     margin, of the criterion at ``order`` on ``n_parties`` parties evaluated on
     the invariants ``x``.  Order 2 (N >= 2) has a row per subset bitmask
-    P = 1 .. 2^N - 2, order 3 one row on two parties; any other (order, N), or
-    an x without one value per invariant, raises ValueError."""
+    P = 1 .. 2^N - 2, order 3 one row on two parties; other (order, N) raise
+    DimensionMismatchError and an x without one value per invariant ValueError."""
     name, n_x, ids, coefs = _table(order, n_parties)
     x = np.asarray(x, dtype=float)
     if x.shape != (n_x,):

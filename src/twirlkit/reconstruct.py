@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import DensityMatrix
+from .states import DensityMatrix, DimensionMismatchError
 from .weingarten import (
     _group_tables,
     _partitions,
@@ -144,7 +144,9 @@ def exact_x3(rho: DensityMatrix) -> XVector3:
     Hermitian, so it is vdot(a, b).
     """
     if rho.dims.n_parties != 2:
-        raise ValueError("order-3 invariants are defined for bipartite states")
+        raise DimensionMismatchError(
+            f"order-3 invariants need a bipartite state, not a {rho.dims.n_parties}-party state"
+        )
     m = rho.entries
     t = m.reshape(rho.dims.dims * 2)
     m2 = m @ m

@@ -179,9 +179,13 @@ def bell_diagonal(spectrum: BellDiagonalSpectrum) -> DensityMatrix:
 def random_density(
     dims: Iterable[int], rank: int, seed: int | np.random.Generator
 ) -> DensityMatrix:
-    """Seeded Ginibre state GG^dag / Tr(GG^dag) of the requested rank."""
+    """Seeded Ginibre state GG^dag / Tr(GG^dag) of the requested integer rank."""
     dims = DimsProfile(dims)
     total = dims.total
+    try:
+        rank = operator.index(rank)
+    except TypeError:
+        raise StateError(f"rank {rank!r} is not an integer") from None
     if not 1 <= rank <= total:
         raise StateError(f"rank {rank} out of range 1..{total}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

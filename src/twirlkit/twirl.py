@@ -102,6 +102,8 @@ class EstimatorConfig:
                 raise ValueError(f"{f.name} must be an integer") from None
         if self.n_unitaries < 1:
             raise ValueError("n_unitaries must be >= 1")
+        if self.order < 1:
+            raise ValueError("order must be >= 1")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
         if self.shots > 2**63 - 1:

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import per_unitary_samples
 import twirlkit
-from twirlkit import weingarten
+from twirlkit import twirl, weingarten
 from twirlkit.cli import main
 from twirlkit.reconstruct import forward_matrix, invert
 from twirlkit.stateio import save_state
@@ -199,6 +199,22 @@ def test_order3_on_non_bipartite_state_exit_code(argv, capsys):
     assert code == 2
     assert "invalid state input" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--order", "3", "--dims", "3,3,3"], ["--dims", "3"]],
+                         ids=["order3-three-parties", "order2-one-party"])
+def test_estimate_refuses_an_order_and_party_count_before_any_draw(argv, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a unitary was drawn")
+
+    monkeypatch.setattr(twirl, "sample_haar_batch", no_draw)
+    code, out, err = run(["estimate", "--builtin", "random", "--unitaries", "10"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid state input: ")
+    assert len(err.strip().splitlines()) == 1
+    # the patch sits where draws happen: a pair with a criterion reaches it
+    with pytest.raises(AssertionError, match="a unitary was drawn"):
+        main(["estimate", "--builtin", "random", "--dims", "3,3", "--unitaries", "10"])
 
 
 def test_invariants_on_one_party(capsys):

@@ -14,6 +14,7 @@ from twirlkit.criteria import (
 )
 from twirlkit.reconstruct import _inverse, exact_x2, exact_x3, forward_matrix
 from twirlkit.states import (
+    StateError,
     make_state,
     max_entangled_projector,
     maximally_mixed,
@@ -82,6 +83,21 @@ def test_criterion_refuses_other_shapes(order, n_parties, n_entries):
     # order 3 reads the eleven two-party invariants; no other order has rows
     with pytest.raises(ValueError):
         criterion(order, n_parties, np.ones(n_entries))
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: criterion(3, 3, np.ones(49)), "order 3 on a 3-party state"),
+        (lambda: criterion(2, 1, np.ones(2)), "order 2 on a 1-party state"),
+        (lambda: exact_x3(random_density((2, 2, 2), rank=2, seed=0)), "not a 3-party state"),
+    ],
+    ids=["order3-three-parties", "order2-one-party", "exact-x3-three-parties"],
+)
+def test_an_order_and_party_count_without_a_formula_is_invalid_state_input(call, match):
+    # a StateError is what the CLI reports as invalid state input, exit 2
+    with pytest.raises(StateError, match=match):
+        call()
 
 
 def test_purity_criterion_multipartite_cuts():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from twirlkit.states import (
     DimsProfile,
     HermiticityError,
     PositivityError,
+    StateError,
     TraceError,
     bell_diagonal,
     make_state,
@@ -202,11 +205,17 @@ def test_bell_diagonal_partial_transpose_spectrum():
     assert eigs[0] == pytest.approx(0.5 - max(lam), abs=1e-12)
 
 
-@pytest.mark.parametrize("rank", [1, 2, 6])
+@pytest.mark.parametrize("rank", [1, 2, 6, np.int64(4)])
 def test_random_density_rank(rank):
     rho = random_density((2, 3), rank=rank, seed=3)
     eigs = np.linalg.eigvalsh(rho.entries)
     assert np.sum(eigs > 1e-10) == rank
+
+
+@pytest.mark.parametrize("rank", [2.5, 2.0, "2"], ids=["float", "integral-float", "string"])
+def test_random_density_refuses_a_rank_that_is_not_an_integer(rank):
+    with pytest.raises(StateError, match=re.escape(f"rank {rank!r} is not an integer")):
+        random_density((3, 3), rank=rank, seed=0)
 
 
 def test_random_density_is_seeded():

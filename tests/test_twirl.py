@@ -55,6 +55,11 @@ def test_config_validation():
         EstimatorConfig(n_unitaries=1, order=2, workers=0)
     with pytest.raises(ValueError):
         EstimatorConfig(n_unitaries=1, order=2, master_seed=-1)
+    # order 1 estimates x = [Tr rho]; below it there is no permutation group
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            EstimatorConfig(n_unitaries=1, order=order)
+    assert EstimatorConfig(n_unitaries=1, order=1).order == 1
     # the shot count is an int64 for numpy's multinomial sampler
     assert EstimatorConfig(n_unitaries=1, order=2, shots=2**63 - 1).shots == 2**63 - 1
     with pytest.raises(ValueError, match="at most 2\\*\\*63 - 1"):

@@ -17,6 +17,7 @@ from .reconstruct import (
     exact_x3,
     forward_matrix,
     invert,
+    measurable_x,
 )
 from .states import (
     BellDiagonalSpectrum,

@@ -13,7 +13,13 @@ import functools
 import numpy as np
 
 from . import criteria, reconstruct, weingarten
-from .states import DensityMatrix, make_state, max_entangled_projector, random_density
+from .states import (
+    DensityMatrix,
+    DimensionMismatchError,
+    make_state,
+    max_entangled_projector,
+    random_density,
+)
 
 # the largest oracle residual ``invariant_table`` accepts
 RESIDUAL_LIMIT = 1e-8
@@ -81,12 +87,15 @@ def invariant_table(
     rho: DensityMatrix, order: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact values, oracle values and residuals of the order-2 or order-3
-    invariants x0, x1, ...; raises ReconstructionError when a residual exceeds
-    ``RESIDUAL_LIMIT`` or is NaN."""
+    invariants x0, x1, ...; raises DimensionMismatchError at any other order
+    and ReconstructionError when a residual exceeds ``RESIDUAL_LIMIT`` or is
+    NaN."""
     if order == 2:
         exact, oracle = reconstruct.exact_x2(rho).purities, x2_oracle(rho)
-    else:
+    elif order == 3:
         exact, oracle = reconstruct.exact_x3(rho).values, x3_oracle(rho)
+    else:
+        raise DimensionMismatchError(f"no invariant oracle at order {order}")
     residuals = np.abs(exact - oracle)
     # np.max keeps a NaN, and the negated test fails on it
     worst = np.max(residuals)
@@ -111,23 +120,15 @@ def run_selftest() -> list[tuple[str, bool, str]]:
                    worst < 1e-9, f"max residual {worst:.3e}"))
 
     rng = np.random.default_rng(2024)
-    worst2 = 0.0
-    for dims in [(2, 2), (3, 4), (2, 2, 3)]:
-        rho = random_density(dims, rank=3, seed=rng)
-        x = reconstruct.exact_x2(rho).purities
-        xr = reconstruct.invert(2, dims, reconstruct.forward_matrix(2, dims) @ x)
-        worst2 = max(worst2, float(np.max(np.abs(xr - x))))
-    checks.append(("order-2 forward/invert round trip", worst2 < 1e-10,
-                   f"max error {worst2:.3e}"))
-
-    worst3 = 0.0
-    for dims in [(3, 3), (3, 4), (4, 4)]:
-        rho = random_density(dims, rank=4, seed=rng)
-        x = reconstruct.exact_x3(rho)
-        xr = reconstruct.invert(3, dims, reconstruct.forward_matrix(3, dims) @ x.values)
-        worst3 = max(worst3, float(np.max(np.abs(xr - x.measurable))))
-    checks.append(("order-3 forward/invert round trip", worst3 < 1e-10,
-                   f"max error {worst3:.3e}"))
+    for order, shapes, rank in ((2, [(2, 2), (3, 4), (2, 2, 3)], 3),
+                                (3, [(3, 3), (3, 4), (4, 4)], 4)):
+        err = 0.0
+        for dims in shapes:
+            x = reconstruct.measurable_x(random_density(dims, rank=rank, seed=rng), order)
+            xr = reconstruct.invert(order, dims, reconstruct.forward_matrix(order, dims) @ x)
+            err = max(err, float(np.max(np.abs(xr - x))))
+        checks.append((f"order-{order} forward/invert round trip", err < 1e-10,
+                       f"max error {err:.3e}"))
 
     rho = random_density((3, 3), rank=2, seed=rng)
     worst_o = float(np.max(np.abs(x3_oracle(rho) - reconstruct.exact_x3(rho).values)))

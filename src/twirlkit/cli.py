@@ -245,10 +245,7 @@ def cmd_estimate(args) -> int:
             f" shots={args.shots}, seed={args.seed}"
         ]
         # the exact column is printed only here, so only the report pays for it
-        if args.order == 2:
-            exact = reconstruct.exact_x2(rho).purities
-        else:
-            exact = reconstruct.exact_x3(rho).measurable
+        exact = reconstruct.measurable_x(rho, args.order)
         for nm, v, se, ex in zip(names, est.values, est.std_error, exact):
             lines.append(f"  {nm:>4} = {_fmt(v)} +/- {_fmt(se)}  (exact {_fmt(ex)})")
         verdict = "DETECTED" if c.detected else "not detected"
@@ -262,8 +259,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_werner_sweep(args) -> int:
     d = args.d
-    if d < 2:
-        raise UsageError("--d must be >= 2")
+    if not 2 <= d <= criteria.MAX_WERNER_D:
+        raise UsageError(f"--d must be between 2 and {criteria.MAX_WERNER_D}")
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
         raise UsageError(f"--steps must be between 2 and {MAX_SWEEP_STEPS}")
     if not 0.0 <= args.p_min < args.p_max <= 1.0:

@@ -91,6 +91,12 @@ def criterion(order: int, n_parties: int, x) -> tuple[CriterionReport, np.ndarra
 # Werner family thresholds
 # ---------------------------------------------------------------------------
 
+# the largest d that werner_threshold_3 and werner-sweep take: from about
+# d = 10^52 Cardano's discriminant underflows and its root misses the cubic
+# by more than 1e-9, and past 10^154 the polynomials overflow
+MAX_WERNER_D = 10**6
+
+
 def werner_poly_2(d: int, p: float) -> float:
     """Order-2 detection polynomial; negative values mean detection."""
     return -(d + 1.0) * p * p + 1.0
@@ -117,9 +123,12 @@ def _cbrt(v: float) -> float:
 
 
 def werner_threshold_3(d: int) -> float:
-    """Smallest p detected at order 3: the real root of the cubic via Cardano."""
+    """Smallest p detected at order 3: the real root of the cubic via
+    Cardano, for 3 <= d <= ``MAX_WERNER_D``."""
     if d < 3:
         raise ValueError("the order-3 criterion needs d >= 3")
+    if d > MAX_WERNER_D:
+        raise ValueError(f"the order-3 threshold needs d <= {MAX_WERNER_D}")
     a = -2.0 * (d - 3.0) / ((d - 2.0) * (d + 2.0))
     b = -2.0 / ((d - 2.0) * (d + 2.0) * (d + 1.0))
     q = -a * a / 3.0

@@ -115,8 +115,8 @@ class XVector3:
     """The result of :func:`exact_x3`: the eleven third-order invariants
     x0..x10 as a read-only array, x9 = Tr rho^3 and x10 = Tr (rho^Gamma)^3.
 
-    Only x9 + x10 is accessible from randomized measurements, so
-    :func:`invert` and ``measurable`` carry x_S = (x9 + x10) / 2 in both slots.
+    Only x9 + x10 is accessible from randomized measurements, so :func:`invert`
+    and :func:`measurable_x` carry x_S = (x9 + x10) / 2 in both slots.
     """
 
     values: np.ndarray = field(repr=False)
@@ -127,12 +127,6 @@ class XVector3:
             raise ValueError("an order-3 invariant vector has 11 components")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def measurable(self) -> np.ndarray:
-        """x0..x8, x_S, x_S: the layout of :func:`invert`."""
-        x_s = 0.5 * (self.values[9] + self.values[10])
-        return np.r_[self.values[:9], x_s, x_s]
 
 
 def exact_x3(rho: DensityMatrix) -> XVector3:
@@ -170,6 +164,19 @@ def exact_x3(rho: DensityMatrix) -> XVector3:
             np.vdot(pt, pt @ pt),
         ))
     )
+
+
+def measurable_x(rho: DensityMatrix, order: int) -> np.ndarray:
+    """The exact invariants in the layout of :func:`invert` and ``estimate_y``:
+    the 2^N purities at order 2, x0..x8 and x_S in the x9 and x10 slots at
+    order 3.  Other orders raise DimensionMismatchError."""
+    if order == 2:
+        return exact_x2(rho).purities
+    if order != 3:
+        raise DimensionMismatchError(f"no exact invariants at order {order}")
+    x = exact_x3(rho).values
+    x_s = 0.5 * (x[9] + x[10])
+    return np.r_[x[:9], x_s, x_s]
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +289,9 @@ def invert(order: int, dims: Sequence[int], y) -> np.ndarray:
 
     Returns the minimum-norm solution of A x = y, one value per invariant of
     :func:`_invariants` (the 2^N purities at order 2); invariants that share
-    a column get one value, such as x_S in the two-party x9 and x10 slots.
-    One matmul with the :func:`_inverse` of the shape, whose residual is
-    checked there once.  Raises unless y is finite.
+    a column get one value, as x_S in the two-party x9 and x10 slots does
+    (see :func:`measurable_x`).  One matmul with the :func:`_inverse` of the
+    shape, whose residual is checked there once.  Raises unless y is finite.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):

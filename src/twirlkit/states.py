@@ -154,7 +154,8 @@ class BellDiagonalSpectrum:
         lam = tuple(float(v) for v in lambdas)
         if len(lam) != 4:
             raise StateError("a Bell-diagonal spectrum has exactly 4 entries")
-        if any(v < -1e-12 or v > 1 + 1e-12 for v in lam):
+        # written so that NaN fails it
+        if not all(-1e-12 <= v <= 1 + 1e-12 for v in lam):
             raise StateError(f"lambdas {lam} not all in [0, 1]")
         if abs(sum(lam) - 1.0) > 1e-12:
             raise StateError(f"lambdas {lam} do not sum to 1")

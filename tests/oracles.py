@@ -281,14 +281,6 @@ def pooling_loops(order: int, n_parties: int) -> np.ndarray:
     return np.eye(len(ids))[comps]
 
 
-def measurable_x(rho: DensityMatrix, order: int) -> np.ndarray:
-    """The exact invariants in the layout ``invert`` returns: the 2^N
-    purities, or x0..x8 with x_S in both the x9 and x10 slots."""
-    if order == 2:
-        return exact_x2(rho).purities
-    return exact_x3(rho).measurable
-
-
 def exact_y(rho: DensityMatrix, order: int) -> np.ndarray:
     """The exact per-class averages: the forward matrix on the invariants."""
     x = exact_x2(rho).purities if order == 2 else np.array(exact_x3(rho).values)

@@ -16,7 +16,6 @@ from twirlkit.criteria import (
 from oracles import (
     gram_entry,
     invariant_id,
-    measurable_x,
     partial_transpose,
     per_unitary_samples,
     purity_marginal_hamming,
@@ -25,7 +24,7 @@ from oracles import (
     trace_power,
 )
 from twirlkit.haar import RngStream
-from twirlkit.reconstruct import exact_x2, exact_x3, forward_matrix, invert
+from twirlkit.reconstruct import exact_x2, exact_x3, forward_matrix, invert, measurable_x
 from twirlkit.states import (
     BellDiagonalSpectrum,
     DimsProfile,

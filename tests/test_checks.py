@@ -8,7 +8,7 @@ from oracles import invariant_id, purity_loops, subset_mask
 from twirlkit import weingarten
 from twirlkit.checks import _X3_WIRINGS, invariant_table, x2_oracle, x3_oracle
 from twirlkit.reconstruct import ReconstructionError, exact_x2, exact_x3
-from twirlkit.states import random_density
+from twirlkit.states import DimensionMismatchError, random_density
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 2, 2, 2), (3, 4), (2, 3, 2)])
@@ -89,3 +89,9 @@ def test_x3_oracle_holds_at_most_four_copies_of_the_state():
         tracemalloc.stop()
     assert peak <= 4 * 16 * rho.total**2
     np.testing.assert_allclose(got, exact_x3(rho).values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_invariant_table_refuses_an_order_without_an_oracle(order):
+    with pytest.raises(DimensionMismatchError, match=f"order {order}"):
+        invariant_table(random_density((3, 3), rank=3, seed=0), order)

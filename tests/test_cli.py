@@ -13,7 +13,7 @@ import pytest
 
 from oracles import per_unitary_samples
 import twirlkit
-from twirlkit import twirl, weingarten
+from twirlkit import criteria, twirl, weingarten
 from twirlkit.cli import main
 from twirlkit.reconstruct import forward_matrix, invert
 from twirlkit.stateio import save_state
@@ -776,3 +776,23 @@ def test_reading_a_state_file_loads_no_sampling_module(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "state.json")],
                           capture_output=True, text=True, env=_fresh_env())
     assert done.stdout and done.stderr == "[] 0\n"
+
+
+def test_werner_sweep_at_the_largest_d_prints_finite_cells(capsys):
+    d = criteria.MAX_WERNER_D
+    code, out, _ = run(["werner-sweep", "--d", str(d), "--steps", "11"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    cells = [c for l in lines[1:-1] for c in l.split(",")[:3]]
+    cells += [c.split("=")[1] for c in lines[-1].split(",")[1:4]]
+    assert len(cells) == 36 and all(math.isfinite(float(c)) for c in cells)
+    p_star_3 = float(lines[-1].split(",")[2].split("=")[1])
+    assert abs(criteria.werner_poly_3(d, p_star_3)) < 1e-9
+
+
+def test_werner_sweep_refuses_d_above_the_bound_before_any_line(capsys):
+    code, out, err = run(["werner-sweep", "--d", str(criteria.MAX_WERNER_D + 1)], capsys)
+    assert code == 1 and out == ""
+    assert err.strip().splitlines() == [
+        f"usage error: --d must be between 2 and {criteria.MAX_WERNER_D}"
+    ]

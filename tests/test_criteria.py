@@ -3,6 +3,7 @@ import pytest
 
 from oracles import purity_criterion, third_order_criterion
 from twirlkit.criteria import (
+    MAX_WERNER_D,
     TIE_TOL,
     CriterionReport,
     _table,
@@ -12,7 +13,7 @@ from twirlkit.criteria import (
     werner_threshold_2,
     werner_threshold_3,
 )
-from twirlkit.reconstruct import _inverse, exact_x2, exact_x3, forward_matrix
+from twirlkit.reconstruct import _inverse, exact_x2, exact_x3, forward_matrix, measurable_x
 from twirlkit.states import (
     StateError,
     make_state,
@@ -144,7 +145,10 @@ def test_werner_poly_3_at_d3_is_minus_20p3_plus_2():
         assert werner_poly_3(3, p) == pytest.approx(-20 * p**3 + 2, abs=1e-12)
 
 
-@pytest.mark.parametrize("d", range(3, 11))
+# a log grid of d up to the largest accepted one, MAX_WERNER_D
+@pytest.mark.parametrize(
+    "d", [*range(3, 11), *np.geomspace(11, MAX_WERNER_D, 26).round().astype(int).tolist()]
+)
 def test_werner_threshold_3_is_a_root_in_range(d):
     t = werner_threshold_3(d)
     assert 0 < t < 1
@@ -296,7 +300,7 @@ def test_third_order_row_matches_the_slot_oracle_bit_for_bit(dims):
     for rho in states:
         xs = [exact_x3(rho).values]
         if min(dims) >= 3:
-            xs += [exact_x3(rho).measurable, _estimated(rho, 3)]
+            xs += [measurable_x(rho, 3), _estimated(rho, 3)]
         for x in xs:
             report, margins = criterion(3, 2, x)
             _assert_same_report(report, third_order_criterion(x))

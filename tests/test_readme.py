@@ -1,10 +1,15 @@
-"""The library example in README.md runs as printed, and README.md documents
-exactly the command-line options the parser has."""
+"""The library example in README.md runs as printed, README.md documents
+exactly the command-line options the parser has, and every twirlkit name it
+cites exists."""
 
 import argparse
+import functools
+import importlib
 import os
+import pkgutil
 import re
 
+import twirlkit
 from twirlkit.cli import build_parser
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -47,3 +52,23 @@ def test_every_flag_the_readme_names_is_an_option():
     known = set().union(*_options().values())
     named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", _readme())) - NOT_OURS
     assert sorted(named - known) == []
+
+
+def _module_references() -> set[str]:
+    """Backticked spans that open with ``module.name`` (optionally
+    ``twirlkit.module.name``) for a twirlkit module, read up to any call."""
+    modules = "|".join(m.name for m in pkgutil.iter_modules(twirlkit.__path__))
+    return set(re.findall(rf"`((?:twirlkit\.)?(?:{modules})\.[\w.]+)", _readme()))
+
+
+def test_every_module_reference_in_the_readme_resolves():
+    refs = _module_references()
+    assert "reconstruct.measurable_x" in refs and "twirlkit.checks.run_selftest" in refs
+    unresolved = []
+    for ref in sorted(refs):
+        module, *names = ref.removeprefix("twirlkit.").split(".")
+        try:
+            functools.reduce(getattr, names, importlib.import_module(f"twirlkit.{module}"))
+        except AttributeError:
+            unresolved.append(ref)
+    assert unresolved == []

@@ -14,7 +14,6 @@ from oracles import (
     invariants_loops,
     inverse,
     invert_3_closed_form,
-    measurable_x,
     mub_unitaries,
     pair_class_counts,
     partial_trace,
@@ -38,8 +37,10 @@ from twirlkit.reconstruct import (
     exact_x3,
     forward_matrix,
     invert,
+    measurable_x,
 )
 from twirlkit.states import (
+    DimensionMismatchError,
     DimsProfile,
     make_state,
     max_entangled_projector,
@@ -559,3 +560,13 @@ def test_exact_invariants_are_local_unitary_invariant(dims, rank, seed):
     assert np.allclose(exact_x2(rotated).purities, exact_x2(rho).purities, atol=1e-12)
     if len(dims) == 2 and min(dims) >= 3:
         assert np.allclose(exact_x3(rotated).values, exact_x3(rho).values, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "order,dims,match",
+    [(1, (3, 3), "order 1"), (4, (3, 3), "order 4"), (3, (3, 3, 3), "bipartite")],
+    ids=["order-1", "order-4", "order-3-three-parties"],
+)
+def test_measurable_x_refuses_an_order_or_state_without_exact_invariants(order, dims, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        measurable_x(random_density(dims, rank=2, seed=0), order)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import partial_trace, partial_transpose, trace_power
-from twirlkit.criteria import werner_threshold_2, werner_threshold_3
+from twirlkit.criteria import MAX_WERNER_D, werner_threshold_2, werner_threshold_3
 from twirlkit.reconstruct import exact_x3
 from twirlkit.states import (
     BellDiagonalSpectrum,
@@ -100,12 +100,16 @@ def test_dims_profile_takes_numpy_integers_as_ints():
         (lambda: exact_x3(random_density((2, 2, 2), rank=2, seed=0)), "bipartite"),
         (lambda: werner_threshold_2(1), "d must be >= 2"),
         (lambda: werner_threshold_3(2), "needs d >= 3"),
+        (lambda: werner_threshold_3(MAX_WERNER_D + 1), f"needs d <= {MAX_WERNER_D}"),
         (lambda: BellDiagonalSpectrum((0.5, 0.25, 0.25)), "exactly 4 entries"),
         (lambda: BellDiagonalSpectrum((0.2,) * 5), "exactly 4 entries"),
+        (lambda: BellDiagonalSpectrum((float("nan"),) * 4), r"not all in \[0, 1\]"),
+        (lambda: BellDiagonalSpectrum((0.5, 0.5, float("nan"), 0.0)), r"not all in \[0, 1\]"),
         (lambda: permutations_of_order(0), "unsupported order n=0"),
     ],
     ids=["exact-x3-three-parties", "werner-threshold-2-d1", "werner-threshold-3-d2",
-         "bell-three-weights", "bell-five-weights", "permutations-of-order-0"],
+         "werner-threshold-3-above-bound", "bell-three-weights", "bell-five-weights",
+         "bell-all-nan", "bell-one-nan", "permutations-of-order-0"],
 )
 def test_a_library_guard_refuses_input_outside_its_domain(call, match):
     with pytest.raises(ValueError, match=match):

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     born_kron,
-    measurable_x,
     pair_class_counts,
     per_unitary_samples,
     std_error_of_mean,
 )
 from twirlkit.haar import RngStream, sample_haar_batch
-from twirlkit.reconstruct import _pooling, exact_x2, exact_x3, invert
+from twirlkit.reconstruct import _pooling, invert, measurable_x
 from twirlkit.states import (
     DimsProfile,
     make_state,
@@ -784,7 +783,7 @@ def test_standard_errors_cover_the_exact_invariants(case):
     # 286.4 +- 3.6 seeds, and <= 1 sigma with p = 0.6827, on 204.8 +- 8.1
     order, state, shots = _COVERAGE_CASES[case]
     rho = state()
-    exact = exact_x3(rho).measurable if order == 3 else exact_x2(rho).purities
+    exact = measurable_x(rho, order)
     runs = [
         estimate_y(rho, EstimatorConfig(n_unitaries=200, order=order, shots=shots, master_seed=s))
         for s in range(1000, 1300)
